@@ -58,7 +58,6 @@ from .solver import (
     NoiseRelease,
     StepSolution,
     compute_moments,
-    compute_weights,
     residuals,
     run_exact_irls,
     run_private_irls,
@@ -108,7 +107,6 @@ __all__ = [
     "cdp_per_release",
     "compose_cdp",
     "compute_moments",
-    "compute_weights",
     "conventional_per_release",
     "emit_csv",
     "emit_svg_chart",

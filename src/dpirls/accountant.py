@@ -34,6 +34,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+from .data import _check_int, _check_positive_finite, _check_probability
+
 _BISECTION_TOL = 1e-12
 
 
@@ -57,8 +59,7 @@ class PrivacyBudget:
     regime: Regime = Regime.CDP
 
     def __post_init__(self) -> None:
-        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        _check_positive_finite("epsilon", self.epsilon)
         if not isinstance(self.regime, Regime):
             raise ValueError(f"regime must be a Regime, got {self.regime!r}")
         if self.regime is Regime.ADVANCED:
@@ -85,8 +86,7 @@ class NoisePlan:
     cdp_params: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if not (self.eps_prime > 0.0 and math.isfinite(self.eps_prime)):
-            raise ValueError(f"eps_prime must be positive and finite, got {self.eps_prime!r}")
+        _check_positive_finite("eps_prime", self.eps_prime)
         if self.releases_per_iteration < 1 or self.total_releases < 1:
             raise ValueError("release counts must be positive")
         if (self.cdp_params is not None) != (self.regime is Regime.CDP):
@@ -99,8 +99,7 @@ def cdp_of_dp(eps_prime: float) -> tuple[float, float]:
     mu = eps' (e^eps' - 1) / 2 and tau = eps'.  Beyond eps' ~ 709 the mean
     parameter exceeds the float64 range and saturates to inf.
     """
-    if not (eps_prime > 0.0 and math.isfinite(eps_prime)):
-        raise ValueError(f"eps_prime must be positive and finite, got {eps_prime!r}")
+    _check_positive_finite("eps_prime", eps_prime)
     if eps_prime > 709.0:
         return math.inf, eps_prime
     return eps_prime * math.expm1(eps_prime) / 2.0, eps_prime
@@ -121,14 +120,9 @@ def compose_cdp(params: Iterable[tuple[float, float]]) -> tuple[float, float]:
 
 
 def _check_split_args(epsilon: float, iterations: int, releases_per_iteration: int) -> int:
-    if not (epsilon > 0.0 and math.isfinite(epsilon)):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
-    if not isinstance(iterations, int) or iterations < 1:
-        raise ValueError(f"iterations must be a positive integer, got {iterations!r}")
-    if not isinstance(releases_per_iteration, int) or releases_per_iteration < 1:
-        raise ValueError(
-            f"releases_per_iteration must be a positive integer, got {releases_per_iteration!r}"
-        )
+    _check_positive_finite("epsilon", epsilon)
+    _check_int("iterations", iterations)
+    _check_int("releases_per_iteration", releases_per_iteration)
     return iterations * releases_per_iteration
 
 
@@ -170,8 +164,7 @@ def advanced_per_release(
     increasing in eps', so the root is unique.
     """
     k = _check_split_args(epsilon, iterations, releases_per_iteration)
-    if not (0.0 < failure_prob < 1.0):
-        raise ValueError(f"failure_prob must lie in (0, 1), got {failure_prob!r}")
+    _check_probability("failure_prob", failure_prob)
     lo, hi = 0.0, 1.0
     while _advanced_cost(hi, k, failure_prob) <= epsilon:
         lo = hi

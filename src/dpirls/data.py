@@ -9,6 +9,7 @@ before calibrating any noise.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,49 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.float64, order="C", copy=True)
     out.setflags(write=False)
     return out
+
+
+# Argument checks shared by every module, so each rule and its message
+# is stated once.
+
+def _check_positive_finite(name: str, value: float) -> None:
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+_INT_BOUNDS = {0: "a non-negative integer", 1: "a positive integer"}
+
+
+def _check_int(name: str, value: int, low: int = 1) -> None:
+    if not isinstance(value, (int, np.integer)) or value < low:
+        bound = _INT_BOUNDS.get(low, f"an integer >= {low}")
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+
+
+def _check_probability(name: str, value: float) -> None:
+    if not (0.0 < value < 1.0):
+        raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+
+
+def _as_vector(name: str, a: np.ndarray) -> np.ndarray:
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 1:
+        raise ValueError(f"{name} must be 1-dimensional, got ndim={a.ndim}")
+    return a
+
+
+def _as_square(name: str, a: np.ndarray) -> np.ndarray:
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {a.shape}")
+    return a
+
+
+def _as_theta(theta: np.ndarray, d: int, name: str = "theta") -> np.ndarray:
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.ndim != 1 or theta.shape[0] != d:
+        raise ValueError(f"{name} must have shape ({d},), got {theta.shape}")
+    return theta
 
 
 @dataclass(frozen=True)
@@ -87,12 +131,8 @@ class MomentPair:
     B: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        A = np.asarray(self.A, dtype=np.float64)
-        B = np.asarray(self.B, dtype=np.float64)
-        if A.ndim != 1:
-            raise ValueError(f"A must be 1-dimensional, got ndim={A.ndim}")
-        if B.ndim != 2 or B.shape[0] != B.shape[1]:
-            raise ValueError(f"B must be square, got shape {B.shape}")
+        A = _as_vector("A", self.A)
+        B = _as_square("B", self.B)
         if B.shape[0] != A.shape[0]:
             raise ValueError(
                 f"dimension mismatch: A has length {A.shape[0]}, B is {B.shape[0]}x{B.shape[1]}"

@@ -20,19 +20,20 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .accountant import PrivacyBudget, Regime
+from .data import _check_int
 from .solver import IRLSConfig, Mechanism, run_exact_irls, run_private_irls
 from .synthetic import SyntheticSpec, evaluate_fit, generate
 
-# label -> (budget regime or None for the exact baseline, mechanism on A).
+# label -> (budget regime, mechanism on A); both None for the exact baseline.
 # The composed budgets are dp-equivalents of each other: cdp-* spend the
 # budget as concentrated DP, dp-conventional/dp-advanced as plain DP.
-MECHANISM_SPECS: dict[str, tuple[Regime | None, Mechanism]] = {
-    "non-private": (None, Mechanism.NONE),
+MECHANISM_SPECS: dict[str, tuple[Regime | None, Mechanism | None]] = {
+    "non-private": (None, None),
     "cdp-lap": (Regime.CDP, Mechanism.LAPLACE),
     "cdp-gau": (Regime.CDP, Mechanism.GAUSSIAN),
     "dp-advanced": (Regime.ADVANCED, Mechanism.LAPLACE),
@@ -67,18 +68,14 @@ class ExperimentGrid:
         if not self.n_values:
             raise ValueError("n_values must be non-empty")
         for n in self.n_values:
-            if not isinstance(n, (int, np.integer)) or n < 2:
-                raise ValueError(f"every n must be an integer >= 2, got {n!r}")
+            _check_int("every n", n, 2)
         if len(set(self.n_values)) != len(self.n_values):
             raise ValueError("n_values must be distinct")
-        if not isinstance(self.d, int) or self.d < 1:
-            raise ValueError(f"d must be a positive integer, got {self.d!r}")
-        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
-        if not isinstance(self.iterations, int) or self.iterations < 1:
-            raise ValueError(f"iterations must be a positive integer, got {self.iterations!r}")
-        if not (self.weight_cap > 0.0 and math.isfinite(self.weight_cap)):
-            raise ValueError(f"weight_cap must be positive and finite, got {self.weight_cap!r}")
+        # The per-cell objects check d, noise_var, epsilon, iterations and
+        # weight_cap; build one of each so a bad grid fails before any cell runs.
+        SyntheticSpec(n=self.n_values[0], d=self.d, noise_var=self.noise_var)
+        PrivacyBudget(epsilon=self.epsilon)
+        IRLSConfig(iterations=self.iterations, weight_cap=self.weight_cap)
         if not self.mechanisms:
             raise ValueError("mechanisms must be non-empty")
         unknown = [m for m in self.mechanisms if m not in MECHANISM_SPECS]
@@ -93,12 +90,8 @@ class ExperimentGrid:
             raise ValueError(
                 f"{'/'.join(needs_delta)} needs delta_f in (0, 1), got {self.delta_f!r}"
             )
-        if not isinstance(self.n_seeds, int) or self.n_seeds < 1:
-            raise ValueError(f"n_seeds must be a positive integer, got {self.n_seeds!r}")
-        if not isinstance(self.base_seed, int) or self.base_seed < 0:
-            raise ValueError(f"base_seed must be a non-negative integer, got {self.base_seed!r}")
-        if not (self.noise_var > 0.0 and math.isfinite(self.noise_var)):
-            raise ValueError(f"noise_var must be positive and finite, got {self.noise_var!r}")
+        _check_int("n_seeds", self.n_seeds)
+        _check_int("base_seed", self.base_seed, 0)
 
 
 @dataclass(frozen=True)
@@ -147,7 +140,7 @@ def run_cell(grid: ExperimentGrid, label: str, n: int, seed_idx: int) -> ResultR
         )
         split = generate(spec)
         config = IRLSConfig(iterations=grid.iterations, weight_cap=grid.weight_cap)
-        if mechanism is Mechanism.NONE:
+        if regime is None:
             theta, _ = run_exact_irls(split.train, config)
         else:
             budget = PrivacyBudget(
@@ -250,39 +243,16 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def emit_csv(
-    rows: list[ResultRow] | list[SummaryRow],
-    path: str,
-    header: bool = True,
-    kind: str | None = None,
-) -> None:
-    """Write result or summary rows as CSV.
+def emit_csv(rows: list[ResultRow] | list[SummaryRow], path: str, header: bool = True) -> None:
+    """Write result or summary rows as CSV, in the columns of the row type.
 
     Floats carry 17 significant digits so parsing the file reproduces the
-    table exactly.  ``kind`` ("results" or "summary") picks the schema for
-    an empty list; non-empty lists are dispatched on the row type.
+    table exactly.  An empty list writes the summary header.
     """
-    if rows:
-        detected = "results" if isinstance(rows[0], ResultRow) else "summary"
-        if kind is not None and kind != detected:
-            raise ValueError(f"kind={kind!r} does not match rows of type {detected}")
-        kind = detected
-    elif kind is None:
-        kind = "summary"
-    if kind not in ("results", "summary"):
-        raise ValueError(f"kind must be 'results' or 'summary', got {kind!r}")
-
-    fields = RESULTS_HEADER if kind == "results" else SUMMARY_HEADER
+    results = bool(rows) and isinstance(rows[0], ResultRow)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         if header:
-            writer.writerow(fields)
+            writer.writerow(RESULTS_HEADER if results else SUMMARY_HEADER)
         for row in rows:
-            if kind == "results":
-                assert isinstance(row, ResultRow)
-                record = (row.mechanism, row.n, row.seed, row.loglik_per_point,
-                          row.eps_prime, row.wall_time_ms, row.status)
-            else:
-                assert isinstance(row, SummaryRow)
-                record = (row.mechanism, row.n, row.mean_loglik, row.stderr_loglik, row.n_seeds)
-            writer.writerow([_format_value(v) for v in record])
+            writer.writerow([_format_value(v) for v in astuple(row)])

@@ -21,6 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import (
+    _as_square,
+    _as_vector,
+    _check_int,
+    _check_positive_finite,
+    _check_probability,
+)
+
 # A Gram matrix assembled from real data is symmetric to a few ulp; a
 # larger asymmetry means the caller is not passing a moment matrix.
 _SYMMETRY_TOLERANCE = 1e-10
@@ -38,12 +46,8 @@ class SeededRng:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not isinstance(self.stream_id, (int, np.integer)) or self.stream_id < 0:
-            raise ValueError(
-                f"stream_id must be a non-negative integer, got {self.stream_id!r}"
-            )
+        _check_int("seed", self.seed, 0)
+        _check_int("stream_id", self.stream_id, 0)
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
@@ -62,15 +66,8 @@ def as_generator(rng: SeededRng | np.random.Generator | int) -> np.random.Genera
 
 
 def _check_calibration(n: int, weight_cap: float) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not (weight_cap > 0.0 and math.isfinite(weight_cap)):
-        raise ValueError(f"weight_cap must be positive and finite, got {weight_cap!r}")
-
-
-def _check_eps_prime(eps_prime: float) -> None:
-    if not (eps_prime > 0.0):
-        raise ValueError(f"eps_prime must be positive, got {eps_prime!r}")
+    _check_int("n", n)
+    _check_positive_finite("weight_cap", weight_cap)
 
 
 def l1_sensitivity_A(d: int, n: int, weight_cap: float) -> float:
@@ -79,8 +76,7 @@ def l1_sensitivity_A(d: int, n: int, weight_cap: float) -> float:
     Replacing one row changes (1/n) X^T S y by at most
     2 * weight_cap * sqrt(d) / n in L1 norm.
     """
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d!r}")
+    _check_int("d", d)
     _check_calibration(n, weight_cap)
     return 2.0 * weight_cap * math.sqrt(d) / n
 
@@ -98,12 +94,11 @@ class LaplaceNoiseSpec:
     scale: float
 
     def __post_init__(self) -> None:
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
-            raise ValueError(f"scale must be positive and finite, got {self.scale!r}")
+        _check_positive_finite("scale", self.scale)
 
     @classmethod
     def calibrate(cls, d: int, n: int, eps_prime: float, weight_cap: float) -> "LaplaceNoiseSpec":
-        _check_eps_prime(eps_prime)
+        _check_positive_finite("eps_prime", eps_prime)
         return cls(scale=l1_sensitivity_A(d, n, weight_cap) / eps_prime)
 
 
@@ -117,16 +112,14 @@ class GaussianNoiseSpec:
     failure_prob: float
 
     def __post_init__(self) -> None:
-        if not (self.std > 0.0 and math.isfinite(self.std)):
-            raise ValueError(f"std must be positive and finite, got {self.std!r}")
+        _check_positive_finite("std", self.std)
 
     @classmethod
     def calibrate(
         cls, n: int, eps_prime: float, failure_prob: float, weight_cap: float
     ) -> "GaussianNoiseSpec":
-        _check_eps_prime(eps_prime)
-        if not (0.0 < failure_prob < 1.0):
-            raise ValueError(f"failure_prob must lie in (0, 1), got {failure_prob!r}")
+        _check_positive_finite("eps_prime", eps_prime)
+        _check_probability("failure_prob", failure_prob)
         if eps_prime >= 1.0:
             # The closed-form multiplier is only proven for eps' < 1.
             warnings.warn(
@@ -157,17 +150,15 @@ class WishartNoiseSpec:
     dof: int
 
     def __post_init__(self) -> None:
-        if not (self.variance > 0.0 and math.isfinite(self.variance)):
-            raise ValueError(f"variance must be positive and finite, got {self.variance!r}")
+        _check_positive_finite("variance", self.variance)
         if self.dof < 2:
             raise ValueError(f"dof must be at least 2, got {self.dof!r}")
 
     @classmethod
     def calibrate(cls, d: int, n: int, eps_prime: float, weight_cap: float) -> "WishartNoiseSpec":
-        if not isinstance(d, (int, np.integer)) or d < 1:
-            raise ValueError(f"d must be a positive integer, got {d!r}")
+        _check_int("d", d)
         _check_calibration(n, weight_cap)
-        _check_eps_prime(eps_prime)
+        _check_positive_finite("eps_prime", eps_prime)
         return cls(variance=weight_cap / (2.0 * eps_prime * n), dof=d + 1)
 
 
@@ -183,9 +174,7 @@ def laplace_perturb(
     Pure eps'-DP for one release under the replace-one relation, given the
     data bounds and weight clamp stated in the module docstring.
     """
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 1:
-        raise ValueError(f"A must be 1-dimensional, got ndim={A.ndim}")
+    A = _as_vector("A", A)
     spec = LaplaceNoiseSpec.calibrate(A.shape[0], n, eps_prime, weight_cap)
     gen = as_generator(rng)
     return A + gen.laplace(loc=0.0, scale=spec.scale, size=A.shape)
@@ -204,9 +193,7 @@ def gaussian_perturb(
     (eps', failure_prob)-DP for one release; emits a UserWarning when
     eps' >= 1 because the classic calibration is only proven below 1.
     """
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 1:
-        raise ValueError(f"A must be 1-dimensional, got ndim={A.ndim}")
+    A = _as_vector("A", A)
     spec = GaussianNoiseSpec.calibrate(n, eps_prime, failure_prob, weight_cap)
     gen = as_generator(rng)
     return A + gen.normal(loc=0.0, scale=spec.std, size=A.shape)
@@ -226,9 +213,7 @@ def wishart_perturb(
     cone, and the output is symmetric bit for bit.  Pure eps'-DP for one
     release under the replace-one relation.
     """
-    B = np.asarray(B, dtype=np.float64)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise ValueError(f"B must be square, got shape {B.shape}")
+    B = _as_square("B", B)
     asym = float(np.max(np.abs(B - B.T))) if B.size else 0.0
     if asym > _SYMMETRY_TOLERANCE:
         raise ValueError(f"B must be symmetric; max |B - B^T| = {asym:.3g}")

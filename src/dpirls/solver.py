@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -26,7 +25,16 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .accountant import NoisePlan, PrivacyBudget, plan_for_budget
-from .data import Dataset, MomentPair, _freeze, validate_dataset
+from .data import (
+    Dataset,
+    MomentPair,
+    _as_theta,
+    _as_vector,
+    _check_int,
+    _check_positive_finite,
+    _freeze,
+    validate_dataset,
+)
 from .mechanisms import as_generator, gaussian_perturb, laplace_perturb, wishart_perturb
 
 _RIDGE_FACTOR = 1e-8
@@ -35,7 +43,6 @@ _RIDGE_FACTOR = 1e-8
 class Mechanism(enum.Enum):
     """Noise applied to the cross moment A; B always uses the Wishart release."""
 
-    NONE = "none"
     LAPLACE = "laplace"
     GAUSSIAN = "gaussian"
 
@@ -55,22 +62,13 @@ class IRLSConfig:
 
     iterations: int = 10
     weight_cap: float = 100.0
-    power: int = 1
     theta_init: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.iterations, int) or self.iterations < 1:
-            raise ValueError(f"iterations must be a positive integer, got {self.iterations!r}")
-        if not (self.weight_cap > 0.0 and math.isfinite(self.weight_cap)):
-            raise ValueError(f"weight_cap must be positive and finite, got {self.weight_cap!r}")
-        if self.power != 1:
-            raise ValueError(
-                f"only the L1 objective (power=1) is implemented, got power={self.power!r}"
-            )
+        _check_int("iterations", self.iterations)
+        _check_positive_finite("weight_cap", self.weight_cap)
         if self.theta_init is not None:
-            theta = np.asarray(self.theta_init, dtype=np.float64)
-            if theta.ndim != 1:
-                raise ValueError(f"theta_init must be 1-dimensional, got ndim={theta.ndim}")
+            theta = _as_vector("theta_init", self.theta_init)
             if not np.isfinite(theta).all():
                 raise ValueError("theta_init must be finite")
             object.__setattr__(self, "theta_init", _freeze(theta))
@@ -103,12 +101,7 @@ class IRLSState:
 
 def residuals(dataset: Dataset, theta: np.ndarray) -> np.ndarray:
     """Residual vector y - X theta."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim != 1 or theta.shape[0] != dataset.d:
-        raise ValueError(
-            f"theta must have shape ({dataset.d},), got {theta.shape}"
-        )
-    return dataset.y - dataset.X @ theta
+    return dataset.y - dataset.X @ _as_theta(theta, dataset.d)
 
 
 def weights_from_residuals(res: np.ndarray, weight_cap: float) -> np.ndarray:
@@ -117,15 +110,9 @@ def weights_from_residuals(res: np.ndarray, weight_cap: float) -> np.ndarray:
     Every output lies in (0, weight_cap]; the cap binds exactly when
     |r_i| <= 1/weight_cap.
     """
-    if not (weight_cap > 0.0 and math.isfinite(weight_cap)):
-        raise ValueError(f"weight_cap must be positive and finite, got {weight_cap!r}")
+    _check_positive_finite("weight_cap", weight_cap)
     res = np.asarray(res, dtype=np.float64)
     return 1.0 / np.maximum(1.0 / weight_cap, np.abs(res))
-
-
-def compute_weights(dataset: Dataset, theta: np.ndarray, weight_cap: float) -> np.ndarray:
-    """Weights of the IRLS majorizer at ``theta``."""
-    return weights_from_residuals(residuals(dataset, theta), weight_cap)
 
 
 def compute_moments(dataset: Dataset, weights: np.ndarray) -> MomentPair:
@@ -197,12 +184,9 @@ def _run_loop(
     | None,
 ) -> tuple[np.ndarray, tuple[IRLSState, ...]]:
     theta = _resolve_init(dataset, config)
-    records: list[dict] = []
+    res = residuals(dataset, theta)
+    trace: list[IRLSState] = []
     for t in range(1, config.iterations + 1):
-        res = residuals(dataset, theta)
-        if records:
-            # Objective of the previous iterate, evaluated on this pass.
-            records[-1]["objective"] = float(np.mean(np.abs(res)))
         weights = weights_from_residuals(res, config.weight_cap)
         moments = compute_moments(dataset, weights)
         if release is None:
@@ -211,30 +195,22 @@ def _run_loop(
             A_out, B_out, rels = release(moments)
         solution = solve_step(A_out, B_out)
         theta = solution.theta
-        records.append(
-            {
-                "iteration": t,
-                "theta": theta,
-                "weights": weights,
-                "objective": math.nan,
-                "used_ridge": solution.used_ridge,
-                "releases": rels,
-            }
+        # One residual pass per iterate: it gives this iterate's objective
+        # and the next iteration's weights.
+        res = residuals(dataset, theta)
+        theta.setflags(write=False)
+        weights.setflags(write=False)
+        trace.append(
+            IRLSState(
+                iteration=t,
+                theta=theta,
+                weights=weights,
+                objective=float(np.mean(np.abs(res))),
+                used_ridge=solution.used_ridge,
+                releases=rels,
+            )
         )
-    final_res = residuals(dataset, theta)
-    records[-1]["objective"] = float(np.mean(np.abs(final_res)))
-    trace = tuple(
-        IRLSState(
-            iteration=r["iteration"],
-            theta=_freeze(r["theta"]),
-            weights=_freeze(r["weights"]),
-            objective=r["objective"],
-            used_ridge=r["used_ridge"],
-            releases=r["releases"],
-        )
-        for r in records
-    )
-    return trace[-1].theta, trace
+    return theta, tuple(trace)
 
 
 def run_exact_irls(
@@ -269,8 +245,6 @@ def run_private_irls(
     release records), and the resolved :class:`NoisePlan`.
     """
     mechanism = Mechanism(mechanism)
-    if mechanism is Mechanism.NONE:
-        raise ValueError("the private solver needs a noise mechanism; use run_exact_irls instead")
     validate_dataset(dataset)
     plan = plan_for_budget(budget, config.iterations, releases_per_iteration=2)
     gen = as_generator(rng)

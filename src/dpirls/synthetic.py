@@ -18,7 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, _freeze, validate_dataset
+from .data import (
+    Dataset,
+    _as_theta,
+    _check_int,
+    _check_positive_finite,
+    _freeze,
+    validate_dataset,
+)
 from .mechanisms import as_generator
 
 VARIANCE_FLOOR = 1e-8
@@ -34,14 +41,10 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
-            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
-        if not isinstance(self.d, (int, np.integer)) or self.d < 1:
-            raise ValueError(f"d must be a positive integer, got {self.d!r}")
-        if not (self.noise_var > 0.0 and math.isfinite(self.noise_var)):
-            raise ValueError(f"noise_var must be positive and finite, got {self.noise_var!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_int("n", self.n, 2)
+        _check_int("d", self.d)
+        _check_positive_finite("noise_var", self.noise_var)
+        _check_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -53,11 +56,7 @@ class SplitDataset:
     true_theta: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        theta = np.asarray(self.true_theta, dtype=np.float64)
-        if theta.ndim != 1 or theta.shape[0] != self.train.d:
-            raise ValueError(
-                f"true_theta must have shape ({self.train.d},), got {theta.shape}"
-            )
+        theta = _as_theta(self.true_theta, self.train.d, "true_theta")
         if self.test.d != self.train.d:
             raise ValueError("train and test must share the feature dimension")
         object.__setattr__(self, "true_theta", _freeze(theta))
@@ -72,36 +71,27 @@ class EvalResult:
     residual_var: float
 
 
-def generate(
-    spec: SyntheticSpec,
-    *,
-    normalize_response: bool = True,
-    extra_test: bool = False,
-) -> SplitDataset:
+def generate(spec: SyntheticSpec, *, normalize_response: bool = True) -> SplitDataset:
     """Generate one problem and hold out 10% of the points for testing.
 
     The holdout is the last round(0.1 * n) rows; rows are i.i.d., so any
-    fixed subset is distributionally a uniform one.  With ``extra_test``
-    the test rows are generated beyond the n training rows instead of
-    carved out of them.  ``normalize_response=False`` skips the response
-    scaling (the output then deliberately fails the |y| <= 1 bound; it
-    exists so tests can check exact parameter recovery).
+    fixed subset is distributionally a uniform one.
+    ``normalize_response=False`` skips the response scaling (the output
+    then deliberately fails the |y| <= 1 bound; it exists so tests can
+    check exact parameter recovery).
     """
     test_count = round(0.1 * spec.n)
     if test_count < 1:
         raise ValueError(f"n={spec.n} leaves no test rows; need round(0.1*n) >= 1")
-    total = spec.n + test_count if extra_test else spec.n
-    train_count = total - test_count
-    if train_count < 1:
-        raise ValueError(f"n={spec.n} leaves no training rows")
+    train_count = spec.n - test_count
 
     gen = as_generator(int(spec.seed))
-    X = gen.standard_normal((total, spec.d))
+    X = gen.standard_normal((spec.n, spec.d))
     max_norm = float(np.linalg.norm(X, axis=1).max())
     if max_norm > 0.0:
         X = X / max_norm
     theta_star = gen.standard_normal(spec.d)
-    y = X @ theta_star + math.sqrt(spec.noise_var) * gen.standard_normal(total)
+    y = X @ theta_star + math.sqrt(spec.noise_var) * gen.standard_normal(spec.n)
     if normalize_response:
         max_abs = float(np.abs(y).max())
         if max_abs > 0.0:
@@ -123,12 +113,8 @@ def estimate_residual_variance(
     The floor keeps the plug-in log-likelihood finite when a fit is
     (numerically) perfect.
     """
-    if not (floor > 0.0 and math.isfinite(floor)):
-        raise ValueError(f"floor must be positive and finite, got {floor!r}")
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim != 1 or theta.shape[0] != dataset.d:
-        raise ValueError(f"theta must have shape ({dataset.d},), got {theta.shape}")
-    res = dataset.y - dataset.X @ theta
+    _check_positive_finite("floor", floor)
+    res = dataset.y - dataset.X @ _as_theta(theta, dataset.d)
     return max(floor, float(np.mean(res * res)))
 
 
@@ -140,12 +126,8 @@ def loglik_per_test_point(test: Dataset, theta: np.ndarray, residual_var: float)
     row order and strictly decreasing in the total squared test residual
     for a fixed variance.
     """
-    if not (residual_var > 0.0 and math.isfinite(residual_var)):
-        raise ValueError(f"residual_var must be positive and finite, got {residual_var!r}")
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim != 1 or theta.shape[0] != test.d:
-        raise ValueError(f"theta must have shape ({test.d},), got {theta.shape}")
-    res = test.y - test.X @ theta
+    _check_positive_finite("residual_var", residual_var)
+    res = test.y - test.X @ _as_theta(theta, test.d)
     return float(
         -0.5 * math.log(2.0 * math.pi * residual_var)
         - float(np.mean(res * res)) / (2.0 * residual_var)

@@ -256,16 +256,6 @@ def test_csv_uses_decimal_points(tmp_path):
             assert " " not in fieldvalue
 
 
-def test_emit_csv_kind_checks(tmp_path):
-    path = tmp_path / "x.csv"
-    with pytest.raises(ValueError, match="kind"):
-        emit_csv([_row("m", 10, 0, 1.0)], str(path), kind="summary")
-    with pytest.raises(ValueError, match="kind"):
-        emit_csv([], str(path), kind="bogus")
-    emit_csv([], str(path), kind="results")
-    assert path.read_text().startswith("mechanism,N,seed")
-
-
 def test_timing_roughly_linear_in_seed_count():
     # crude guard against accidentally quadratic cell scheduling
     grid5 = ExperimentGrid(n_values=(2000,), d=5, iterations=5, n_seeds=5,

@@ -138,6 +138,19 @@ def test_specs_reject_nonpositive_eps(eps):
         WishartNoiseSpec.calibrate(d=2, n=10, eps_prime=eps, weight_cap=1.0)
 
 
+@pytest.mark.parametrize(
+    "perturb, value, args",
+    [
+        (laplace_perturb, np.zeros(2), (1.0, 10)),
+        (gaussian_perturb, np.zeros(2), (1e-6, 1.0, 10)),
+        (wishart_perturb, np.eye(2), (1.0, 10)),
+    ],
+)
+def test_perturb_rejects_infinite_eps_prime(perturb, value, args):
+    with pytest.raises(ValueError, match="eps_prime"):
+        perturb(value, math.inf, *args, SeededRng(0))
+
+
 def test_gaussian_rejects_bad_failure_prob():
     for bad in (0.0, 1.0, -0.1, 2.0):
         with pytest.raises(ValueError):

@@ -16,7 +16,6 @@ from dpirls.solver import (
     Mechanism,
     MomentSolveError,
     compute_moments,
-    compute_weights,
     residuals,
     run_exact_irls,
     run_private_irls,
@@ -53,13 +52,6 @@ def test_weights_always_in_range():
         w = weights_from_residuals(rng.normal(size=1000) * 10.0, cap)
         assert (w > 0.0).all()
         assert (w <= cap).all()
-
-
-def test_compute_weights_composes():
-    ds = _random_dataset(1)
-    theta = np.full(ds.d, 0.1)
-    direct = weights_from_residuals(ds.y - ds.X @ theta, 50.0)
-    np.testing.assert_array_equal(compute_weights(ds, theta, 50.0), direct)
 
 
 def test_weights_validation():
@@ -228,11 +220,19 @@ def test_smoothed_objective_monotone():
 
 
 def test_objective_is_mean_absolute_residual():
+    # every state: the objective is that state's own mean |residual|, and
+    # the weights come from the previous iterate (theta_0 for the first)
     ds = _random_dataset(3, n=50, d=2)
-    _, trace = run_exact_irls(ds, IRLSConfig(iterations=4, weight_cap=10.0))
-    last = trace[-1]
-    expected = float(np.mean(np.abs(residuals(ds, last.theta))))
-    assert last.objective == pytest.approx(expected, rel=0, abs=0)
+    cfg = IRLSConfig(iterations=4, weight_cap=10.0, theta_init=np.array([0.3, -0.1]))
+    _, trace = run_exact_irls(ds, cfg)
+    prev = cfg.theta_init
+    for state in trace:
+        expected = float(np.mean(np.abs(residuals(ds, state.theta))))
+        assert state.objective == pytest.approx(expected, rel=0, abs=0)
+        np.testing.assert_array_equal(
+            state.weights, weights_from_residuals(residuals(ds, prev), cfg.weight_cap)
+        )
+        prev = state.theta
 
 
 def test_no_early_stopping():
@@ -266,8 +266,6 @@ def test_config_validation():
         IRLSConfig(iterations=0)
     with pytest.raises(ValueError):
         IRLSConfig(weight_cap=-1.0)
-    with pytest.raises(ValueError, match="power"):
-        IRLSConfig(power=2)
     with pytest.raises(ValueError):
         IRLSConfig(theta_init=np.zeros((2, 2)))
     with pytest.raises(ValueError):
@@ -375,14 +373,11 @@ def test_private_rejects_unnormalized_data():
 
 def test_private_rejects_mechanism_none():
     ds = _random_dataset(105, n=50, d=2)
-    with pytest.raises(ValueError, match="mechanism"):
-        run_private_irls(
-            ds, IRLSConfig(iterations=2, weight_cap=5.0), _budget(), Mechanism.NONE, SeededRng(0)
-        )
-    with pytest.raises(ValueError):
-        run_private_irls(
-            ds, IRLSConfig(iterations=2, weight_cap=5.0), _budget(), "bogus", SeededRng(0)
-        )
+    for label in ("none", "bogus"):
+        with pytest.raises(ValueError):
+            run_private_irls(
+                ds, IRLSConfig(iterations=2, weight_cap=5.0), _budget(), label, SeededRng(0)
+            )
 
 
 def test_private_ridge_fallback_is_recorded():

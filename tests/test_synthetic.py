@@ -49,14 +49,6 @@ def test_split_sizes():
     assert split2.train.n == 15 - round(1.5)
 
 
-def test_extra_test_mode_keeps_all_training_rows():
-    split = generate(SyntheticSpec(n=300, d=4, seed=1), extra_test=True)
-    assert split.train.n == 300
-    assert split.test.n == 30
-    validate_dataset(split.train)
-    validate_dataset(split.test)
-
-
 def test_tiny_n_rejected():
     with pytest.raises(ValueError, match="test rows"):
         generate(SyntheticSpec(n=4, d=1, seed=0))
