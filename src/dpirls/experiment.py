@@ -67,13 +67,12 @@ class ExperimentGrid:
     def __post_init__(self) -> None:
         if not self.n_values:
             raise ValueError("n_values must be non-empty")
-        for n in self.n_values:
-            _check_int("every n", n, 2)
         if len(set(self.n_values)) != len(self.n_values):
             raise ValueError("n_values must be distinct")
-        # The per-cell objects check d, noise_var, epsilon, iterations and
-        # weight_cap; build one of each so a bad grid fails before any cell runs.
-        SyntheticSpec(n=self.n_values[0], d=self.d, noise_var=self.noise_var)
+        # The per-cell objects check n, d, noise_var, epsilon, iterations and
+        # weight_cap; build them so a bad grid fails before any cell runs.
+        for n in self.n_values:
+            SyntheticSpec(n=n, d=self.d, noise_var=self.noise_var)
         PrivacyBudget(epsilon=self.epsilon)
         IRLSConfig(iterations=self.iterations, weight_cap=self.weight_cap)
         if not self.mechanisms:

@@ -221,6 +221,7 @@ def wishart_perturb(
     spec = WishartNoiseSpec.calibrate(d, n, eps_prime, weight_cap)
     gen = as_generator(rng)
     Z = gen.normal(loc=0.0, scale=math.sqrt(spec.variance), size=(d, spec.dof))
-    # einsum evaluates entry (j, k) and (k, j) as the same sum, so the
-    # noise term is symmetric bitwise, not just up to rounding.
-    return B + np.einsum("jm,km->jk", Z, Z)
+    # numpy routes Z @ Z.T to BLAS syrk, which computes one triangle and
+    # mirrors it, so the noise term is symmetric bitwise, not just up to
+    # rounding (test_wishart_output_exactly_symmetric_and_psd_shift pins this).
+    return B + Z @ Z.T

@@ -118,9 +118,11 @@ def weights_from_residuals(res: np.ndarray, weight_cap: float) -> np.ndarray:
 def compute_moments(dataset: Dataset, weights: np.ndarray) -> MomentPair:
     """Weighted sufficient statistics (1/n) X^T S y and (1/n) X^T S X.
 
-    The Gram part is assembled as G^T G for G = diag(sqrt(s)) X via
-    einsum, which evaluates entries (j, k) and (k, j) as the same sum, so
-    B is symmetric bit for bit rather than merely up to rounding.
+    The Gram part is assembled as G^T G for G = diag(sqrt(s)) X.  numpy
+    routes ``G.T @ G`` to BLAS ``syrk``, which computes one triangle and
+    mirrors it onto the other, so B is symmetric bit for bit rather than
+    merely up to rounding (``test_moments_gram_exactly_symmetric`` pins
+    this).
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.shape[0] != dataset.n:
@@ -130,7 +132,7 @@ def compute_moments(dataset: Dataset, weights: np.ndarray) -> MomentPair:
     n = dataset.n
     A = dataset.X.T @ (w * dataset.y) / n
     Xs = dataset.X * np.sqrt(w)[:, None]
-    B = np.einsum("ij,ik->jk", Xs, Xs) / n
+    B = (Xs.T @ Xs) / n
     return MomentPair(A=A, B=B)
 
 

@@ -42,6 +42,8 @@ class SyntheticSpec:
 
     def __post_init__(self) -> None:
         _check_int("n", self.n, 2)
+        if round(0.1 * self.n) < 1:
+            raise ValueError(f"n={self.n} leaves no test rows; need round(0.1*n) >= 1")
         _check_int("d", self.d)
         _check_positive_finite("noise_var", self.noise_var)
         _check_int("seed", self.seed, 0)
@@ -81,8 +83,6 @@ def generate(spec: SyntheticSpec, *, normalize_response: bool = True) -> SplitDa
     check exact parameter recovery).
     """
     test_count = round(0.1 * spec.n)
-    if test_count < 1:
-        raise ValueError(f"n={spec.n} leaves no test rows; need round(0.1*n) >= 1")
     train_count = spec.n - test_count
 
     gen = as_generator(int(spec.seed))

@@ -108,6 +108,18 @@ def test_invalid_grid_returns_two(tmp_path, capsys):
     assert "n_seeds" in capsys.readouterr().err
 
 
+def test_tiny_n_rejected_before_any_cell_runs(tmp_path, monkeypatch, capsys):
+    def no_generate(spec, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(experiment_module, "generate", no_generate)
+    out_csv = tmp_path / "tiny.csv"
+    code = main(["--d", "2", "--n", "500,4", "--seeds", "1", "--out-csv", str(out_csv)])
+    assert code == 2
+    assert "n=4 leaves no test rows" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 def test_failed_cells_reported_and_exit_one(tmp_path, monkeypatch, capsys):
     real_generate = experiment_module.generate
 

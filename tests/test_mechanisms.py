@@ -231,14 +231,15 @@ def test_perturb_determinism():
 
 def test_wishart_output_exactly_symmetric_and_psd_shift():
     rng = np.random.default_rng(8)
-    M = rng.normal(size=(6, 6))
-    B = M @ M.T / 6.0
-    B = (B + B.T) / 2.0
-    out = wishart_perturb(B, 0.4, 2.0, 200, SeededRng(31))
-    assert np.array_equal(out, out.T)
-    # the additive part Z Z^T is PSD, so eigenvalues can only grow
-    shift = out - B
-    assert np.linalg.eigvalsh(shift).min() >= -1e-12
+    for d in (6, 100):
+        M = rng.normal(size=(d, d))
+        B = M @ M.T / d
+        B = (B + B.T) / 2.0
+        out = wishart_perturb(B, 0.4, 2.0, 200, SeededRng(31))
+        assert np.array_equal(out, out.T), d
+        # the additive part Z Z^T is PSD, so eigenvalues can only grow
+        shift = out - B
+        assert np.linalg.eigvalsh(shift).min() >= -1e-12, d
 
 
 def test_wishart_rejects_asymmetric_input():

@@ -98,10 +98,26 @@ def test_moments_linear_in_weights():
 
 
 def test_moments_gram_exactly_symmetric():
-    ds = _random_dataset(11, n=500, d=8)
-    w = np.random.default_rng(12).uniform(0.01, 100.0, size=ds.n)
+    # The last case has n < d, so B is rank deficient.
+    for n, d in [(500, 1), (500, 2), (500, 10), (500, 100), (300, 150), (40, 150)]:
+        ds = _random_dataset(11, n=n, d=d)
+        w = np.random.default_rng(12).uniform(0.01, 100.0, size=ds.n)
+        B = compute_moments(ds, w).B
+        assert np.array_equal(B, B.T), (n, d)
+
+
+def test_moments_gram_matches_exactly_rounded_sums():
+    ds = _random_dataset(13, n=60, d=5)
+    w = np.random.default_rng(14).uniform(0.01, 100.0, size=ds.n)
     B = compute_moments(ds, w).B
-    assert np.array_equal(B, B.T)
+    X = ds.X
+    ref = np.array(
+        [
+            [math.fsum(w[i] * X[i, j] * X[i, k] for i in range(ds.n)) / ds.n for k in range(ds.d)]
+            for j in range(ds.d)
+        ]
+    )
+    np.testing.assert_allclose(B, ref, rtol=1e-12, atol=0)
 
 
 def test_moments_validation():
