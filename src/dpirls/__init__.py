@@ -5,7 +5,7 @@ iteration releases the weighted cross moment A (Laplace or Gaussian
 noise) and the weighted Gram moment B (additive Wishart noise), and the
 parameter update is post-processing of those releases.  A privacy
 accountant splits a total budget across the 2 * iterations releases under
-concentrated-DP, basic, or advanced composition.
+zero-concentrated DP (zCDP), basic, or advanced composition.
 """
 
 from .accountant import (
@@ -13,9 +13,7 @@ from .accountant import (
     PrivacyBudget,
     Regime,
     advanced_per_release,
-    cdp_of_dp,
     cdp_per_release,
-    compose_cdp,
     conventional_per_release,
     plan_for_budget,
 )
@@ -103,9 +101,7 @@ __all__ = [
     "WishartNoiseSpec",
     "advanced_per_release",
     "aggregate",
-    "cdp_of_dp",
     "cdp_per_release",
-    "compose_cdp",
     "compute_moments",
     "conventional_per_release",
     "emit_csv",

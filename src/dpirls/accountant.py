@@ -5,9 +5,12 @@ and the Gram moment once per iteration).  Three regimes translate a total
 budget into the per-release eps' handed to the mechanisms:
 
 CDP
-    Budget eps is read as (eps, sqrt(2 eps)) zero-concentrated DP.  A
-    pure eps'-DP release costs (eps'^2 / 2, eps') there, so k releases
-    fit when eps' = sqrt(2 eps / k).
+    Budget eps is read as rho = eps zero-concentrated DP (zCDP).  A pure
+    eps'-DP release costs eps'^2 / 2 there (Bun & Steinke 2016) and zCDP
+    costs add, so k releases fit when eps' = sqrt(2 eps / k).  The plan's
+    receipt rho = k eps'^2 / 2 equals eps up to rounding: the split is
+    kept exact (eps' == sqrt(eps / J)) rather than clamped, so the float
+    receipt can land an ulp or two on either side of eps.
 CONVENTIONAL
     Basic sequential composition: eps' = eps / k.
 ADVANCED
@@ -32,7 +35,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .data import _check_int, _check_positive_finite, _check_probability
 
@@ -77,66 +79,41 @@ class PrivacyBudget:
 
 @dataclass(frozen=True)
 class NoisePlan:
-    """Resolved accounting for one run: what each release may spend."""
+    """Resolved accounting for one run: what each release may spend.
+
+    ``rho`` is the zCDP spend of the plan's releases,
+    ``total_releases * eps_prime**2 / 2``, recorded exactly when the
+    regime is CDP.
+    """
 
     eps_prime: float
-    releases_per_iteration: int
     total_releases: int
     regime: Regime
-    cdp_params: tuple[float, float] | None = None
+    rho: float | None = None
 
     def __post_init__(self) -> None:
         _check_positive_finite("eps_prime", self.eps_prime)
-        if self.releases_per_iteration < 1 or self.total_releases < 1:
-            raise ValueError("release counts must be positive")
-        if (self.cdp_params is not None) != (self.regime is Regime.CDP):
-            raise ValueError("cdp_params is recorded exactly when regime is CDP")
+        if self.total_releases < 1:
+            raise ValueError("total_releases must be positive")
+        if (self.rho is not None) != (self.regime is Regime.CDP):
+            raise ValueError("rho is recorded exactly when regime is CDP")
 
 
-def cdp_of_dp(eps_prime: float) -> tuple[float, float]:
-    """Concentrated-DP parameters (mu, tau) of one pure eps'-DP release.
-
-    mu = eps' (e^eps' - 1) / 2 and tau = eps'.  Beyond eps' ~ 709 the mean
-    parameter exceeds the float64 range and saturates to inf.
-    """
-    _check_positive_finite("eps_prime", eps_prime)
-    if eps_prime > 709.0:
-        return math.inf, eps_prime
-    return eps_prime * math.expm1(eps_prime) / 2.0, eps_prime
-
-
-def compose_cdp(params: Iterable[tuple[float, float]]) -> tuple[float, float]:
-    """Compose (mu_i, tau_i) pairs: means add, taus add in quadrature."""
-    items = list(params)
-    if not items:
-        raise ValueError("compose_cdp needs at least one (mu, tau) pair")
-    for mu, tau in items:
-        # mu may saturate to inf (see cdp_of_dp); nan is still rejected
-        if not (mu >= 0.0) or not (tau > 0.0 and math.isfinite(tau)):
-            raise ValueError(f"invalid CDP parameters ({mu!r}, {tau!r})")
-    mu_total = math.fsum(mu for mu, _ in items)
-    tau_total = math.sqrt(math.fsum(tau * tau for _, tau in items))
-    return mu_total, tau_total
-
-
-def _check_split_args(epsilon: float, iterations: int, releases_per_iteration: int) -> int:
+def _check_split_args(epsilon: float, iterations: int) -> int:
     _check_positive_finite("epsilon", epsilon)
     _check_int("iterations", iterations)
-    _check_int("releases_per_iteration", releases_per_iteration)
-    return iterations * releases_per_iteration
+    return 2 * iterations
 
 
-def cdp_per_release(epsilon: float, iterations: int, releases_per_iteration: int = 2) -> float:
-    """eps' = sqrt(2 eps / k) for k total releases under a (eps, sqrt(2 eps)) CDP budget."""
-    k = _check_split_args(epsilon, iterations, releases_per_iteration)
+def cdp_per_release(epsilon: float, iterations: int) -> float:
+    """eps' = sqrt(2 eps / k) for the k = 2J releases under an eps-zCDP budget."""
+    k = _check_split_args(epsilon, iterations)
     return math.sqrt(2.0 * epsilon / k)
 
 
-def conventional_per_release(
-    epsilon: float, iterations: int, releases_per_iteration: int = 2
-) -> float:
-    """Basic composition: eps' = eps / k for k total releases."""
-    k = _check_split_args(epsilon, iterations, releases_per_iteration)
+def conventional_per_release(epsilon: float, iterations: int) -> float:
+    """Basic composition: eps' = eps / k for the k = 2J releases."""
+    k = _check_split_args(epsilon, iterations)
     return epsilon / k
 
 
@@ -151,19 +128,14 @@ def _advanced_cost(eps_prime: float, k: int, failure_prob: float) -> float:
     )
 
 
-def advanced_per_release(
-    epsilon: float,
-    failure_prob: float,
-    iterations: int,
-    releases_per_iteration: int = 2,
-) -> float:
+def advanced_per_release(epsilon: float, failure_prob: float, iterations: int) -> float:
     """Largest eps' whose k-fold strong composition stays within (eps, failure_prob).
 
     Solves sqrt(2 k ln(1/failure_prob)) eps' + k eps' (e^eps' - 1) = eps
-    by bisection to absolute tolerance 1e-12; the cost is strictly
-    increasing in eps', so the root is unique.
+    for k = 2J by bisection to absolute tolerance 1e-12; the cost is
+    strictly increasing in eps', so the root is unique.
     """
-    k = _check_split_args(epsilon, iterations, releases_per_iteration)
+    k = _check_split_args(epsilon, iterations)
     _check_probability("failure_prob", failure_prob)
     lo, hi = 0.0, 1.0
     while _advanced_cost(hi, k, failure_prob) <= epsilon:
@@ -178,32 +150,19 @@ def advanced_per_release(
     return lo
 
 
-def plan_for_budget(
-    budget: PrivacyBudget, iterations: int, releases_per_iteration: int = 2
-) -> NoisePlan:
+def plan_for_budget(budget: PrivacyBudget, iterations: int) -> NoisePlan:
     """Resolve a total budget into the per-release plan for one run.
 
-    For the CDP regime the plan also records the composed concentrated-DP
-    parameters of the actual releases via :func:`cdp_of_dp` and
-    :func:`compose_cdp`, a conservative receipt slightly above the
-    nominal (eps, sqrt(2 eps)) target.
+    For the CDP regime the plan also records the zCDP receipt ``rho`` of
+    the actual releases, which equals the budget up to rounding.
     """
-    k = _check_split_args(budget.epsilon, iterations, releases_per_iteration)
+    k = _check_split_args(budget.epsilon, iterations)
+    rho = None
     if budget.regime is Regime.CDP:
-        eps_prime = cdp_per_release(budget.epsilon, iterations, releases_per_iteration)
-        cdp_params = compose_cdp([cdp_of_dp(eps_prime)] * k)
+        eps_prime = cdp_per_release(budget.epsilon, iterations)
+        rho = k * eps_prime**2 / 2.0
     elif budget.regime is Regime.CONVENTIONAL:
-        eps_prime = conventional_per_release(budget.epsilon, iterations, releases_per_iteration)
-        cdp_params = None
+        eps_prime = conventional_per_release(budget.epsilon, iterations)
     else:
-        eps_prime = advanced_per_release(
-            budget.epsilon, budget.failure_prob, iterations, releases_per_iteration
-        )
-        cdp_params = None
-    return NoisePlan(
-        eps_prime=eps_prime,
-        releases_per_iteration=releases_per_iteration,
-        total_releases=k,
-        regime=budget.regime,
-        cdp_params=cdp_params,
-    )
+        eps_prime = advanced_per_release(budget.epsilon, budget.failure_prob, iterations)
+    return NoisePlan(eps_prime=eps_prime, total_releases=k, regime=budget.regime, rho=rho)

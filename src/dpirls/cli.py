@@ -16,6 +16,7 @@ import sys
 from .experiment import (
     MECHANISM_SPECS,
     ExperimentGrid,
+    _resolve_workers,
     aggregate,
     emit_csv,
     run_grid,
@@ -114,11 +115,12 @@ def main(argv: list[str] | None = None) -> int:
             n_seeds=args.seeds,
             base_seed=args.base_seed,
         )
+        workers = _resolve_workers(None)
     except ValueError as exc:
         print(f"dpirls: {exc}", file=sys.stderr)
         return 2
 
-    rows = run_grid(grid)
+    rows = run_grid(grid, workers)
     header = args.csv_header == "on"
     emit_csv(rows, args.out_csv, header=header)
     summary = aggregate(rows)

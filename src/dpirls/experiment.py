@@ -30,8 +30,11 @@ from .solver import IRLSConfig, Mechanism, run_exact_irls, run_private_irls
 from .synthetic import SyntheticSpec, evaluate_fit, generate
 
 # label -> (budget regime, mechanism on A); both None for the exact baseline.
-# The composed budgets are dp-equivalents of each other: cdp-* spend the
-# budget as concentrated DP, dp-conventional/dp-advanced as plain DP.
+# The composed budgets are not matched guarantees.  cdp-* spend epsilon as
+# rho-zCDP, which converts to (rho + 2 sqrt(rho ln(1/delta)), delta)-DP
+# (Bun & Steinke 2016, Prop. 1.3): about (7.34, 1e-5)-DP at epsilon = 0.9.
+# dp-conventional spends it as (epsilon, 0)-DP, dp-advanced as
+# (epsilon, delta_f)-DP.
 MECHANISM_SPECS: dict[str, tuple[Regime | None, Mechanism | None]] = {
     "non-private": (None, None),
     "cdp-lap": (Regime.CDP, Mechanism.LAPLACE),
@@ -173,16 +176,15 @@ def run_cell(grid: ExperimentGrid, label: str, n: int, seed_idx: int) -> ResultR
 def _resolve_workers(max_workers: int | None) -> int:
     if max_workers is None:
         env = os.environ.get(THREADS_ENV_VAR)
-        if env is not None:
-            try:
-                max_workers = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"{THREADS_ENV_VAR} must be an integer, got {env!r}"
-                ) from None
-        else:
-            max_workers = os.cpu_count() or 1
-    if max_workers < 1:
+        if env is None:
+            return os.cpu_count() or 1
+        try:
+            max_workers = int(env)
+        except ValueError:
+            max_workers = 0
+        if max_workers < 1:
+            raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {env!r}")
+    elif max_workers < 1:
         raise ValueError(f"worker count must be positive, got {max_workers!r}")
     return max_workers
 

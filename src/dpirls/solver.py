@@ -248,7 +248,7 @@ def run_private_irls(
     """
     mechanism = Mechanism(mechanism)
     validate_dataset(dataset)
-    plan = plan_for_budget(budget, config.iterations, releases_per_iteration=2)
+    plan = plan_for_budget(budget, config.iterations)
     gen = as_generator(rng)
     n, cap, eps_prime = dataset.n, config.weight_cap, plan.eps_prime
 

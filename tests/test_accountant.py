@@ -1,4 +1,4 @@
-"""Budget-splitting rules and concentrated-DP composition arithmetic.
+"""Budget-splitting rules and the zCDP receipt.
 
 Expected values were frozen from an independent evaluation: closed forms
 for the CDP and basic rules, scipy.optimize.brentq (xtol 1e-15) on the
@@ -8,15 +8,14 @@ strong-composition cost for the advanced rule.
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpirls.accountant import (
     NoisePlan,
     PrivacyBudget,
     Regime,
     advanced_per_release,
-    cdp_of_dp,
     cdp_per_release,
-    compose_cdp,
     conventional_per_release,
     plan_for_budget,
 )
@@ -29,17 +28,12 @@ def test_cdp_rule_frozen_values():
     assert cdp_per_release(0.9, 1) == pytest.approx(0.9486832980505138, rel=1e-15)
     assert cdp_per_release(0.9, 9) == pytest.approx(0.31622776601683794, rel=1e-15)
     assert cdp_per_release(0.9, 10) == pytest.approx(0.3, rel=1e-15)
-    # one release per iteration: sqrt(2 eps / J)
-    assert cdp_per_release(1.0, 1, releases_per_iteration=1) == pytest.approx(
-        math.sqrt(2.0), rel=1e-15
-    )
     assert cdp_per_release(1.0, 1) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_conventional_rule_frozen_values():
     assert conventional_per_release(0.9, 9) == pytest.approx(0.05, rel=1e-15)
     assert conventional_per_release(0.9, 10) == pytest.approx(0.045, rel=1e-15)
-    assert conventional_per_release(1.0, 1, releases_per_iteration=1) == 1.0
 
 
 def test_conventional_rule_recomposes_to_epsilon():
@@ -112,77 +106,44 @@ def test_rule_argument_validation():
             rule(0.0, 5)
         with pytest.raises(ValueError):
             rule(0.9, 0)
-        with pytest.raises(ValueError):
-            rule(0.9, 5, releases_per_iteration=0)
     with pytest.raises(ValueError):
         advanced_per_release(0.9, 0.0, 5)
     with pytest.raises(ValueError):
         advanced_per_release(0.9, 1.0, 5)
 
 
-# --- CDP conversion and composition --------------------------------------
-
-def test_cdp_of_dp_frozen_values():
-    mu, tau = cdp_of_dp(1.0)
-    assert mu == pytest.approx((math.e - 1.0) / 2.0, rel=1e-15)
-    assert tau == 1.0
-    # small-eps limit: mu / eps^2 -> 1/2
-    mu_small, tau_small = cdp_of_dp(1e-4)
-    assert mu_small / 1e-8 == pytest.approx(0.5, rel=1e-4)
-    assert tau_small == 1e-4
-
-
-def test_cdp_of_dp_validation():
-    with pytest.raises(ValueError):
-        cdp_of_dp(0.0)
-    with pytest.raises(ValueError):
-        cdp_of_dp(math.inf)
-
-
-def test_cdp_of_dp_saturates_beyond_float_range():
-    mu, tau = cdp_of_dp(800.0)
-    assert mu == math.inf
-    assert tau == 800.0
-    # composition carries the saturation instead of crashing
-    mu_total, _ = compose_cdp([(mu, tau)] * 3)
-    assert mu_total == math.inf
-
-
-def test_compose_cdp_pairs():
-    assert compose_cdp([(1.0, 1.0)]) == (1.0, 1.0)
-    mu, tau = compose_cdp([(1.0, 1.0), (2.0, 2.0)])
-    assert mu == 3.0
-    assert tau == pytest.approx(math.sqrt(5.0), rel=1e-15)
-
-
-def test_compose_cdp_identical_releases():
-    # k copies compose to (k mu, sqrt(k) tau); the mean uses an exact sum
-    # so the first leg is the correctly rounded product
-    for j in (1, 3, 9, 100):
-        k = 2 * j
-        single = cdp_of_dp(cdp_per_release(0.9, j))
-        mu, tau = compose_cdp([single] * k)
-        assert mu == k * single[0]
-        assert tau == pytest.approx(math.sqrt(k) * single[1], rel=1e-12)
-
-
-def test_compose_cdp_validation():
-    with pytest.raises(ValueError):
-        compose_cdp([])
-    with pytest.raises(ValueError):
-        compose_cdp([(1.0, 0.0)])
-    with pytest.raises(ValueError):
-        compose_cdp([(-1.0, 1.0)])
-
+# --- zCDP receipt -------------------------------------------------------
 
 def test_cdp_receipt_tracks_the_budget():
-    # the composed (mu, tau) of the actual releases sits just above the
-    # nominal (eps, sqrt(2 eps)) target: mu within 1% for large J, tau equal
-    plan = plan_for_budget(PrivacyBudget(0.9, regime=Regime.CDP), 10000)
-    mu, tau = plan.cdp_params
-    assert mu >= 0.9
-    assert mu / 0.9 == pytest.approx(1.0, rel=0.01)
-    assert tau == pytest.approx(math.sqrt(2 * 0.9), rel=1e-12)
+    # k releases of pure eps'-DP cost rho = k eps'^2 / 2 in zCDP, which the
+    # split sets to eps; only rounding separates them (abs=0, or approx's
+    # default abs=1e-12 would swamp rel=1e-15)
+    for j in (1, 2, 10, 20, 50, 10000):
+        plan = plan_for_budget(PrivacyBudget(0.9, regime=Regime.CDP), j)
+        assert plan.rho == pytest.approx(0.9, rel=1e-15, abs=0)
+        assert plan.rho == plan.total_releases * plan.eps_prime**2 / 2
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    epsilon=st.floats(1e-3, 1e3),
+    iterations=st.integers(1, 1000),
+    failure_prob=st.floats(1e-12, 0.5),
+)
+def test_split_rules_spend_the_budget(epsilon, iterations, failure_prob):
+    k = 2 * iterations
+    plan = plan_for_budget(PrivacyBudget(epsilon, regime=Regime.CDP), iterations)
+    assert plan.eps_prime == math.sqrt(epsilon / iterations)
+    assert plan.rho == pytest.approx(epsilon, rel=1e-15, abs=0)
+
+    assert k * conventional_per_release(epsilon, iterations) == pytest.approx(epsilon)
+
+    def strong_cost(v):
+        return math.sqrt(2 * k * math.log(1 / failure_prob)) * v + k * v * math.expm1(v)
+
+    x = advanced_per_release(epsilon, failure_prob, iterations)
+    assert strong_cost(x) <= epsilon
+    assert strong_cost(x + 1e-9) > epsilon
 
 
 # --- budgets and plans ---------------------------------------------------
@@ -216,28 +177,15 @@ def test_plan_fields_per_regime():
         )
         plan = plan_for_budget(budget, 7)
         assert plan.eps_prime == pytest.approx(expected, rel=1e-12)
-        assert plan.releases_per_iteration == 2
         assert plan.total_releases == 14
         assert plan.regime is regime
-        assert (plan.cdp_params is not None) == (regime is Regime.CDP)
+        assert (plan.rho is not None) == (regime is Regime.CDP)
 
 
 def test_plan_validation():
     with pytest.raises(ValueError):
         plan_for_budget(PrivacyBudget(0.9), 0)
-    with pytest.raises(ValueError, match="cdp_params"):
-        NoisePlan(
-            eps_prime=0.1,
-            releases_per_iteration=2,
-            total_releases=4,
-            regime=Regime.CONVENTIONAL,
-            cdp_params=(0.1, 0.1),
-        )
-    with pytest.raises(ValueError, match="cdp_params"):
-        NoisePlan(
-            eps_prime=0.1,
-            releases_per_iteration=2,
-            total_releases=4,
-            regime=Regime.CDP,
-            cdp_params=None,
-        )
+    with pytest.raises(ValueError, match="rho"):
+        NoisePlan(eps_prime=0.1, total_releases=4, regime=Regime.CONVENTIONAL, rho=0.02)
+    with pytest.raises(ValueError, match="rho"):
+        NoisePlan(eps_prime=0.1, total_releases=4, regime=Regime.CDP, rho=None)

@@ -120,6 +120,20 @@ def test_tiny_n_rejected_before_any_cell_runs(tmp_path, monkeypatch, capsys):
     assert not out_csv.exists()
 
 
+def test_bad_threads_env_var_rejected_before_any_cell_runs(tmp_path, monkeypatch, capsys):
+    def no_generate(spec, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(experiment_module, "generate", no_generate)
+    for value in ("0", "abc"):
+        monkeypatch.setenv("DP_IRLS_THREADS", value)
+        out_csv = tmp_path / f"threads_{value}.csv"
+        assert main(FAST + ["--out-csv", str(out_csv)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dpirls: ") and "DP_IRLS_THREADS" in err, err
+        assert not out_csv.exists()
+
+
 def test_failed_cells_reported_and_exit_one(tmp_path, monkeypatch, capsys):
     real_generate = experiment_module.generate
 
