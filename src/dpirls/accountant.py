@@ -16,7 +16,7 @@ CONVENTIONAL
 ADVANCED
     Strong composition with slack failure_prob: the largest eps'
     satisfying sqrt(2 k ln(1/failure_prob)) eps' + k eps' (e^eps' - 1)
-    <= eps, found by bisection.
+    <= eps, found by bisection down to adjacent floats.
 
 The strong-composition cost is strictly increasing in eps', so ADVANCED
 yields a larger eps' than CONVENTIONAL exactly when the basic split eps/k
@@ -37,9 +37,6 @@ import math
 from dataclasses import dataclass
 
 from .data import _check_int, _check_positive_finite, _check_probability
-
-_BISECTION_TOL = 1e-12
-
 
 class Regime(enum.Enum):
     CDP = "cdp"
@@ -132,8 +129,10 @@ def advanced_per_release(epsilon: float, failure_prob: float, iterations: int) -
     """Largest eps' whose k-fold strong composition stays within (eps, failure_prob).
 
     Solves sqrt(2 k ln(1/failure_prob)) eps' + k eps' (e^eps' - 1) = eps
-    for k = 2J by bisection to absolute tolerance 1e-12; the cost is
-    strictly increasing in eps', so the root is unique.
+    for k = 2J by bisection until the bracket holds two adjacent floats,
+    so the result is the largest float whose cost stays <= eps at every
+    scale of eps; the cost is strictly increasing in eps', so the root is
+    unique.
     """
     k = _check_split_args(epsilon, iterations)
     _check_probability("failure_prob", failure_prob)
@@ -141,12 +140,19 @@ def advanced_per_release(epsilon: float, failure_prob: float, iterations: int) -
     while _advanced_cost(hi, k, failure_prob) <= epsilon:
         lo = hi
         hi *= 2.0
-    while hi - lo > _BISECTION_TOL:
+    while True:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if _advanced_cost(mid, k, failure_prob) <= epsilon:
             lo = mid
         else:
             hi = mid
+    if lo == 0.0:
+        raise ValueError(
+            f"epsilon={epsilon!r} is too small for {k} releases under strong composition: "
+            "no positive float eps' fits"
+        )
     return lo
 
 

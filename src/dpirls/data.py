@@ -27,8 +27,8 @@ class DataValidationError(ValueError):
     """Raised when a dataset violates the documented bounds."""
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64, order="C", copy=True)
+def _freeze(a: np.ndarray, order: str = "C") -> np.ndarray:
+    out = np.array(a, dtype=np.float64, order=order, copy=True)
     out.setflags(write=False)
     return out
 
@@ -82,7 +82,12 @@ class Dataset:
 
     Construction checks shapes only.  Use :func:`validate_dataset` to
     enforce the norm bounds, or :func:`normalize_dataset` to establish
-    them.  The stored arrays are read-only copies.
+    them.  The stored arrays are read-only copies, and ``X`` is stored
+    column-major (Fortran order) whatever the input's order: every pass
+    the solver makes over X (``X @ theta``, ``X.T @ v``, the row scaling
+    ``X * sqrt(w)[:, None]``, row norms) then streams through each
+    feature column contiguously instead of running a d-element inner loop
+    per row.
     """
 
     X: np.ndarray = field(repr=False)
@@ -103,7 +108,7 @@ class Dataset:
             raise DataValidationError("dataset must contain at least one row")
         if X.shape[1] < 1:
             raise DataValidationError("X must have at least one column")
-        object.__setattr__(self, "X", _freeze(X))
+        object.__setattr__(self, "X", _freeze(X, order="F"))
         object.__setattr__(self, "y", _freeze(y))
 
     @property

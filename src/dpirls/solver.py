@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .accountant import NoisePlan, PrivacyBudget, plan_for_budget
 from .data import (
@@ -136,6 +136,19 @@ def compute_moments(dataset: Dataset, weights: np.ndarray) -> MomentPair:
     return MomentPair(A=A, B=B)
 
 
+def _cholesky_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray | None:
+    # LAPACK potrf/potrs directly; info > 0 from potrf means B is not
+    # positive definite.  clean=0 leaves B's upper triangle in the factor,
+    # which potrs never reads.
+    factor, info = dpotrf(B, lower=1, clean=0)
+    if info != 0:
+        return None
+    theta, info = dpotrs(factor, A, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrs")
+    return theta
+
+
 def solve_step(A: np.ndarray, B: np.ndarray) -> StepSolution:
     """Solve B theta = A by Cholesky, with one ridge retry.
 
@@ -151,22 +164,19 @@ def solve_step(A: np.ndarray, B: np.ndarray) -> StepSolution:
         raise ValueError(f"shape mismatch: A {A.shape}, B {B.shape}")
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise ValueError("moments must be finite")
-    try:
-        factor = cho_factor(B, lower=True, check_finite=False)
-        return StepSolution(theta=cho_solve(factor, A, check_finite=False), used_ridge=False)
-    except np.linalg.LinAlgError:
-        pass
+    theta = _cholesky_solve(A, B)
+    if theta is not None:
+        return StepSolution(theta=theta, used_ridge=False)
     d = B.shape[0]
     lam = _RIDGE_FACTOR * float(np.trace(B)) / d
-    try:
-        factor = cho_factor(B + lam * np.eye(d), lower=True, check_finite=False)
-        return StepSolution(theta=cho_solve(factor, A, check_finite=False), used_ridge=True)
-    except np.linalg.LinAlgError:
-        eigs = np.linalg.eigvalsh(B)
-        raise MomentSolveError(
-            f"Gram moment is not positive definite even with ridge {lam:.3g}: "
-            f"eigenvalues span [{eigs.min():.3g}, {eigs.max():.3g}]"
-        ) from None
+    theta = _cholesky_solve(A, B + lam * np.eye(d))
+    if theta is not None:
+        return StepSolution(theta=theta, used_ridge=True)
+    eigs = np.linalg.eigvalsh(B)
+    raise MomentSolveError(
+        f"Gram moment is not positive definite even with ridge {lam:.3g}: "
+        f"eigenvalues span [{eigs.min():.3g}, {eigs.max():.3g}]"
+    )
 
 
 def _resolve_init(dataset: Dataset, config: IRLSConfig) -> np.ndarray:

@@ -25,22 +25,22 @@ from dpirls.accountant import (
 
 def test_cdp_rule_frozen_values():
     # sqrt(2 eps / k) with k = 2 J
-    assert cdp_per_release(0.9, 1) == pytest.approx(0.9486832980505138, rel=1e-15)
-    assert cdp_per_release(0.9, 9) == pytest.approx(0.31622776601683794, rel=1e-15)
-    assert cdp_per_release(0.9, 10) == pytest.approx(0.3, rel=1e-15)
-    assert cdp_per_release(1.0, 1) == pytest.approx(1.0, rel=1e-15)
+    assert cdp_per_release(0.9, 1) == pytest.approx(0.9486832980505138, rel=1e-15, abs=0)
+    assert cdp_per_release(0.9, 9) == pytest.approx(0.31622776601683794, rel=1e-15, abs=0)
+    assert cdp_per_release(0.9, 10) == pytest.approx(0.3, rel=1e-15, abs=0)
+    assert cdp_per_release(1.0, 1) == pytest.approx(1.0, rel=1e-15, abs=0)
 
 
 def test_conventional_rule_frozen_values():
-    assert conventional_per_release(0.9, 9) == pytest.approx(0.05, rel=1e-15)
-    assert conventional_per_release(0.9, 10) == pytest.approx(0.045, rel=1e-15)
+    assert conventional_per_release(0.9, 9) == pytest.approx(0.05, rel=1e-15, abs=0)
+    assert conventional_per_release(0.9, 10) == pytest.approx(0.045, rel=1e-15, abs=0)
 
 
 def test_conventional_rule_recomposes_to_epsilon():
     for eps in (0.1, 0.9, 3.7):
         for j in (1, 7, 50):
             eps_prime = conventional_per_release(eps, j)
-            assert 2 * j * eps_prime == pytest.approx(eps, rel=1e-15)
+            assert 2 * j * eps_prime == pytest.approx(eps, rel=1e-15, abs=0)
 
 
 def test_advanced_rule_frozen_values():
@@ -65,6 +65,23 @@ def test_advanced_rule_is_the_largest_feasible_eps():
 
     assert cost(x) <= eps
     assert cost(x + 1e-9) > eps
+
+
+def test_advanced_rule_spends_tiny_budgets():
+    # The split is the largest float whose cost fits, at every scale of eps;
+    # bisecting to an absolute tolerance returned 0.0 below eps ~ 1e-11.
+    df, j = 1e-5, 50
+    k = 2 * j
+
+    def cost(v):
+        return math.sqrt(2 * k * math.log(1 / df)) * v + k * v * math.expm1(v)
+
+    for eps in (1e-300, 1e-11, 1e-10, 0.9):
+        x = advanced_per_release(eps, df, j)
+        assert 0.0 < cost(x) <= eps < cost(math.nextafter(x, math.inf)), eps
+        assert plan_for_budget(PrivacyBudget(eps, df, Regime.ADVANCED), j).eps_prime == x
+    with pytest.raises(ValueError, match="too small"):
+        advanced_per_release(5e-324, df, j)
 
 
 def test_advanced_rule_handles_huge_budgets():
@@ -126,7 +143,7 @@ def test_cdp_receipt_tracks_the_budget():
 
 @settings(derandomize=True, deadline=None)
 @given(
-    epsilon=st.floats(1e-3, 1e3),
+    epsilon=st.floats(1e-12, 1e3),
     iterations=st.integers(1, 1000),
     failure_prob=st.floats(1e-12, 0.5),
 )
@@ -143,7 +160,7 @@ def test_split_rules_spend_the_budget(epsilon, iterations, failure_prob):
 
     x = advanced_per_release(epsilon, failure_prob, iterations)
     assert strong_cost(x) <= epsilon
-    assert strong_cost(x + 1e-9) > epsilon
+    assert strong_cost(x * (1 + 1e-9)) > epsilon
 
 
 # --- budgets and plans ---------------------------------------------------

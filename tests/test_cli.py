@@ -1,12 +1,18 @@
 """Command line behavior: flags, outputs, exit codes, determinism."""
 
 import csv
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 import dpirls.experiment as experiment_module
 from dpirls.cli import build_parser, main, summary_path_for
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 FAST = [
     "--d", "3", "--n", "100,300", "--iters", "3", "--seeds", "2",
@@ -93,6 +99,24 @@ def test_output_bytes_stable_across_thread_counts(tmp_path, monkeypatch):
     s0 = summary_path_for(str(paths[0]))
     s1 = summary_path_for(str(paths[1]))
     assert open(s0, "rb").read() == open(s1, "rb").read()
+
+
+def test_output_bytes_stable_across_blas_thread_counts(tmp_path):
+    # BLAS reads its thread count at start-up, so each run is its own process.
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "DP_IRLS_THREADS"}
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}.csv"
+        done = subprocess.run(
+            [sys.executable, "-m", "dpirls.cli", "--d", "10", "--n", "500,5000", "--seeds", "2",
+             "--iters", "10", "--weight-cap", "5", "--delta-f", "1e-5", "--out-csv", str(out)],
+            env={**env, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append((_mask_wall_time(out), Path(summary_path_for(str(out))).read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_unknown_mechanism_is_an_argparse_error(capsys):

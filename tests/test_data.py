@@ -68,6 +68,16 @@ def test_arrays_are_read_only():
     assert ds2.X[0, 0] == 0.1
 
 
+def test_design_matrix_is_stored_column_major():
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=(7, 4))
+    for X in (base, np.asfortranarray(base), base[::2, ::-1], base.T.T, base.tolist()):
+        ds = Dataset(X=X, y=np.zeros(np.shape(X)[0]))
+        assert ds.X.flags.f_contiguous
+        assert not ds.X.flags.writeable
+        np.testing.assert_array_equal(ds.X, np.asarray(X))
+
+
 def test_normalize_known_values():
     # max row norm 5 -> rows scaled by 1/5; max |y| = 4 -> y scaled by 1/4
     ds = normalize_dataset(np.array([[3.0, 4.0], [0.0, 1.0]]), np.array([2.0, -4.0]))

@@ -31,7 +31,7 @@ def test_l1_sensitivity_values():
     assert l1_sensitivity_A(1, 1, 1.0) == 2.0
     # 2 * cap * sqrt(d) / n, frozen from direct evaluation
     assert l1_sensitivity_A(10, 1000, 1.0) == pytest.approx(
-        0.006324555320336759, rel=1e-15
+        0.006324555320336759, rel=1e-15, abs=0
     )
     assert l1_sensitivity_A(10, 1000, 1.0) == pytest.approx(
         2.0 * math.sqrt(10.0) / 1000.0, rel=0, abs=0
@@ -40,8 +40,8 @@ def test_l1_sensitivity_values():
 
 def test_l2_sensitivity_values():
     assert l2_sensitivity_A(1, 1.0) == 2.0
-    assert l2_sensitivity_A(1000, 1.0) == pytest.approx(0.002, rel=1e-15)
-    assert l2_sensitivity_A(500, 3.0) == pytest.approx(2.0 * 3.0 / 500.0, rel=1e-15)
+    assert l2_sensitivity_A(1000, 1.0) == pytest.approx(0.002, rel=1e-15, abs=0)
+    assert l2_sensitivity_A(500, 3.0) == pytest.approx(2.0 * 3.0 / 500.0, rel=1e-15, abs=0)
 
 
 def test_sensitivity_argument_validation():
@@ -112,19 +112,19 @@ def test_l2_bound_holds_over_sampled_neighbors():
 
 def test_laplace_spec_scale():
     spec = LaplaceNoiseSpec.calibrate(d=10, n=1000, eps_prime=0.3, weight_cap=1.0)
-    assert spec.scale == pytest.approx(0.021081851067789197, rel=1e-15)
+    assert spec.scale == pytest.approx(0.021081851067789197, rel=1e-15, abs=0)
 
 
 def test_gaussian_spec_std():
     spec = GaussianNoiseSpec.calibrate(n=1000, eps_prime=0.3, failure_prob=1e-6, weight_cap=1.0)
-    assert spec.std == pytest.approx(0.03532535017900316, rel=1e-15)
-    assert spec.multiplier == pytest.approx(math.sqrt(2.0 * math.log(1.25e6)), rel=1e-15)
-    assert spec.sensitivity == pytest.approx(0.002, rel=1e-15)
+    assert spec.std == pytest.approx(0.03532535017900316, rel=1e-15, abs=0)
+    assert spec.multiplier == pytest.approx(math.sqrt(2.0 * math.log(1.25e6)), rel=1e-15, abs=0)
+    assert spec.sensitivity == pytest.approx(0.002, rel=1e-15, abs=0)
 
 
 def test_wishart_spec():
     spec = WishartNoiseSpec.calibrate(d=10, n=100, eps_prime=0.5, weight_cap=2.0)
-    assert spec.variance == pytest.approx(0.02, rel=1e-15)
+    assert spec.variance == pytest.approx(0.02, rel=1e-15, abs=0)
     assert spec.dof == 11
 
 

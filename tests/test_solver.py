@@ -156,6 +156,21 @@ def test_solve_step_spd_round_trip():
     np.testing.assert_allclose(sol.theta, theta_true, rtol=1e-10)
 
 
+def test_solve_step_matches_scipy_cholesky_bitwise():
+    from scipy.linalg import cho_factor, cho_solve
+
+    rng = np.random.default_rng(8)
+    for d in (1, 10, 100):
+        M = rng.normal(size=(3 * d, d))
+        B = M.T @ M / (3 * d)
+        A = rng.normal(size=d)
+        B.setflags(write=False)
+        expected = cho_solve(cho_factor(B, lower=True), A)
+        sol = solve_step(A, B)
+        assert np.array_equal(sol.theta, expected)
+        assert sol.used_ridge is False
+
+
 def test_solve_step_singular_uses_ridge():
     # rank-1 Gram: plain Cholesky fails, the traced ridge makes it SPD
     v = np.array([1.0, 1.0])

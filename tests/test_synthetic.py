@@ -97,7 +97,7 @@ def test_variance_floor_on_perfect_fit():
 def test_variance_of_constant_residuals():
     ds = Dataset(X=np.zeros((4, 2)), y=np.full(4, 0.3))
     var = estimate_residual_variance(ds, np.zeros(2))
-    assert var == pytest.approx(0.09, rel=1e-15)
+    assert var == pytest.approx(0.09, rel=1e-15, abs=0)
 
 
 def test_variance_matches_two_pass_loop():
