@@ -27,8 +27,10 @@ class DataValidationError(ValueError):
     """Raised when a dataset violates the documented bounds."""
 
 
-def _freeze(a: np.ndarray, order: str = "C") -> np.ndarray:
-    out = np.array(a, dtype=np.float64, order=order, copy=True)
+def _freeze(a: np.ndarray) -> np.ndarray:
+    # Fortran order is what Dataset.X needs; for vectors and the symmetric
+    # Gram moment it holds the same values as C order.
+    out = np.array(a, dtype=np.float64, order="F", copy=True)
     out.setflags(write=False)
     return out
 
@@ -108,7 +110,7 @@ class Dataset:
             raise DataValidationError("dataset must contain at least one row")
         if X.shape[1] < 1:
             raise DataValidationError("X must have at least one column")
-        object.__setattr__(self, "X", _freeze(X, order="F"))
+        object.__setattr__(self, "X", _freeze(X))
         object.__setattr__(self, "y", _freeze(y))
 
     @property

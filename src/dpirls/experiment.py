@@ -1,18 +1,16 @@
 """Utility-versus-size experiment grid over mechanisms and budgets.
 
-Each cell is one (mechanism label, dataset size, seed index) triple: the
-synthetic problem of its (size, seed index) is fitted and scored on its
-holdout.  All mechanism labels at the same (size, seed index) share the
-identical dataset, so the grid generates and validates it once and runs
-every requested label's cell on it.  Noise streams are derived per label
-so cells are independent and the whole table is reproducible bit for bit
-regardless of worker count or which subset of labels is requested.
+Each cell is one (mechanism label, dataset size, seed index) triple: a
+fresh synthetic problem is generated, fitted, and scored on its holdout.
+All mechanism labels at the same (size, seed index) share the identical
+dataset; noise streams are derived per label so cells are independent
+and the whole table is reproducible bit for bit regardless of worker
+count or which subset of labels is requested.
 
-The grid runs one task per (size, seed index) in a thread pool, largest
-size first; the DP_IRLS_THREADS environment variable caps the worker
-count (run_grid's max_workers argument wins when given).  A failing cell
-is recorded in its row's status column instead of aborting the grid; a
-dataset that fails to generate fails every label's cell on it.
+Cells run in a thread pool; the DP_IRLS_THREADS environment variable
+caps the worker count (run_grid's max_workers argument wins when given).
+A failing cell is recorded in its row's status column instead of
+aborting the grid.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ import numpy as np
 from .accountant import PrivacyBudget, Regime
 from .data import _check_int
 from .solver import IRLSConfig, Mechanism, run_exact_irls, run_private_irls
-from .synthetic import SplitDataset, SyntheticSpec, evaluate_fit, generate
+from .synthetic import SyntheticSpec, evaluate_fit, generate
 
 # label -> (budget regime, mechanism on A); both None for the exact baseline.
 # The composed budgets are not matched guarantees.  cdp-* spend epsilon as
@@ -131,25 +129,18 @@ def _noise_generator(base_seed: int, label: str, n: int, seed_idx: int) -> np.ra
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _error_status(exc: Exception) -> str:
-    return f"error: {type(exc).__name__}: {exc}"
-
-
-def run_cell(grid: ExperimentGrid, label: str, split: SplitDataset, seed_idx: int) -> ResultRow:
-    """Fit and score one (mechanism, size, seed) cell on its generated split.
-
-    ``split`` is the dataset of the cell's (size, seed index), shared by
-    every label.  ``wall_time_ms`` covers this cell's own fit and
-    scoring, not the generation of the split.  Failures land in the
-    status column.
-    """
+def run_cell(grid: ExperimentGrid, label: str, n: int, seed_idx: int) -> ResultRow:
+    """Run one (mechanism, size, seed) cell; failures land in the status column."""
     start = time.perf_counter()
-    n = split.train.n + split.test.n
     loglik = math.nan
     eps_prime = math.nan
     status = "ok"
     try:
         regime, mechanism = MECHANISM_SPECS[label]
+        spec = SyntheticSpec(
+            n=n, d=grid.d, noise_var=grid.noise_var, seed=_data_seed(grid.base_seed, n, seed_idx)
+        )
+        split = generate(spec)
         config = IRLSConfig(iterations=grid.iterations, weight_cap=grid.weight_cap)
         if regime is None:
             theta, _ = run_exact_irls(split.train, config)
@@ -169,7 +160,7 @@ def run_cell(grid: ExperimentGrid, label: str, split: SplitDataset, seed_idx: in
             eps_prime = plan.eps_prime
         loglik = evaluate_fit(split, theta, label, seed_idx).loglik_per_point
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-        status = _error_status(exc)
+        status = f"error: {type(exc).__name__}: {exc}"
     wall_ms = int(round((time.perf_counter() - start) * 1000.0))
     return ResultRow(
         mechanism=label,
@@ -180,23 +171,6 @@ def run_cell(grid: ExperimentGrid, label: str, split: SplitDataset, seed_idx: in
         wall_time_ms=wall_ms,
         status=status,
     )
-
-
-def _run_dataset(grid: ExperimentGrid, n: int, seed_idx: int) -> list[ResultRow]:
-    # One pool task: generate (and validate) the (n, seed) dataset once,
-    # then run every requested label's cell on it.
-    try:
-        spec = SyntheticSpec(
-            n=n, d=grid.d, noise_var=grid.noise_var, seed=_data_seed(grid.base_seed, n, seed_idx)
-        )
-        split = generate(spec)
-    except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-        status = _error_status(exc)
-        return [
-            ResultRow(label, n, seed_idx, math.nan, math.nan, 0, status)
-            for label in grid.mechanisms
-        ]
-    return [run_cell(grid, label, split, seed_idx) for label in grid.mechanisms]
 
 
 def _resolve_workers(max_workers: int | None) -> int:
@@ -218,19 +192,21 @@ def _resolve_workers(max_workers: int | None) -> int:
 def run_grid(grid: ExperimentGrid, max_workers: int | None = None) -> list[ResultRow]:
     """Run every cell of the grid and return rows in canonical order.
 
-    One task per (N, seed) generates that dataset and runs all labels on
-    it; tasks are submitted largest N first so the longest run early.
     Canonical order is (mechanism, N, seed); the output is independent of
     the worker count and of the order labels were requested in.
     """
-    tasks = [(n, s) for n in sorted(grid.n_values, reverse=True) for s in range(grid.n_seeds)]
-    workers = min(_resolve_workers(max_workers), len(tasks))
+    cells = [
+        (label, n, s)
+        for label in grid.mechanisms
+        for n in grid.n_values
+        for s in range(grid.n_seeds)
+    ]
+    workers = min(_resolve_workers(max_workers), len(cells))
     if workers == 1:
-        batches = [_run_dataset(grid, *task) for task in tasks]
+        rows = [run_cell(grid, *cell) for cell in cells]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(lambda t: _run_dataset(grid, *t), tasks))
-    rows = [row for batch in batches for row in batch]
+            rows = list(pool.map(lambda c: run_cell(grid, *c), cells))
     rows.sort(key=lambda r: (r.mechanism, r.n, r.seed))
     return rows
 

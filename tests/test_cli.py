@@ -102,7 +102,10 @@ def test_output_bytes_stable_across_thread_counts(tmp_path, monkeypatch):
 
 
 def test_output_bytes_stable_across_blas_thread_counts(tmp_path):
-    # BLAS reads its thread count at start-up, so each run is its own process.
+    # A small grid only: its products stay below the sizes at which OpenBLAS
+    # splits work across threads (README, "Command-line harness"); large
+    # products may differ in their low bits between thread counts.  BLAS
+    # reads its thread count at start-up, so each run is its own process.
     pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {k: v for k, v in os.environ.items() if k != "DP_IRLS_THREADS"}
     outputs = []
