@@ -9,6 +9,7 @@ before calibrating any noise.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -89,7 +90,9 @@ class Dataset:
     the solver makes over X (``X @ theta``, ``X.T @ v``, the row scaling
     ``X * sqrt(w)[:, None]``, row norms) then streams through each
     feature column contiguously instead of running a d-element inner loop
-    per row.
+    per row.  ``X^T X`` and ``X^T y`` are memoised per instance on first
+    use (see ``_unit_moments``), which is sound because the arrays are
+    read-only.
     """
 
     X: np.ndarray = field(repr=False)
@@ -120,6 +123,21 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.X.shape[1]
+
+    @functools.cached_property
+    def _unit_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """X^T X (one syrk) and X^T y, computed on first use and kept.
+
+        :func:`dpirls.solver.compute_moments` builds its capped-weight
+        update from these.  ``X`` and ``y`` are read-only copies taken at
+        construction, so the memo cannot go stale; it lives in this
+        instance's ``__dict__``, so no two datasets share one.
+        """
+        XtX = self.X.T @ self.X
+        Xty = self.X.T @ self.y
+        XtX.setflags(write=False)
+        Xty.setflags(write=False)
+        return XtX, Xty
 
     def __repr__(self) -> str:  # arrays are too noisy for the default repr
         return f"Dataset(n={self.n}, d={self.d})"

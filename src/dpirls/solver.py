@@ -39,6 +39,10 @@ from .mechanisms import as_generator, gaussian_perturb, laplace_perturb, wishart
 
 _RIDGE_FACTOR = 1e-8
 
+# Largest max(w) / min(w) at which compute_moments takes the capped-weight
+# update; it bounds that path's rounding error (see compute_moments).
+_UPDATE_MAX_RATIO = 64.0
+
 
 class Mechanism(enum.Enum):
     """Noise applied to the cross moment A; B always uses the Wishart release."""
@@ -108,28 +112,73 @@ def weights_from_residuals(res: np.ndarray, weight_cap: float) -> np.ndarray:
     """Clamped inverse-residual weights s_i = 1 / max(1/weight_cap, |r_i|).
 
     Every output lies in (0, weight_cap]; the cap binds exactly when
-    |r_i| <= 1/weight_cap.
+    |r_i| <= 1/weight_cap.  Built in one n-length buffer.
     """
     _check_positive_finite("weight_cap", weight_cap)
-    res = np.asarray(res, dtype=np.float64)
-    return 1.0 / np.maximum(1.0 / weight_cap, np.abs(res))
+    w = np.abs(np.asarray(res, dtype=np.float64))
+    np.maximum(w, 1.0 / weight_cap, out=w)
+    return np.divide(1.0, w, out=w)
 
 
 def compute_moments(dataset: Dataset, weights: np.ndarray) -> MomentPair:
     """Weighted sufficient statistics (1/n) X^T S y and (1/n) X^T S X.
 
-    The Gram part is assembled as G^T G for G = diag(sqrt(s)) X.  numpy
-    routes ``G.T @ G`` to BLAS ``syrk``, which computes one triangle and
-    mirrors it onto the other, so B is symmetric bit for bit rather than
-    merely up to rounding (``test_moments_gram_exactly_symmetric`` pins
-    this).
+    The direct formula assembles the Gram part as G^T G for
+    G = diag(sqrt(s)) X.  numpy routes ``G.T @ G`` to BLAS ``syrk``, which
+    computes one triangle and mirrors it onto the other, so B is symmetric
+    bit for bit rather than merely up to rounding
+    (``test_moments_gram_exactly_symmetric`` pins this).
+
+    The clamp gives every row with |r_i| <= 1/weight_cap the same weight
+    b = max(s), and most rows sit there once the fit settles.  Those rows
+    drop out through the exact identities
+
+        n B = b X^T X - sum_{s_i < b} (b - s_i) x_i x_i^T
+        n A = b X^T y - sum_{s_i < b} (b - s_i) x_i y_i
+
+    with X^T X and X^T y computed once per dataset and memoised on it, so
+    an iteration costs O(k d^2) for the k rows below b instead of
+    O(n d^2).  This update is taken only when both
+
+    - at least half the rows sit at b, so that it pays, and
+    - b / min(s) <= 64.  For every unit vector v, both terms of the
+      difference are at most (b / min(s)) v^T (n B) v, so the rounding
+      error of the update is, in every direction, at most 64 times that
+      of the direct formula (and likewise for A, whose terms are at most
+      b / min(s) times sum_i s_i |x_i y_i|).
+
+    Otherwise the direct formula runs unchanged, byte for byte.  B stays
+    bitwise symmetric on both paths: the update is b syrk - syrk.  Where
+    the update runs, A and B differ from the direct formula's in the low
+    bits only.
+
+    Run time therefore depends on how many residuals sit under the cap,
+    that is, on the data.  The privacy guarantees of the releases cover
+    the released values, not the time taken to compute them.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.shape[0] != dataset.n:
         raise ValueError(f"weights must have shape ({dataset.n},), got {w.shape}")
-    if not np.isfinite(w).all() or (w <= 0.0).any():
+    # One min/max pair serves the check (NaN fails both comparisons) and
+    # the choice of path.
+    lo, hi = w.min(), w.max()
+    if not (lo > 0.0 and hi < np.inf):
         raise ValueError("weights must be finite and strictly positive")
     n = dataset.n
+    if hi <= _UPDATE_MAX_RATIO * lo:
+        below = w < hi
+        if 2 * np.count_nonzero(below) <= n:
+            XtX, Xty = dataset._unit_moments
+            idx = np.flatnonzero(below)
+            c = np.sqrt(hi - w[idx])
+            # Gathered along the rows of X.T, which are X's contiguous
+            # columns; X[idx] reads each row at a stride of n and was 2.6x
+            # slower at n=36000, d=100.  Gt is G^T for G = diag(c) X[idx].
+            Gt = np.take(dataset.X.T, idx, axis=1)
+            Gt *= c
+            A = (hi * Xty - Gt @ (c * dataset.y[idx])) / n
+            B = (hi * XtX - Gt @ Gt.T) / n
+            return MomentPair(A=A, B=B)
     A = dataset.X.T @ (w * dataset.y) / n
     Xs = dataset.X * np.sqrt(w)[:, None]
     B = (Xs.T @ Xs) / n

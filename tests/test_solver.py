@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from _oracles import grid_l1_minimizer, naive_moments
 
 import dpirls.solver as solver_module
@@ -118,6 +119,101 @@ def test_moments_gram_matches_exactly_rounded_sums():
         ]
     )
     np.testing.assert_allclose(B, ref, rtol=1e-12, atol=0)
+
+
+def _update_path_taken(w):
+    # compute_moments' two conditions for the capped-weight update
+    b = w.max()
+    return b <= 64.0 * w.min() and 2 * np.count_nonzero(w < b) <= w.shape[0]
+
+
+def _longdouble_moments(ds, w):
+    X, y, wl = (np.asarray(a, dtype=np.longdouble) for a in (ds.X, ds.y, w))
+    return X.T @ (wl * y) / ds.n, X.T @ (X * wl[:, None]) / ds.n
+
+
+def _rel_frobenius(got, ref):
+    return float(np.linalg.norm((got - ref).astype(np.float64)) / np.linalg.norm(ref.astype(np.float64)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    n=st.integers(20, 3000),
+    d=st.integers(1, 30),
+    cap=st.floats(0.1, 1e3),
+    share=st.one_of(
+        st.floats(0.0, 1.0), st.floats(0.5, 1.0), st.sampled_from([0.49, 0.5, 0.51, 1.0])
+    ),
+    ratio=st.one_of(
+        st.floats(1.01, 64.0), st.floats(1.01, 200.0), st.sampled_from([63.99, 64.0, 64.01])
+    ),
+    subspace=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_moments_property_against_longdouble(n, d, cap, share, ratio, subspace, seed):
+    rng = np.random.default_rng(seed)
+    n_capped = int(round(share * n))
+    X = rng.normal(size=(n, d))
+    if subspace == 0 and d > 1:
+        # Capped rows near a subspace: orthogonal to it, X^T X comes from
+        # the uncapped rows alone and the update's difference cancels.
+        basis = np.linalg.qr(rng.normal(size=(d, max(1, d // 3))))[0]
+        X[:n_capped] = rng.normal(size=(n_capped, basis.shape[1])) @ basis.T
+        X[:n_capped] += 1e-6 * rng.normal(size=(n_capped, d))
+    X /= np.linalg.norm(X, axis=1).max()
+    y = np.clip(X @ rng.normal(size=d) + 0.1 * rng.normal(size=n), -1.0, 1.0)
+    w = np.full(n, cap)
+    w[n_capped:] = cap / np.exp(rng.uniform(1e-9, math.log(ratio), size=n - n_capped))
+    if n_capped < n:
+        w[-1] = cap / ratio
+    perm = rng.permutation(n)
+    ds = Dataset(X=X[perm], y=y[perm])
+    w = w[perm]
+
+    m = compute_moments(ds, w)
+    assert np.array_equal(m.B, m.B.T)
+    A_ref, B_ref = _longdouble_moments(ds, w)
+    assert _rel_frobenius(m.A, A_ref) <= 1e-12
+    assert _rel_frobenius(m.B, B_ref) <= 1e-12
+    if not _update_path_taken(w):
+        Xs = ds.X * np.sqrt(w)[:, None]
+        assert np.array_equal(m.A, ds.X.T @ (w * ds.y) / n)
+        assert np.array_equal(m.B, (Xs.T @ Xs) / n)
+        assert "_unit_moments" not in vars(ds)
+    else:
+        assert "_unit_moments" in vars(ds)
+
+    # A second dataset of the same shape gets its own memo: scaling by
+    # powers of two is exact, so its moments are exactly rescaled, and
+    # the first dataset's moments are unchanged afterwards.
+    other = Dataset(X=0.5 * ds.X, y=-ds.y)
+    m_other = compute_moments(other, w)
+    assert np.array_equal(m_other.A, -0.5 * m.A)
+    assert np.array_equal(m_other.B, 0.25 * m.B)
+    if _update_path_taken(w):
+        assert other._unit_moments is not ds._unit_moments
+    m_again = compute_moments(ds, w)
+    assert np.array_equal(m_again.A, m.A) and np.array_equal(m_again.B, m.B)
+
+
+def test_moments_update_path_only_when_most_rows_are_capped():
+    ds = _random_dataset(15, n=400, d=6)
+    w = np.full(ds.n, 8.0)
+    w[:201] = 4.0  # 199 of 400 rows capped: direct formula
+    compute_moments(ds, w)
+    assert "_unit_moments" not in vars(ds)
+    w[200] = 8.0  # half capped, but max/min = 80 > 64: direct formula
+    w[0] = 0.1
+    compute_moments(ds, w)
+    assert "_unit_moments" not in vars(ds)
+    w[0] = 4.0  # half capped, max/min = 2: update
+    m = compute_moments(ds, w)
+    XtX, Xty = vars(ds)["_unit_moments"]
+    assert np.array_equal(XtX, ds.X.T @ ds.X) and np.array_equal(Xty, ds.X.T @ ds.y)
+    assert not XtX.flags.writeable and not Xty.flags.writeable
+    A_ref, B_ref = naive_moments(ds.X, ds.y, w)
+    np.testing.assert_allclose(m.A, A_ref, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(m.B, B_ref, rtol=0, atol=1e-14)
 
 
 def test_moments_validation():
