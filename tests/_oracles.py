@@ -18,6 +18,24 @@ def naive_moments(X, y, weights):
     return A / n, B / n
 
 
+def longdouble_solve(B, A):
+    """Solution of B x = A by Gaussian elimination with partial pivoting in
+    np.longdouble, which numpy.linalg does not support."""
+    M = np.asarray(B, dtype=np.longdouble).copy()
+    x = np.asarray(A, dtype=np.longdouble).copy()
+    d = x.shape[0]
+    for k in range(d):
+        p = k + int(np.argmax(np.abs(M[k:, k])))
+        M[[k, p]] = M[[p, k]]
+        x[[k, p]] = x[[p, k]]
+        f = M[k + 1:, k] / M[k, k]
+        M[k + 1:, k:] -= np.outer(f, M[k, k:])
+        x[k + 1:] -= f * x[k]
+    for k in range(d - 1, -1, -1):
+        x[k] = (x[k] - M[k, k + 1:] @ x[k + 1:]) / M[k, k]
+    return x
+
+
 def grid_l1_minimizer(x, y, rounds=4, points=2001):
     """Refined grid search for argmin_t mean |y - x t| over scalar t.
 

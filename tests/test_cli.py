@@ -184,5 +184,20 @@ def test_failed_cells_reported_and_exit_one(tmp_path, monkeypatch, capsys):
     assert good and all(r[6] == "ok" for r in good)
 
 
+def test_import_loads_no_scipy():
+    # scipy is a test and benchmark dependency only; the package must not load it.
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, dpirls, dpirls.cli; "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_module_entry_point_exists():
     import dpirls.__main__  # noqa: F401

@@ -1,5 +1,7 @@
 """Container, bound-check, normalization, and CSV round-trip tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,39 @@ def test_arrays_are_read_only():
     ds2 = Dataset(X=src, y=np.array([0.3]))
     src[0, 0] = 7.0
     assert ds2.X[0, 0] == 0.1
+
+
+def test_second_validation_makes_no_array_pass(monkeypatch):
+    ds = Dataset(X=np.array([[0.6, 0.8], [0.1, 0.0]]), y=np.array([1.0, -0.5]))
+    assert validate_dataset(ds) is ds
+
+    def no_pass(*args, **kwargs):
+        raise AssertionError("validate_dataset re-read the arrays")
+
+    for name in ("isfinite", "abs"):
+        monkeypatch.setattr(np, name, no_pass)
+    monkeypatch.setattr(np.linalg, "norm", no_pass)
+    assert validate_dataset(ds) is ds
+
+
+def test_invalid_dataset_raises_on_every_call():
+    ds = Dataset(X=np.array([[0.1, 0.2], [1.0, 1.0]]), y=np.zeros(2))
+    for _ in range(3):
+        with pytest.raises(DataValidationError, match="row 1"):
+            validate_dataset(ds)
+
+
+def test_datasets_never_share_a_validation():
+    X = np.array([[0.6, 0.8]])
+    good = validate_dataset(Dataset(X=X, y=np.array([0.5])))
+    with pytest.raises(DataValidationError, match=r"y\[0\]"):
+        validate_dataset(Dataset(X=X, y=np.array([2.0])))
+    with pytest.raises(DataValidationError, match=r"y\[0\]"):
+        validate_dataset(dataclasses.replace(good, y=np.array([2.0])))
+    # Equal arrays make a new instance, and it is checked afresh.
+    twin = Dataset(X=good.X, y=good.y)
+    assert "_bounds_checked" not in vars(twin)
+    assert validate_dataset(twin) is twin
 
 
 def test_design_matrix_is_stored_column_major():

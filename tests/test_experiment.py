@@ -72,6 +72,18 @@ def test_threads_env_var_caps_workers(monkeypatch):
         run_grid(grid, max_workers=0)
 
 
+def test_grid_runs_serially_by_default(monkeypatch):
+    monkeypatch.delenv("DP_IRLS_THREADS", raising=False)
+    assert experiment_module._resolve_workers(None) == 1
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the default grid started a thread pool")
+
+    monkeypatch.setattr(experiment_module, "ThreadPoolExecutor", no_pool)
+    grid = ExperimentGrid(**SMALL, mechanisms=("non-private", "cdp-lap"))
+    assert all(r.status == "ok" for r in run_grid(grid))
+
+
 def test_rows_are_canonically_sorted():
     grid = ExperimentGrid(
         n_values=(300, 100), d=2, iterations=2, n_seeds=2,

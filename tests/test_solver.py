@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from _oracles import grid_l1_minimizer, naive_moments
+from _oracles import grid_l1_minimizer, longdouble_solve, naive_moments
 
 import dpirls.solver as solver_module
 from dpirls.accountant import PrivacyBudget, Regime
@@ -236,7 +236,7 @@ def test_residuals_and_validation():
 # --- linear solve --------------------------------------------------------
 
 def test_solve_step_diagonal():
-    # Cholesky + two triangular solves leave at most an ulp of rounding
+    # the LU solve leaves at most an ulp of rounding
     sol = solve_step(np.array([2.0, 2.0]), np.diag([2.0, 4.0]))
     np.testing.assert_allclose(sol.theta, [1.0, 0.5], rtol=0, atol=1e-15)
     assert sol.used_ridge is False
@@ -252,19 +252,61 @@ def test_solve_step_spd_round_trip():
     np.testing.assert_allclose(sol.theta, theta_true, rtol=1e-10)
 
 
-def test_solve_step_matches_scipy_cholesky_bitwise():
-    from scipy.linalg import cho_factor, cho_solve
-
+def test_solve_step_matches_scipy_cholesky_to_rounding():
+    # solve_step takes theta from an LU solve, so it cannot match scipy's
+    # potrs bit for bit.  Normwise, 200 random draws per size agreed to
+    # 1.1e-15; single small components can differ by more, relatively.
+    linalg = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(8)
     for d in (1, 10, 100):
         M = rng.normal(size=(3 * d, d))
         B = M.T @ M / (3 * d)
         A = rng.normal(size=d)
         B.setflags(write=False)
-        expected = cho_solve(cho_factor(B, lower=True), A)
+        expected = linalg.cho_solve(linalg.cho_factor(B, lower=True), A)
         sol = solve_step(A, B)
-        assert np.array_equal(sol.theta, expected)
+        assert np.linalg.norm(sol.theta - expected) <= 1e-13 * np.linalg.norm(expected)
         assert sol.used_ridge is False
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(d=st.integers(1, 100), log_cond=st.floats(0.0, 8.0), seed=st.integers(0, 2**32 - 1))
+def test_solve_step_property_against_longdouble(d, log_cond, seed):
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    B = (Q * np.logspace(0.0, -log_cond, d)) @ Q.T
+    B = (B + B.T) / 2.0
+    A = rng.normal(size=d)
+    sol = solve_step(A, B)
+    assert sol.used_ridge is False
+    ref = longdouble_solve(B, A)
+    err = np.linalg.norm((sol.theta - ref).astype(np.float64)) / np.linalg.norm(ref.astype(np.float64))
+    assert err <= 64.0 * np.linalg.cond(B) * 2.0**-52
+
+
+@pytest.mark.parametrize(
+    "B, plain_fails, ridge_fails",
+    [
+        (np.array([[2.0, 0.5], [0.5, 1.0]]), False, False),  # positive definite
+        (np.ones((2, 2)), True, False),  # rank 1: the ridge rescues it
+        (np.zeros((2, 2)), True, True),  # singular, zero trace: no ridge
+        (np.diag([1.0, -1.0]), True, True),  # indefinite
+    ],
+    ids=["pd", "rank-1", "zero", "indefinite"],
+)
+def test_solve_step_ridge_and_failure_follow_lapack_potrf(B, plain_fails, ridge_fails):
+    # The numpy Cholesky must reject exactly what LAPACK potrf (info > 0) does.
+    lapack = pytest.importorskip("scipy.linalg.lapack")
+    d = B.shape[0]
+    ridged = B + 1e-8 * np.trace(B) / d * np.eye(d)
+    assert (lapack.dpotrf(B, lower=1)[1] > 0) == plain_fails
+    assert (lapack.dpotrf(ridged, lower=1)[1] > 0) == ridge_fails
+    A = np.ones(d)
+    if ridge_fails:
+        with pytest.raises(MomentSolveError):
+            solve_step(A, B)
+    else:
+        assert solve_step(A, B).used_ridge is plain_fails
 
 
 def test_solve_step_singular_uses_ridge():
