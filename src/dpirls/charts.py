@@ -10,7 +10,6 @@ by 5% on every side.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 from .experiment import SummaryRow
 
@@ -31,6 +30,13 @@ _PALETTE = (
     "#9467bd",
     "#8c564b",
 )
+
+
+def _escape(text: str) -> str:
+    # What xml.sax.saxutils.escape does, without importing the xml package
+    # (which pulls in urllib.request, http.client and email).  "&" first,
+    # so the other two replacements are not escaped again.
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(v: float) -> str:
@@ -103,7 +109,7 @@ def emit_svg_chart(summary: list[SummaryRow], path: str, title: str | None = Non
     if title:
         parts.append(
             f'<text x="{_fmt(_WIDTH / 2)}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{escape(title)}</text>'
+            f'font-family="sans-serif" font-size="15">{_escape(title)}</text>'
         )
 
     # x ticks at every distinct N present in the summary
@@ -183,7 +189,7 @@ def emit_svg_chart(summary: list[SummaryRow], path: str, title: str | None = Non
         )
         parts.append(
             f'<text x="{_fmt(lx + 20)}" y="{_fmt(ly + 3)}" font-family="sans-serif" '
-            f'font-size="12">{escape(mechanism)}</text>'
+            f'font-size="12">{_escape(mechanism)}</text>'
         )
 
     parts.append("</svg>")

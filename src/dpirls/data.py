@@ -25,6 +25,14 @@ NORM_TOLERANCE = 1e-9
 # normalizing twice is bitwise identical to normalizing once.
 _RENORM_SKIP = 1e-12
 
+# A Gram matrix assembled from real data is symmetric to a few ulp; a
+# larger asymmetry means the caller is not passing a moment matrix.
+_SYMMETRY_TOLERANCE = 1e-10
+
+# _row_norms works through X in blocks of about this many entries, so its
+# temporaries stay at 512 KiB whatever n is.
+_NORM_BLOCK_ELEMENTS = 1 << 16
+
 
 class DataValidationError(ValueError):
     """Raised when a dataset violates the documented bounds."""
@@ -79,6 +87,34 @@ def _as_theta(theta: np.ndarray, d: int, name: str = "theta") -> np.ndarray:
     if theta.ndim != 1 or theta.shape[0] != d:
         raise ValueError(f"{name} must have shape ({d},), got {theta.shape}")
     return theta
+
+
+def _check_symmetric(name: str, B: np.ndarray) -> None:
+    # Exact equality is the common case (syrk mirrors its triangle), and
+    # it is cheaper than forming B - B^T.
+    if (B == B.T).all():
+        return
+    asym = float(np.max(np.abs(B - B.T)))
+    if asym > _SYMMETRY_TOLERANCE:
+        raise ValueError(f"{name} must be symmetric; max |{name} - {name}^T| = {asym:.3g}")
+
+
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    # np.linalg.norm(X, axis=1) over blocks of rows.  Each row is reduced
+    # on its own, in the same order as in the full call, so the result is
+    # bitwise the same for C- and F-ordered X, while the n x d squares
+    # become one block's worth.  No block is a single row of a longer X:
+    # numpy lays a (1, d) temporary out C-contiguous and sums it pairwise,
+    # where the full call sums an F-ordered X's rows left to right.
+    n, d = X.shape
+    step = max(2, _NORM_BLOCK_ELEMENTS // max(d, 1))
+    out = np.empty(n)
+    start = 0
+    while start < n:
+        stop = n if n - start <= step + 1 else start + step
+        out[start:stop] = np.linalg.norm(X[start:stop], axis=1)
+        start = stop
+    return out
 
 
 @dataclass(frozen=True)
@@ -218,7 +254,7 @@ def _check_bounds(dataset: Dataset) -> None:
         bad = int(np.argwhere(~np.isfinite(dataset.y))[0, 0])
         raise DataValidationError(f"y contains a non-finite value at row {bad}")
 
-    norms = np.linalg.norm(dataset.X, axis=1)
+    norms = _row_norms(dataset.X)
     over = norms > 1.0 + NORM_TOLERANCE
     if over.any():
         bad = int(np.argmax(over))
@@ -259,7 +295,7 @@ def normalize_dataset(X: np.ndarray, y: np.ndarray) -> Dataset:
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise DataValidationError("cannot normalize non-finite data")
 
-    max_norm = float(np.linalg.norm(X, axis=1).max()) if X.size else 0.0
+    max_norm = float(_row_norms(X).max()) if X.size else 0.0
     if max_norm > 0.0 and abs(max_norm - 1.0) > _RENORM_SKIP:
         X = X / max_norm
     max_abs_y = float(np.abs(y).max()) if y.size else 0.0

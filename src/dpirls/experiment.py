@@ -22,7 +22,6 @@ import csv
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -208,6 +207,10 @@ def run_grid(grid: ExperimentGrid, max_workers: int | None = None) -> list[Resul
     if workers == 1:
         rows = [run_cell(grid, *cell) for cell in cells]
     else:
+        # Imported here: the pool is opt-in, and concurrent.futures costs
+        # every serial run its import time.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(lambda c: run_cell(grid, *c), cells))
     rows.sort(key=lambda r: (r.mechanism, r.n, r.seed))

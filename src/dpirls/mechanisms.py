@@ -27,11 +27,8 @@ from .data import (
     _check_int,
     _check_positive_finite,
     _check_probability,
+    _check_symmetric,
 )
-
-# A Gram matrix assembled from real data is symmetric to a few ulp; a
-# larger asymmetry means the caller is not passing a moment matrix.
-_SYMMETRY_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -214,9 +211,7 @@ def wishart_perturb(
     release under the replace-one relation.
     """
     B = _as_square("B", B)
-    asym = float(np.max(np.abs(B - B.T))) if B.size else 0.0
-    if asym > _SYMMETRY_TOLERANCE:
-        raise ValueError(f"B must be symmetric; max |B - B^T| = {asym:.3g}")
+    _check_symmetric("B", B)
     d = B.shape[0]
     spec = WishartNoiseSpec.calibrate(d, n, eps_prime, weight_cap)
     gen = as_generator(rng)

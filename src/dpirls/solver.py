@@ -17,7 +17,6 @@ always runs the configured number of iterations.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -31,6 +30,7 @@ from .data import (
     _as_vector,
     _check_int,
     _check_positive_finite,
+    _check_symmetric,
     _freeze,
     validate_dataset,
 )
@@ -211,7 +211,9 @@ def solve_step(A: np.ndarray, B: np.ndarray) -> StepSolution:
     unlucky noise draw), retries once with B + lam I for
     lam = 1e-8 * trace(B) / d.  A second failure raises
     :class:`MomentSolveError` reporting the eigenvalue range and the
-    ridge that was tried.
+    ridge that was tried.  A B whose asymmetry exceeds 1e-10 raises
+    ValueError, as :func:`dpirls.mechanisms.wishart_perturb` does: the
+    Cholesky test reads only B's lower triangle, the solve all of it.
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -219,6 +221,7 @@ def solve_step(A: np.ndarray, B: np.ndarray) -> StepSolution:
         raise ValueError(f"shape mismatch: A {A.shape}, B {B.shape}")
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise ValueError("moments must be finite")
+    _check_symmetric("B", B)
     theta = _cholesky_solve(A, B)
     if theta is not None:
         return StepSolution(theta=theta, used_ridge=False)
@@ -343,6 +346,8 @@ def serialize_trace(trace: tuple[IRLSState, ...]) -> str:
     ridge_fallback.  Keys are sorted so equal traces serialize to equal
     bytes.
     """
+    import json  # only this function needs it; keeps it out of start-up
+
     lines = []
     for state in trace:
         base = {

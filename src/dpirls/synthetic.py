@@ -24,6 +24,7 @@ from .data import (
     _check_int,
     _check_positive_finite,
     _freeze,
+    _row_norms,
     validate_dataset,
 )
 from .mechanisms import as_generator
@@ -87,9 +88,9 @@ def generate(spec: SyntheticSpec, *, normalize_response: bool = True) -> SplitDa
 
     gen = as_generator(int(spec.seed))
     X = gen.standard_normal((spec.n, spec.d))
-    max_norm = float(np.linalg.norm(X, axis=1).max())
+    max_norm = float(_row_norms(X).max())
     if max_norm > 0.0:
-        X = X / max_norm
+        X /= max_norm
     theta_star = gen.standard_normal(spec.d)
     y = X @ theta_star + math.sqrt(spec.noise_var) * gen.standard_normal(spec.n)
     if normalize_response:

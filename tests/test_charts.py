@@ -2,10 +2,12 @@
 
 import math
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dpirls.charts import emit_svg_chart
+from dpirls.charts import _escape, emit_svg_chart
 from dpirls.experiment import SummaryRow
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -107,3 +109,24 @@ def test_chart_rejects_empty_or_all_nan(tmp_path):
         emit_svg_chart(
             [SummaryRow("m", 100, math.nan, math.nan, 0)], str(tmp_path / "no.svg")
         )
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    st.text(alphabet=st.sampled_from("&<>\"'; amp lt gt#x3cé€😀\u00a0\n"))
+    | st.text()
+)
+def test_escape_matches_saxutils(text):
+    # charts escapes text itself so that importing it loads no xml package.
+    assert _escape(text) == escape(text)
+
+
+def test_chart_escapes_title_and_labels(tmp_path):
+    summary = [SummaryRow("a&b<c>", 100, -1.0, 0.1, 3), SummaryRow("a&b<c>", 1000, -0.5, 0.1, 3)]
+    path = tmp_path / "esc.svg"
+    emit_svg_chart(summary, str(path), title="N < 10 & \"x\" > y")
+    text = path.read_text(encoding="utf-8")
+    assert ">N &lt; 10 &amp; \"x\" &gt; y</text>" in text
+    assert ">a&amp;b&lt;c&gt;</text>" in text
+    labels = [t.text for t in ET.parse(path).getroot().iter(f"{SVG_NS}text")]
+    assert "a&b<c>" in labels and 'N < 10 & "x" > y' in labels

@@ -199,5 +199,25 @@ def test_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_import_loads_no_xml_http_pool_or_json():
+    # None of these is on the default path: chart text is escaped in
+    # charts.py, the thread pool is opt-in and json serves serialize_trace.
+    # The urllib package itself is allowed, because pathlib (via numpy)
+    # loads urllib.parse; urllib.request is what the xml chain adds.
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    banned = ("xml", "urllib.request", "http", "email", "concurrent.futures", "json")
+    code = (
+        "import sys, dpirls, dpirls.cli; "
+        f"print(sorted(m for m in sys.modules "
+        f"if any(m == b or m.startswith(b + '.') for b in {banned!r})))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_module_entry_point_exists():
     import dpirls.__main__  # noqa: F401

@@ -1,14 +1,18 @@
 """Container, bound-check, normalization, and CSV round-trip tests."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dpirls.data import (
+    _NORM_BLOCK_ELEMENTS,
+    NORM_TOLERANCE,
     DataValidationError,
     Dataset,
     MomentPair,
+    _row_norms,
     load_dataset_csv,
     normalize_dataset,
     save_dataset_csv,
@@ -111,6 +115,69 @@ def test_design_matrix_is_stored_column_major():
         assert ds.X.flags.f_contiguous
         assert not ds.X.flags.writeable
         np.testing.assert_array_equal(ds.X, np.asarray(X))
+
+
+def test_row_norms_match_the_full_norm_bitwise():
+    # Blocking must not change a single bit, whatever the layout, including
+    # at the block boundaries; a one-row tail block (n = 2 step + 1) once
+    # summed an F-ordered row pairwise instead of left to right.
+    rng = np.random.default_rng(12)
+    for d in (1, 3, 10, 100):
+        step = _NORM_BLOCK_ELEMENTS // d
+        for n in (1, 2, step - 1, step, step + 1, 2 * step + 1, 2 * step + 2):
+            X = rng.normal(size=(n, d)) * rng.uniform(0.01, 100.0, size=(n, 1))
+            for arr in (X, np.asfortranarray(X), X[::2], X[:, ::-1]):
+                expected = np.linalg.norm(arr, axis=1)
+                assert _row_norms(arr).tobytes() == expected.tobytes(), (d, n)
+
+
+def test_bounds_check_at_the_norm_tolerance():
+    # Rows at 1 + NORM_TOLERANCE and 1 or 2 ulp either side, placed past the
+    # first block, are accepted or rejected exactly as one full
+    # np.linalg.norm call decides, with the same message.
+    limit = 1.0 + NORM_TOLERANCE
+    candidates = [limit]
+    for _ in range(2):
+        candidates = [np.nextafter(candidates[0], 0.0), *candidates, np.nextafter(candidates[-1], 2.0)]
+    for d, direction in ((1, [1.0]), (3, [0.48, 0.6, 0.64])):
+        bad_row = _NORM_BLOCK_ELEMENTS // d + 2
+        outcomes = []
+        for t in candidates:
+            X = np.full((bad_row + 3, d), 0.1 / d)
+            X[bad_row] = np.asarray(direction) * t
+            X[bad_row + 2] = X[bad_row]
+            full = np.linalg.norm(X, axis=1)
+            ds = Dataset(X=X, y=np.zeros(len(X)))
+            if full[bad_row] <= limit:
+                assert validate_dataset(ds) is ds
+                outcomes.append("ok")
+            else:
+                with pytest.raises(DataValidationError) as exc:
+                    validate_dataset(ds)
+                assert str(exc.value) == (
+                    f"row {bad_row} of X has L2 norm {full[bad_row]:.6g} > 1; "
+                    "normalize_dataset establishes the bound"
+                )
+                outcomes.append("rejected")
+        if d == 1:  # sqrt(t * t) == t, so the cut is exactly at the limit
+            assert outcomes == ["ok"] * 3 + ["rejected"] * 2
+        assert "ok" in outcomes and "rejected" in outcomes
+
+
+def test_normalize_peak_memory_stays_near_two_copies():
+    # Row norms are taken block by block, so normalizing allocates the
+    # scaled X and the dataset's column-major copy, not n x d squares too
+    # (3.08x the size of X when the norms were taken in one call).
+    rng = np.random.default_rng(4)
+    X = 3.0 * rng.normal(size=(20000, 50))
+    y = 2.0 * rng.normal(size=20000)
+    tracemalloc.start()
+    try:
+        normalize_dataset(X, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * X.nbytes, peak / X.nbytes
 
 
 def test_normalize_known_values():

@@ -1,5 +1,6 @@
 """Grid harness: cell execution, aggregation, and CSV emission."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import math
@@ -79,7 +80,8 @@ def test_grid_runs_serially_by_default(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("the default grid started a thread pool")
 
-    monkeypatch.setattr(experiment_module, "ThreadPoolExecutor", no_pool)
+    # run_grid imports the pool class from concurrent.futures when it needs one.
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     grid = ExperimentGrid(**SMALL, mechanisms=("non-private", "cdp-lap"))
     assert all(r.status == "ok" for r in run_grid(grid))
 

@@ -11,7 +11,7 @@ from _oracles import grid_l1_minimizer, longdouble_solve, naive_moments
 import dpirls.solver as solver_module
 from dpirls.accountant import PrivacyBudget, Regime
 from dpirls.data import DataValidationError, Dataset, normalize_dataset
-from dpirls.mechanisms import SeededRng
+from dpirls.mechanisms import SeededRng, wishart_perturb
 from dpirls.solver import (
     IRLSConfig,
     Mechanism,
@@ -307,6 +307,24 @@ def test_solve_step_ridge_and_failure_follow_lapack_potrf(B, plain_fails, ridge_
             solve_step(A, B)
     else:
         assert solve_step(A, B).used_ridge is plain_fails
+
+
+def test_solve_step_rejects_asymmetric_B():
+    # The Cholesky test reads only B's lower triangle and the LU solve all
+    # of it, so this B once came back as theta = (-4, 1) without complaint.
+    A = np.array([1.0, 1.0])
+    B = np.array([[1.0, 5.0], [0.0, 1.0]])
+    message = r"^B must be symmetric; max \|B - B\^T\| = 5$"
+    with pytest.raises(ValueError, match=message):
+        solve_step(A, B)
+    with pytest.raises(ValueError, match=message):  # the same check and message
+        wishart_perturb(B, 0.5, 1.0, 10, SeededRng(0))
+    # Asymmetry at the 1e-10 tolerance passes, as rounding in a Gram may leave.
+    for B in (np.array([[2.0, 1e-10], [0.0, 2.0]]), np.array([[2.0, 0.0], [-1e-10, 2.0]])):
+        sol = solve_step(A, B)
+        assert sol.used_ridge is False and np.isfinite(sol.theta).all()
+    with pytest.raises(ValueError, match="symmetric"):
+        solve_step(A, np.array([[2.0, 0.0], [1.01e-10, 2.0]]))
 
 
 def test_solve_step_singular_uses_ridge():

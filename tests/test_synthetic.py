@@ -1,11 +1,14 @@
 """Synthetic problem generation and held-out scoring."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dpirls.data import validate_dataset
+from dpirls.mechanisms import as_generator
 from dpirls.solver import IRLSConfig, run_exact_irls
 from dpirls.synthetic import (
     SplitDataset,
@@ -37,6 +40,53 @@ def test_generation_is_deterministic():
     assert np.array_equal(a.true_theta, b.true_theta)
     c = generate(SyntheticSpec(n=200, d=3, seed=10))
     assert not np.array_equal(a.train.y, c.train.y)
+
+
+# (n, d, noise_var, seed) of the pinned problems below.
+PINNED_SPECS = [(500, 10, 0.01, 0), (1000, 3, 0.01, 7), (2000, 100, 0.5, 3), (37, 1, 0.01, 5),
+                (20000, 50, 0.01, 1)]
+
+
+def test_generated_features_match_pinned_digest():
+    # SHA-256 over train X, test X and theta* of PINNED_SPECS, computed when
+    # generate took its row norms in one np.linalg.norm call and divided X
+    # out of place.  y is left out: X @ theta* goes through BLAS, whose
+    # rounding differs between builds (the next test rebuilds y instead).
+    digest = hashlib.sha256()
+    for n, d, noise_var, seed in PINNED_SPECS:
+        split = generate(SyntheticSpec(n, d, noise_var, seed))
+        for a in (split.train.X, split.test.X, split.true_theta):
+            digest.update(np.ascontiguousarray(a).tobytes())
+    assert digest.hexdigest() == "161cfd066cd4a0efa3e042883dedcd446a53f289cae287dfcb766389e9676f70"
+
+
+def test_generate_matches_the_documented_recipe_bitwise():
+    for n, d, noise_var, seed in PINNED_SPECS:
+        gen = as_generator(seed)
+        X = gen.standard_normal((n, d))
+        X = X / np.linalg.norm(X, axis=1).max()
+        theta = gen.standard_normal(d)
+        y = X @ theta + math.sqrt(noise_var) * gen.standard_normal(n)
+        y = y / np.abs(y).max()
+        split = generate(SyntheticSpec(n, d, noise_var, seed))
+        m = n - round(0.1 * n)
+        for got, want in ((split.train.X, X[:m]), (split.test.X, X[m:]), (split.train.y, y[:m]),
+                          (split.test.y, y[m:]), (split.true_theta, theta)):
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_generate_peak_memory_stays_near_two_copies():
+    # Row norms are taken block by block, here and in the bounds check of
+    # the training split, so the peak is X plus its train/test copies
+    # (3.06x the size of X when each norm made n x d temporaries).
+    n, d = 20000, 50
+    tracemalloc.start()
+    try:
+        generate(SyntheticSpec(n, d))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * n * d * 8, peak / (n * d * 8)
 
 
 def test_split_sizes():
