@@ -11,12 +11,12 @@ import numpy as np
 
 from dpirls import (
     Dataset,
-    GaussianNoiseSpec,
-    LaplaceNoiseSpec,
     SeededRng,
-    WishartNoiseSpec,
     compute_moments,
+    gaussian_std,
+    laplace_scale,
     wishart_perturb,
+    wishart_variance,
 )
 
 
@@ -26,9 +26,9 @@ def main():
     print(f"calibrated noise for d={d}, eps'={eps_prime}, weight cap {cap}:")
     print(f"{'N':>8}  {'laplace scale':>14}  {'gaussian std':>13}  {'wishart var':>12}")
     for n in (500, 2000, 10000, 100000):
-        lap = LaplaceNoiseSpec.calibrate(d, n, eps_prime, cap).scale
-        gau = GaussianNoiseSpec.calibrate(n, eps_prime, failure_prob, cap).std
-        wis = WishartNoiseSpec.calibrate(d, n, eps_prime, cap).variance
+        lap = laplace_scale(d, n, eps_prime, cap)
+        gau = gaussian_std(n, eps_prime, failure_prob, cap)
+        wis = wishart_variance(n, eps_prime, cap)
         print(f"{n:>8}  {lap:>14.6f}  {gau:>13.6f}  {wis:>12.2e}")
 
     # One concrete release.

@@ -18,15 +18,7 @@ from .accountant import (
     plan_for_budget,
 )
 from .charts import emit_svg_chart
-from .data import (
-    DataValidationError,
-    Dataset,
-    MomentPair,
-    load_dataset_csv,
-    normalize_dataset,
-    save_dataset_csv,
-    validate_dataset,
-)
+from .data import DataValidationError, Dataset, normalize_dataset, validate_dataset
 from .experiment import (
     MECHANISM_SPECS,
     ExperimentGrid,
@@ -38,67 +30,47 @@ from .experiment import (
     run_grid,
 )
 from .mechanisms import (
-    GaussianNoiseSpec,
-    LaplaceNoiseSpec,
     SeededRng,
-    WishartNoiseSpec,
     gaussian_perturb,
+    gaussian_std,
     l1_sensitivity_A,
     l2_sensitivity_A,
     laplace_perturb,
+    laplace_scale,
     wishart_perturb,
+    wishart_variance,
 )
 from .solver import (
     IRLSConfig,
-    IRLSState,
     Mechanism,
     MomentSolveError,
-    NoiseRelease,
-    StepSolution,
     compute_moments,
     residuals,
     run_exact_irls,
     run_private_irls,
-    serialize_trace,
     solve_step,
     weights_from_residuals,
 )
-from .synthetic import (
-    EvalResult,
-    SplitDataset,
-    SyntheticSpec,
-    estimate_residual_variance,
-    evaluate_fit,
-    generate,
-    loglik_per_test_point,
-)
+from .synthetic import SplitDataset, SyntheticSpec, evaluate_fit, generate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DataValidationError",
     "Dataset",
-    "EvalResult",
     "ExperimentGrid",
-    "GaussianNoiseSpec",
     "IRLSConfig",
-    "IRLSState",
-    "LaplaceNoiseSpec",
     "MECHANISM_SPECS",
     "Mechanism",
-    "MomentPair",
     "MomentSolveError",
     "NoisePlan",
-    "NoiseRelease",
     "PrivacyBudget",
     "Regime",
     "ResultRow",
     "SeededRng",
     "SplitDataset",
-    "StepSolution",
     "SummaryRow",
     "SyntheticSpec",
-    "WishartNoiseSpec",
     "advanced_per_release",
     "aggregate",
     "cdp_per_release",
@@ -106,15 +78,14 @@ __all__ = [
     "conventional_per_release",
     "emit_csv",
     "emit_svg_chart",
-    "estimate_residual_variance",
     "evaluate_fit",
     "gaussian_perturb",
+    "gaussian_std",
     "generate",
     "l1_sensitivity_A",
     "l2_sensitivity_A",
     "laplace_perturb",
-    "load_dataset_csv",
-    "loglik_per_test_point",
+    "laplace_scale",
     "normalize_dataset",
     "plan_for_budget",
     "residuals",
@@ -122,10 +93,9 @@ __all__ = [
     "run_exact_irls",
     "run_grid",
     "run_private_irls",
-    "save_dataset_csv",
-    "serialize_trace",
     "solve_step",
     "validate_dataset",
     "weights_from_residuals",
     "wishart_perturb",
+    "wishart_variance",
 ]

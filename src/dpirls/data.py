@@ -1,4 +1,4 @@
-"""Dataset containers, bound checks, normalization, and CSV I/O.
+"""Dataset container, bound checks, and normalization.
 
 Every sensitivity bound in :mod:`dpirls.mechanisms` assumes the row norms
 of the design matrix are at most 1 and the responses lie in [-1, 1].  The
@@ -10,7 +10,6 @@ its result.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -39,8 +38,7 @@ class DataValidationError(ValueError):
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    # Fortran order is what Dataset.X needs; for vectors and the symmetric
-    # Gram moment it holds the same values as C order.
+    # Fortran order is what Dataset.X needs; for vectors it is C order too.
     out = np.array(a, dtype=np.float64, order="F", copy=True)
     out.setflags(write=False)
     return out
@@ -95,7 +93,8 @@ def _check_symmetric(name: str, B: np.ndarray) -> None:
     if (B == B.T).all():
         return
     asym = float(np.max(np.abs(B - B.T)))
-    if asym > _SYMMETRY_TOLERANCE:
+    # "not <=" so that a NaN asymmetry fails too.
+    if not asym <= _SYMMETRY_TOLERANCE:
         raise ValueError(f"{name} must be symmetric; max |{name} - {name}^T| = {asym:.3g}")
 
 
@@ -192,36 +191,6 @@ class Dataset:
         return f"Dataset(n={self.n}, d={self.d})"
 
 
-@dataclass(frozen=True)
-class MomentPair:
-    """Weighted sufficient statistics of a dataset.
-
-    ``A`` is the length-d weighted cross moment (1/n) X^T S y and ``B`` the
-    d-by-d weighted Gram matrix (1/n) X^T S X for a diagonal weight matrix
-    S.  ``B`` is symmetric by construction.
-    """
-
-    A: np.ndarray = field(repr=False)
-    B: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        A = _as_vector("A", self.A)
-        B = _as_square("B", self.B)
-        if B.shape[0] != A.shape[0]:
-            raise ValueError(
-                f"dimension mismatch: A has length {A.shape[0]}, B is {B.shape[0]}x{B.shape[1]}"
-            )
-        object.__setattr__(self, "A", _freeze(A))
-        object.__setattr__(self, "B", _freeze(B))
-
-    @property
-    def d(self) -> int:
-        return self.A.shape[0]
-
-    def __repr__(self) -> str:
-        return f"MomentPair(d={self.d})"
-
-
 def validate_dataset(dataset: Dataset) -> Dataset:
     """Check the privacy-relevant bounds and return the dataset unchanged.
 
@@ -302,49 +271,3 @@ def normalize_dataset(X: np.ndarray, y: np.ndarray) -> Dataset:
     if max_abs_y > 0.0 and abs(max_abs_y - 1.0) > _RENORM_SKIP:
         y = y / max_abs_y
     return validate_dataset(Dataset(X=X, y=y))
-
-
-def save_dataset_csv(dataset: Dataset, path: str, header: bool = True) -> None:
-    """Write one row per datapoint: d feature columns then the response.
-
-    Floats are printed with 17 significant digits so a load round-trips
-    to identical values.
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if header:
-            writer.writerow([f"x{j + 1}" for j in range(dataset.d)] + ["y"])
-        for i in range(dataset.n):
-            row = [format(v, ".17g") for v in dataset.X[i]]
-            row.append(format(dataset.y[i], ".17g"))
-            writer.writerow(row)
-
-
-def load_dataset_csv(path: str, has_header: bool = False) -> Dataset:
-    """Read a dataset written by :func:`save_dataset_csv` and validate it.
-
-    Every column but the last is a feature; the last is the response.
-    """
-    rows: list[list[float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if has_header:
-            next(reader, None)
-        for lineno, raw in enumerate(reader, start=2 if has_header else 1):
-            if not raw:
-                continue
-            if len(raw) < 2:
-                raise DataValidationError(
-                    f"line {lineno}: need at least one feature column and a response"
-                )
-            try:
-                rows.append([float(v) for v in raw])
-            except ValueError as exc:
-                raise DataValidationError(f"line {lineno}: {exc}") from None
-    if not rows:
-        raise DataValidationError(f"no data rows in {path}")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise DataValidationError(f"inconsistent column counts in {path}: {sorted(widths)}")
-    arr = np.asarray(rows, dtype=np.float64)
-    return validate_dataset(Dataset(X=arr[:, :-1], y=arr[:, -1]))

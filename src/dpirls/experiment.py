@@ -186,8 +186,8 @@ def _resolve_workers(max_workers: int | None) -> int:
             max_workers = 0
         if max_workers < 1:
             raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {env!r}")
-    elif max_workers < 1:
-        raise ValueError(f"worker count must be positive, got {max_workers!r}")
+    else:
+        _check_int("max_workers", max_workers)
     return max_workers
 
 

@@ -84,79 +84,43 @@ def l2_sensitivity_A(n: int, weight_cap: float) -> float:
     return 2.0 * weight_cap / n
 
 
-@dataclass(frozen=True)
-class LaplaceNoiseSpec:
-    """Per-coordinate Laplace scale for one release of A."""
-
-    scale: float
-
-    def __post_init__(self) -> None:
-        _check_positive_finite("scale", self.scale)
-
-    @classmethod
-    def calibrate(cls, d: int, n: int, eps_prime: float, weight_cap: float) -> "LaplaceNoiseSpec":
-        _check_positive_finite("eps_prime", eps_prime)
-        return cls(scale=l1_sensitivity_A(d, n, weight_cap) / eps_prime)
+def laplace_scale(d: int, n: int, eps_prime: float, weight_cap: float) -> float:
+    """Per-coordinate Laplace scale Delta_1 / eps' for one release of A."""
+    _check_positive_finite("eps_prime", eps_prime)
+    scale = l1_sensitivity_A(d, n, weight_cap) / eps_prime
+    _check_positive_finite("scale", scale)
+    return scale
 
 
-@dataclass(frozen=True)
-class GaussianNoiseSpec:
-    """Per-coordinate Gaussian std for one (eps', failure_prob)-DP release of A."""
+def gaussian_std(n: int, eps_prime: float, failure_prob: float, weight_cap: float) -> float:
+    """Per-coordinate Gaussian std for one (eps', failure_prob)-DP release of A.
 
-    std: float
-    sensitivity: float
-    multiplier: float
-    failure_prob: float
-
-    def __post_init__(self) -> None:
-        _check_positive_finite("std", self.std)
-
-    @classmethod
-    def calibrate(
-        cls, n: int, eps_prime: float, failure_prob: float, weight_cap: float
-    ) -> "GaussianNoiseSpec":
-        _check_positive_finite("eps_prime", eps_prime)
-        _check_probability("failure_prob", failure_prob)
-        if eps_prime >= 1.0:
-            # The closed-form multiplier is only proven for eps' < 1.
-            warnings.warn(
-                f"Gaussian calibration with eps_prime={eps_prime:.4g} >= 1: the "
-                "sqrt(2*log(1.25/failure_prob)) multiplier is not guaranteed there",
-                UserWarning,
-                stacklevel=2,
-            )
-        sens = l2_sensitivity_A(n, weight_cap)
-        mult = math.sqrt(2.0 * math.log(1.25 / failure_prob))
-        return cls(
-            std=mult * sens / eps_prime,
-            sensitivity=sens,
-            multiplier=mult,
-            failure_prob=failure_prob,
-        )
-
-
-@dataclass(frozen=True)
-class WishartNoiseSpec:
-    """Gaussian variance and column count for one Wishart release of B.
-
-    The additive noise is Z Z^T with Z of shape (d, d+1) and entries
-    N(0, variance), variance = weight_cap / (2 * eps_prime * n).
+    sqrt(2 ln(1.25 / failure_prob)) * Delta_2 / eps'.  Emits a UserWarning
+    when eps' >= 1, where that multiplier is not proven.
     """
+    _check_positive_finite("eps_prime", eps_prime)
+    _check_probability("failure_prob", failure_prob)
+    if eps_prime >= 1.0:
+        # The closed-form multiplier is only proven for eps' < 1.
+        warnings.warn(
+            f"Gaussian calibration with eps_prime={eps_prime:.4g} >= 1: the "
+            "sqrt(2*log(1.25/failure_prob)) multiplier is not guaranteed there",
+            UserWarning,
+            stacklevel=2,
+        )
+    mult = math.sqrt(2.0 * math.log(1.25 / failure_prob))
+    std = mult * l2_sensitivity_A(n, weight_cap) / eps_prime
+    _check_positive_finite("std", std)
+    return std
 
-    variance: float
-    dof: int
 
-    def __post_init__(self) -> None:
-        _check_positive_finite("variance", self.variance)
-        if self.dof < 2:
-            raise ValueError(f"dof must be at least 2, got {self.dof!r}")
-
-    @classmethod
-    def calibrate(cls, d: int, n: int, eps_prime: float, weight_cap: float) -> "WishartNoiseSpec":
-        _check_int("d", d)
-        _check_calibration(n, weight_cap)
-        _check_positive_finite("eps_prime", eps_prime)
-        return cls(variance=weight_cap / (2.0 * eps_prime * n), dof=d + 1)
+def wishart_variance(n: int, eps_prime: float, weight_cap: float) -> float:
+    """Entry variance weight_cap / (2 eps' n) of Z in one Wishart release Z Z^T of B."""
+    _check_calibration(n, weight_cap)
+    _check_positive_finite("eps_prime", eps_prime)
+    variance = weight_cap / (2.0 * eps_prime * n)
+    _check_positive_finite("variance", variance)
+    return variance
 
 
 def laplace_perturb(
@@ -172,9 +136,9 @@ def laplace_perturb(
     data bounds and weight clamp stated in the module docstring.
     """
     A = _as_vector("A", A)
-    spec = LaplaceNoiseSpec.calibrate(A.shape[0], n, eps_prime, weight_cap)
+    scale = laplace_scale(A.shape[0], n, eps_prime, weight_cap)
     gen = as_generator(rng)
-    return A + gen.laplace(loc=0.0, scale=spec.scale, size=A.shape)
+    return A + gen.laplace(loc=0.0, scale=scale, size=A.shape)
 
 
 def gaussian_perturb(
@@ -191,9 +155,9 @@ def gaussian_perturb(
     eps' >= 1 because the classic calibration is only proven below 1.
     """
     A = _as_vector("A", A)
-    spec = GaussianNoiseSpec.calibrate(n, eps_prime, failure_prob, weight_cap)
+    std = gaussian_std(n, eps_prime, failure_prob, weight_cap)
     gen = as_generator(rng)
-    return A + gen.normal(loc=0.0, scale=spec.std, size=A.shape)
+    return A + gen.normal(loc=0.0, scale=std, size=A.shape)
 
 
 def wishart_perturb(
@@ -213,9 +177,10 @@ def wishart_perturb(
     B = _as_square("B", B)
     _check_symmetric("B", B)
     d = B.shape[0]
-    spec = WishartNoiseSpec.calibrate(d, n, eps_prime, weight_cap)
+    _check_int("d", d)
+    variance = wishart_variance(n, eps_prime, weight_cap)
     gen = as_generator(rng)
-    Z = gen.normal(loc=0.0, scale=math.sqrt(spec.variance), size=(d, spec.dof))
+    Z = gen.normal(loc=0.0, scale=math.sqrt(variance), size=(d, d + 1))
     # numpy routes Z @ Z.T to BLAS syrk, which computes one triangle and
     # mirrors it, so the noise term is symmetric bitwise, not just up to
     # rounding (test_wishart_output_exactly_symmetric_and_psd_shift pins this).

@@ -25,7 +25,6 @@ import numpy as np
 from .accountant import NoisePlan, PrivacyBudget, plan_for_budget
 from .data import (
     Dataset,
-    MomentPair,
     _as_theta,
     _as_vector,
     _check_int,
@@ -52,6 +51,13 @@ class Mechanism(enum.Enum):
 
 class MomentSolveError(RuntimeError):
     """Raised when B theta = A cannot be solved even with the ridge fallback."""
+
+
+class MomentPair(NamedTuple):
+    """Weighted moments A = (1/n) X^T S y (length d) and B = (1/n) X^T S X (d x d)."""
+
+    A: np.ndarray
+    B: np.ndarray
 
 
 class StepSolution(NamedTuple):
@@ -337,34 +343,3 @@ def run_private_irls(
 
     theta, trace = _run_loop(dataset, config, release=release)
     return theta, trace, plan
-
-
-def serialize_trace(trace: tuple[IRLSState, ...]) -> str:
-    """One JSON line per release (per iteration for the exact solver).
-
-    Fields: iteration, mechanism, eps_prime (null when exact), objective,
-    ridge_fallback.  Keys are sorted so equal traces serialize to equal
-    bytes.
-    """
-    import json  # only this function needs it; keeps it out of start-up
-
-    lines = []
-    for state in trace:
-        base = {
-            "iteration": state.iteration,
-            "objective": state.objective,
-            "ridge_fallback": state.used_ridge,
-        }
-        if state.releases:
-            for rel in state.releases:
-                lines.append(
-                    json.dumps(
-                        {**base, "mechanism": rel.mechanism, "eps_prime": rel.eps_prime},
-                        sort_keys=True,
-                    )
-                )
-        else:
-            lines.append(
-                json.dumps({**base, "mechanism": "none", "eps_prime": None}, sort_keys=True)
-            )
-    return "\n".join(lines) + "\n"

@@ -106,17 +106,14 @@ def generate(spec: SyntheticSpec, *, normalize_response: bool = True) -> SplitDa
     return SplitDataset(train=train, test=test, true_theta=theta_star)
 
 
-def estimate_residual_variance(
-    dataset: Dataset, theta: np.ndarray, floor: float = VARIANCE_FLOOR
-) -> float:
-    """Mean squared residual of ``theta`` on ``dataset``, floored away from 0.
+def estimate_residual_variance(dataset: Dataset, theta: np.ndarray) -> float:
+    """Mean squared residual of ``theta`` on ``dataset``, at least ``VARIANCE_FLOOR``.
 
     The floor keeps the plug-in log-likelihood finite when a fit is
     (numerically) perfect.
     """
-    _check_positive_finite("floor", floor)
     res = dataset.y - dataset.X @ _as_theta(theta, dataset.d)
-    return max(floor, float(np.mean(res * res)))
+    return max(VARIANCE_FLOOR, float(np.mean(res * res)))
 
 
 def loglik_per_test_point(test: Dataset, theta: np.ndarray, residual_var: float) -> float:

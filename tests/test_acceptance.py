@@ -19,15 +19,12 @@ import pytest
 from dpirls import (
     Dataset,
     ExperimentGrid,
-    GaussianNoiseSpec,
     IRLSConfig,
-    LaplaceNoiseSpec,
     Mechanism,
     PrivacyBudget,
     Regime,
     SeededRng,
     SyntheticSpec,
-    WishartNoiseSpec,
     advanced_per_release,
     aggregate,
     cdp_per_release,
@@ -35,14 +32,17 @@ from dpirls import (
     conventional_per_release,
     emit_csv,
     gaussian_perturb,
+    gaussian_std,
     generate,
     l1_sensitivity_A,
     l2_sensitivity_A,
     laplace_perturb,
+    laplace_scale,
     run_exact_irls,
     run_grid,
     run_private_irls,
     wishart_perturb,
+    wishart_variance,
 )
 from _oracles import grid_l1_minimizer
 
@@ -188,25 +188,25 @@ def test_acceptance_3_noise_calibration():
 
     zeros = np.zeros(m)
     lap = laplace_perturb(zeros, eps_prime, cap, n, SeededRng(31))
-    lap_target = LaplaceNoiseSpec.calibrate(m, n, eps_prime, cap).scale * math.sqrt(2.0)
+    lap_target = laplace_scale(m, n, eps_prime, cap) * math.sqrt(2.0)
     assert abs(lap.std() - lap_target) <= 0.03 * lap_target
 
     gau = gaussian_perturb(zeros, eps_prime, failure_prob, cap, n, SeededRng(32))
-    gau_target = GaussianNoiseSpec.calibrate(n, eps_prime, failure_prob, cap).std
+    gau_target = gaussian_std(n, eps_prime, failure_prob, cap)
     assert abs(gau.std() - gau_target) <= 0.03 * gau_target
 
     d, draws = 4, 100_000
-    spec = WishartNoiseSpec.calibrate(d, n, eps_prime, cap)
+    variance, dof = wishart_variance(n, eps_prime, cap), d + 1
     gen = SeededRng(33).generator()
     zero_B = np.zeros((d, d))
     total = np.zeros((d, d))
     for _ in range(draws):
         total += wishart_perturb(zero_B, eps_prime, cap, n, gen)
     mean = total / draws
-    target = spec.dof * spec.variance * np.eye(d)
+    target = dof * variance * np.eye(d)
     # Off-diagonal targets are zero, so "entrywise within 5%" is read
     # against the diagonal scale (d+1) v.
-    tol = 0.05 * spec.dof * spec.variance
+    tol = 0.05 * dof * variance
     assert np.max(np.abs(mean - target)) <= tol
 
     elapsed = time.perf_counter() - t0

@@ -201,7 +201,8 @@ def test_import_loads_no_scipy():
 
 def test_import_loads_no_xml_http_pool_or_json():
     # None of these is on the default path: chart text is escaped in
-    # charts.py, the thread pool is opt-in and json serves serialize_trace.
+    # charts.py, the thread pool is opt-in and nothing in the package
+    # uses json.
     # The urllib package itself is allowed, because pathlib (via numpy)
     # loads urllib.parse; urllib.request is what the xml chain adds.
     pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))

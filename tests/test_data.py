@@ -1,4 +1,4 @@
-"""Container, bound-check, normalization, and CSV round-trip tests."""
+"""Container, bound-check, and normalization tests."""
 
 import dataclasses
 import tracemalloc
@@ -11,11 +11,8 @@ from dpirls.data import (
     NORM_TOLERANCE,
     DataValidationError,
     Dataset,
-    MomentPair,
     _row_norms,
-    load_dataset_csv,
     normalize_dataset,
-    save_dataset_csv,
     validate_dataset,
 )
 
@@ -217,61 +214,3 @@ def test_normalize_leaves_zero_data_alone():
 def test_normalize_rejects_non_finite():
     with pytest.raises(DataValidationError, match="non-finite"):
         normalize_dataset(np.array([[np.inf, 0.0]]), np.array([1.0]))
-
-
-def test_moment_pair_shape_checks():
-    MomentPair(A=np.zeros(3), B=np.eye(3))
-    with pytest.raises(ValueError, match="square"):
-        MomentPair(A=np.zeros(3), B=np.zeros((3, 2)))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        MomentPair(A=np.zeros(2), B=np.eye(3))
-
-
-def test_csv_round_trip_bitwise(tmp_path):
-    rng = np.random.default_rng(11)
-    ds = normalize_dataset(rng.normal(size=(25, 3)), rng.normal(size=25))
-    path = tmp_path / "data.csv"
-    save_dataset_csv(ds, str(path), header=True)
-    back = load_dataset_csv(str(path), has_header=True)
-    assert np.array_equal(ds.X, back.X)
-    assert np.array_equal(ds.y, back.y)
-
-
-def test_csv_round_trip_without_header(tmp_path):
-    ds = Dataset(X=np.array([[0.25, -0.5], [0.0, 0.125]]), y=np.array([1.0, -0.75]))
-    path = tmp_path / "plain.csv"
-    save_dataset_csv(ds, str(path), header=False)
-    back = load_dataset_csv(str(path), has_header=False)
-    assert np.array_equal(ds.X, back.X)
-    assert np.array_equal(ds.y, back.y)
-    first = path.read_text().splitlines()[0]
-    assert first.split(",")[0] == "0.25"
-
-
-def test_csv_layout_features_then_response(tmp_path):
-    path = tmp_path / "layout.csv"
-    path.write_text("x1,x2,y\n0.1,0.2,0.5\n0.0,0.3,-0.5\n")
-    ds = load_dataset_csv(str(path), has_header=True)
-    assert ds.d == 2
-    np.testing.assert_array_equal(ds.X[:, 1], [0.2, 0.3])
-    np.testing.assert_array_equal(ds.y, [0.5, -0.5])
-
-
-def test_csv_loader_rejects_bad_files(tmp_path):
-    ragged = tmp_path / "ragged.csv"
-    ragged.write_text("0.1,0.2,0.5\n0.1,0.5\n")
-    with pytest.raises(DataValidationError, match="inconsistent"):
-        load_dataset_csv(str(ragged))
-    empty = tmp_path / "empty.csv"
-    empty.write_text("")
-    with pytest.raises(DataValidationError, match="no data rows"):
-        load_dataset_csv(str(empty))
-    bad = tmp_path / "bad.csv"
-    bad.write_text("0.1,abc\n")
-    with pytest.raises(DataValidationError, match="line 1"):
-        load_dataset_csv(str(bad))
-    # out-of-bound values fail validation on load
-    over = tmp_path / "over.csv"
-    over.write_text("0.9,0.9,0.0\n")
-    with pytest.raises(DataValidationError, match="norm"):
-        load_dataset_csv(str(over))

@@ -69,8 +69,10 @@ def test_threads_env_var_caps_workers(monkeypatch):
     monkeypatch.delenv("DP_IRLS_THREADS")
     rows_direct = run_grid(grid, max_workers=1)
     assert _strip_time(rows_env) == _strip_time(rows_direct)
-    with pytest.raises(ValueError):
-        run_grid(grid, max_workers=0)
+    # An explicit count goes through the package's integer check.
+    for bad in (0, 1.5, "2"):
+        with pytest.raises(ValueError, match="max_workers must be a positive integer"):
+            run_grid(grid, max_workers=bad)
 
 
 def test_grid_runs_serially_by_default(monkeypatch):

@@ -11,16 +11,16 @@ import numpy as np
 import pytest
 
 from dpirls.mechanisms import (
-    GaussianNoiseSpec,
-    LaplaceNoiseSpec,
     SeededRng,
-    WishartNoiseSpec,
     as_generator,
     gaussian_perturb,
+    gaussian_std,
     l1_sensitivity_A,
     l2_sensitivity_A,
     laplace_perturb,
+    laplace_scale,
     wishart_perturb,
+    wishart_variance,
 )
 
 
@@ -108,34 +108,38 @@ def test_l2_bound_holds_over_sampled_neighbors():
     assert l2.max() > 0.95 * bound
 
 
-# --- calibrated specs ----------------------------------------------------
+# --- calibrated scales ---------------------------------------------------
 
 def test_laplace_spec_scale():
-    spec = LaplaceNoiseSpec.calibrate(d=10, n=1000, eps_prime=0.3, weight_cap=1.0)
-    assert spec.scale == pytest.approx(0.021081851067789197, rel=1e-15, abs=0)
+    scale = laplace_scale(d=10, n=1000, eps_prime=0.3, weight_cap=1.0)
+    assert scale == pytest.approx(0.021081851067789197, rel=1e-15, abs=0)
 
 
 def test_gaussian_spec_std():
-    spec = GaussianNoiseSpec.calibrate(n=1000, eps_prime=0.3, failure_prob=1e-6, weight_cap=1.0)
-    assert spec.std == pytest.approx(0.03532535017900316, rel=1e-15, abs=0)
-    assert spec.multiplier == pytest.approx(math.sqrt(2.0 * math.log(1.25e6)), rel=1e-15, abs=0)
-    assert spec.sensitivity == pytest.approx(0.002, rel=1e-15, abs=0)
+    std = gaussian_std(n=1000, eps_prime=0.3, failure_prob=1e-6, weight_cap=1.0)
+    assert std == pytest.approx(0.03532535017900316, rel=1e-15, abs=0)
+    multiplier = math.sqrt(2.0 * math.log(1.25e6))
+    assert std == multiplier * l2_sensitivity_A(1000, 1.0) / 0.3
 
 
 def test_wishart_spec():
-    spec = WishartNoiseSpec.calibrate(d=10, n=100, eps_prime=0.5, weight_cap=2.0)
-    assert spec.variance == pytest.approx(0.02, rel=1e-15, abs=0)
-    assert spec.dof == 11
+    assert wishart_variance(n=100, eps_prime=0.5, weight_cap=2.0) == pytest.approx(
+        0.02, rel=1e-15, abs=0
+    )
+    # The release adds Z Z^T for Z of shape (d, d + 1) with N(0, v) entries.
+    Z = SeededRng(7).generator().normal(0.0, math.sqrt(0.02), size=(10, 11))
+    out = wishart_perturb(np.zeros((10, 10)), 0.5, 2.0, 100, SeededRng(7))
+    assert np.array_equal(out, Z @ Z.T)
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.5])
 def test_specs_reject_nonpositive_eps(eps):
     with pytest.raises(ValueError):
-        LaplaceNoiseSpec.calibrate(d=2, n=10, eps_prime=eps, weight_cap=1.0)
+        laplace_scale(d=2, n=10, eps_prime=eps, weight_cap=1.0)
     with pytest.raises(ValueError):
-        GaussianNoiseSpec.calibrate(n=10, eps_prime=eps, failure_prob=1e-6, weight_cap=1.0)
+        gaussian_std(n=10, eps_prime=eps, failure_prob=1e-6, weight_cap=1.0)
     with pytest.raises(ValueError):
-        WishartNoiseSpec.calibrate(d=2, n=10, eps_prime=eps, weight_cap=1.0)
+        wishart_variance(n=10, eps_prime=eps, weight_cap=1.0)
 
 
 @pytest.mark.parametrize(
@@ -154,27 +158,28 @@ def test_perturb_rejects_infinite_eps_prime(perturb, value, args):
 def test_gaussian_rejects_bad_failure_prob():
     for bad in (0.0, 1.0, -0.1, 2.0):
         with pytest.raises(ValueError):
-            GaussianNoiseSpec.calibrate(n=10, eps_prime=0.5, failure_prob=bad, weight_cap=1.0)
+            gaussian_std(n=10, eps_prime=0.5, failure_prob=bad, weight_cap=1.0)
 
 
 def test_gaussian_warns_above_one():
     with pytest.warns(UserWarning, match="eps_prime"):
-        GaussianNoiseSpec.calibrate(n=10, eps_prime=1.5, failure_prob=1e-6, weight_cap=1.0)
+        gaussian_std(n=10, eps_prime=1.5, failure_prob=1e-6, weight_cap=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        GaussianNoiseSpec.calibrate(n=10, eps_prime=0.99, failure_prob=1e-6, weight_cap=1.0)
+        gaussian_std(n=10, eps_prime=0.99, failure_prob=1e-6, weight_cap=1.0)
 
 
 def test_scales_monotone_in_parameters():
     base = dict(d=5, n=1000, eps_prime=0.4, weight_cap=2.0)
-    b0 = LaplaceNoiseSpec.calibrate(**base).scale
-    assert LaplaceNoiseSpec.calibrate(**{**base, "n": 2000}).scale < b0
-    assert LaplaceNoiseSpec.calibrate(**{**base, "eps_prime": 0.8}).scale < b0
-    assert LaplaceNoiseSpec.calibrate(**{**base, "weight_cap": 4.0}).scale > b0
-    v0 = WishartNoiseSpec.calibrate(**base).variance
-    assert WishartNoiseSpec.calibrate(**{**base, "n": 2000}).variance < v0
-    assert WishartNoiseSpec.calibrate(**{**base, "eps_prime": 0.8}).variance < v0
-    assert WishartNoiseSpec.calibrate(**{**base, "weight_cap": 4.0}).variance > v0
+    b0 = laplace_scale(**base)
+    assert laplace_scale(**{**base, "n": 2000}) < b0
+    assert laplace_scale(**{**base, "eps_prime": 0.8}) < b0
+    assert laplace_scale(**{**base, "weight_cap": 4.0}) > b0
+    base = dict(n=1000, eps_prime=0.4, weight_cap=2.0)
+    v0 = wishart_variance(**base)
+    assert wishart_variance(**{**base, "n": 2000}) < v0
+    assert wishart_variance(**{**base, "eps_prime": 0.8}) < v0
+    assert wishart_variance(**{**base, "weight_cap": 4.0}) > v0
 
 
 # --- perturbation ops ----------------------------------------------------
@@ -189,7 +194,7 @@ def test_laplace_empirical_moments():
     # one release of a size-m vector is m i.i.d. draws at the scale
     # calibrated for d = m
     m = 1000000
-    b = LaplaceNoiseSpec.calibrate(d=m, n=50, eps_prime=0.7, weight_cap=3.0).scale
+    b = laplace_scale(d=m, n=50, eps_prime=0.7, weight_cap=3.0)
     draws = laplace_perturb(np.zeros(m), 0.7, 3.0, 50, SeededRng(123))
     # Laplace std is scale * sqrt(2); a million draws pin it to ~0.1%
     assert draws.std() == pytest.approx(b * math.sqrt(2.0), rel=0.03)
@@ -208,10 +213,10 @@ def test_gaussian_empirical_std():
     # Gaussian calibration is dimension-free, so a long release vector is
     # a large i.i.d. sample at the calibrated std
     m = 1000000
-    spec = GaussianNoiseSpec.calibrate(n=50, eps_prime=0.7, failure_prob=1e-5, weight_cap=3.0)
+    std = gaussian_std(n=50, eps_prime=0.7, failure_prob=1e-5, weight_cap=3.0)
     draws = gaussian_perturb(np.zeros(m), 0.7, 1e-5, 3.0, 50, SeededRng(321))
-    assert draws.std() == pytest.approx(spec.std, rel=0.03)
-    assert abs(draws.mean()) < 4.0 * spec.std / math.sqrt(m)
+    assert draws.std() == pytest.approx(std, rel=0.03)
+    assert abs(draws.mean()) < 4.0 * std / math.sqrt(m)
 
 
 def test_perturb_determinism():
@@ -246,12 +251,16 @@ def test_wishart_rejects_asymmetric_input():
     B = np.array([[1.0, 0.5], [0.2, 1.0]])
     with pytest.raises(ValueError, match="symmetric"):
         wishart_perturb(B, 0.5, 1.0, 10, SeededRng(0))
+    # Every comparison with NaN is False, so a NaN asymmetry once passed.
+    B = np.array([[1.0, np.nan], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=r"symmetric; max \|B - B\^T\| = nan$"):
+        wishart_perturb(B, 0.5, 1.0, 10, SeededRng(0))
 
 
 def test_wishart_empirical_mean():
     # E[Z Z^T] = dof * variance * I
     d, cap, eps, n = 4, 2.0, 0.5, 100
-    spec = WishartNoiseSpec.calibrate(d=d, n=n, eps_prime=eps, weight_cap=cap)
+    variance, dof = wishart_variance(n=n, eps_prime=eps, weight_cap=cap), d + 1
     B = np.zeros((d, d))
     gen = SeededRng(456).generator()
     total = np.zeros((d, d))
@@ -259,11 +268,11 @@ def test_wishart_empirical_mean():
     for _ in range(m):
         total += wishart_perturb(B, eps, cap, n, gen)
     mean = total / m
-    expected_diag = spec.dof * spec.variance
+    expected_diag = dof * variance
     assert np.allclose(np.diag(mean), expected_diag, rtol=0.05)
     off = mean[~np.eye(d, dtype=bool)]
     # off-diagonal mean is 0 with per-entry std sqrt(dof) * variance / sqrt(m)
-    assert np.abs(off).max() < 5.0 * math.sqrt(spec.dof) * spec.variance / math.sqrt(m)
+    assert np.abs(off).max() < 5.0 * math.sqrt(dof) * variance / math.sqrt(m)
 
 
 def test_wishart_privacy_ratio_bound():

@@ -1,6 +1,5 @@
 """IRLS loop, weights, moments, and the guarded linear solve."""
 
-import json
 import math
 
 import numpy as np
@@ -20,7 +19,6 @@ from dpirls.solver import (
     residuals,
     run_exact_irls,
     run_private_irls,
-    serialize_trace,
     solve_step,
     weights_from_residuals,
 )
@@ -325,6 +323,13 @@ def test_solve_step_rejects_asymmetric_B():
         assert sol.used_ridge is False and np.isfinite(sol.theta).all()
     with pytest.raises(ValueError, match="symmetric"):
         solve_step(A, np.array([[2.0, 0.0], [1.01e-10, 2.0]]))
+    # A NaN asymmetry fails the check rather than slipping past it; in
+    # solve_step the finiteness check stops it first.
+    B = np.array([[1.0, np.nan], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=r"^B must be symmetric; max \|B - B\^T\| = nan$"):
+        wishart_perturb(B, 0.5, 1.0, 10, SeededRng(0))
+    with pytest.raises(ValueError, match="finite"):
+        solve_step(A, B)
 
 
 def test_solve_step_singular_uses_ridge():
@@ -428,6 +433,8 @@ def test_no_early_stopping():
     _, trace = run_exact_irls(ds, IRLSConfig(iterations=30, weight_cap=5.0))
     assert len(trace) == 30
     assert [st.iteration for st in trace] == list(range(1, 31))
+    # the exact solver releases nothing, so its states carry no records
+    assert all(st.releases == () and st.used_ridge is False for st in trace)
 
 
 def test_exact_solver_accepts_unnormalized_data():
@@ -588,35 +595,3 @@ def test_all_mechanism_regime_combinations_run():
             )
             assert np.isfinite(theta).all()
             assert plan.regime is regime
-
-
-# --- trace serialization -------------------------------------------------
-
-def test_serialize_exact_trace():
-    ds = _random_dataset(107, n=60, d=2)
-    _, trace = run_exact_irls(ds, IRLSConfig(iterations=3, weight_cap=5.0))
-    lines = serialize_trace(trace).strip().split("\n")
-    assert len(lines) == 3
-    for i, line in enumerate(lines, start=1):
-        rec = json.loads(line)
-        assert rec["iteration"] == i
-        assert rec["mechanism"] == "none"
-        assert rec["eps_prime"] is None
-        assert isinstance(rec["objective"], float)
-        assert rec["ridge_fallback"] is False
-
-
-def test_serialize_private_trace():
-    ds = _random_dataset(108, n=200, d=3)
-    cfg = IRLSConfig(iterations=4, weight_cap=10.0)
-    _, trace, plan = run_private_irls(ds, cfg, _budget(), Mechanism.LAPLACE, SeededRng(11))
-    text = serialize_trace(trace)
-    lines = text.strip().split("\n")
-    assert len(lines) == 8  # two releases per iteration
-    mechs = [json.loads(l)["mechanism"] for l in lines]
-    assert mechs == ["laplace", "wishart"] * 4
-    for line in lines:
-        rec = json.loads(line)
-        assert rec["eps_prime"] == plan.eps_prime
-    # byte determinism of the serialization itself
-    assert serialize_trace(trace) == text

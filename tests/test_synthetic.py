@@ -141,7 +141,6 @@ def test_variance_floor_on_perfect_fit():
     ds = Dataset(X=np.eye(2) * 0.5, y=np.array([0.25, -0.25]))
     theta = np.array([0.5, -0.5])
     assert estimate_residual_variance(ds, theta) == 1e-8
-    assert estimate_residual_variance(ds, theta, floor=1e-4) == 1e-4
 
 
 def test_variance_of_constant_residuals():
@@ -165,8 +164,6 @@ def test_variance_validation():
     ds = Dataset(X=np.eye(2), y=np.zeros(2))
     with pytest.raises(ValueError):
         estimate_residual_variance(ds, np.zeros(3))
-    with pytest.raises(ValueError):
-        estimate_residual_variance(ds, np.zeros(2), floor=0.0)
 
 
 # --- log-likelihood ------------------------------------------------------
