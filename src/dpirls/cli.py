@@ -16,7 +16,6 @@ import sys
 from .experiment import (
     MECHANISM_SPECS,
     ExperimentGrid,
-    _resolve_workers,
     aggregate,
     emit_csv,
     run_grid,
@@ -87,12 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-cell results CSV; the summary lands next to it as *_summary.csv",
     )
     parser.add_argument("--out-svg", default=None, help="optional chart path")
-    parser.add_argument(
-        "--csv-header",
-        choices=("on", "off"),
-        default="on",
-        help="write header rows in the emitted CSVs (default on)",
-    )
     return parser
 
 
@@ -115,16 +108,16 @@ def main(argv: list[str] | None = None) -> int:
             n_seeds=args.seeds,
             base_seed=args.base_seed,
         )
-        workers = _resolve_workers(None)
+        # Cells catch their own errors: run_grid raises only for a bad
+        # DP_IRLS_THREADS, and does so before the first cell.
+        rows = run_grid(grid)
     except ValueError as exc:
         print(f"dpirls: {exc}", file=sys.stderr)
         return 2
 
-    rows = run_grid(grid, workers)
-    header = args.csv_header == "on"
-    emit_csv(rows, args.out_csv, header=header)
+    emit_csv(rows, args.out_csv)
     summary = aggregate(rows)
-    emit_csv(summary, summary_path_for(args.out_csv), header=header)
+    emit_csv(summary, summary_path_for(args.out_csv))
     if args.out_svg:
         emit_svg_chart(
             summary,

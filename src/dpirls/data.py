@@ -66,10 +66,15 @@ def _check_probability(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
 
 
+# The moment checks of the releases.  A non-finite entry is refused
+# before B's symmetry check, which would misreport a NaN as asymmetry.
+
 def _as_vector(name: str, a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 1:
         raise ValueError(f"{name} must be 1-dimensional, got ndim={a.ndim}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
     return a
 
 
@@ -77,6 +82,8 @@ def _as_square(name: str, a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
     return a
 
 

@@ -8,10 +8,9 @@ and the whole table is reproducible bit for bit regardless of worker
 count or which subset of labels is requested.
 
 Cells run one after another unless the DP_IRLS_THREADS environment
-variable or run_grid's max_workers argument (which wins when given) asks
-for a thread pool.  Serial is the default because on a 2-core host two
-workers ran the grid slower than one: the solves lose more throughput to
-each other than the pool wins back.
+variable asks for a thread pool.  Serial is the default because on a
+2-core host two workers ran the grid slower than one: the solves lose
+more throughput to each other than the pool wins back.
 A failing cell is recorded in its row's status column instead of
 aborting the grid.
 """
@@ -22,7 +21,8 @@ import csv
 import math
 import os
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,17 +67,16 @@ class ExperimentGrid:
     mechanisms: tuple[str, ...] = tuple(MECHANISM_SPECS)
     n_seeds: int = 20
     base_seed: int = 0
-    noise_var: float = 0.01
 
     def __post_init__(self) -> None:
         if not self.n_values:
             raise ValueError("n_values must be non-empty")
         if len(set(self.n_values)) != len(self.n_values):
             raise ValueError("n_values must be distinct")
-        # The per-cell objects check n, d, noise_var, epsilon, iterations and
+        # The per-cell objects check n, d, epsilon, iterations and
         # weight_cap; build them so a bad grid fails before any cell runs.
         for n in self.n_values:
-            SyntheticSpec(n=n, d=self.d, noise_var=self.noise_var)
+            SyntheticSpec(n=n, d=self.d)
         PrivacyBudget(epsilon=self.epsilon)
         IRLSConfig(iterations=self.iterations, weight_cap=self.weight_cap)
         if not self.mechanisms:
@@ -98,8 +97,7 @@ class ExperimentGrid:
         _check_int("base_seed", self.base_seed, 0)
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
     mechanism: str
     n: int
     seed: int
@@ -109,8 +107,7 @@ class ResultRow:
     status: str
 
 
-@dataclass(frozen=True)
-class SummaryRow:
+class SummaryRow(NamedTuple):
     mechanism: str
     n: int
     mean_loglik: float
@@ -139,9 +136,7 @@ def run_cell(grid: ExperimentGrid, label: str, n: int, seed_idx: int) -> ResultR
     status = "ok"
     try:
         regime, mechanism = MECHANISM_SPECS[label]
-        spec = SyntheticSpec(
-            n=n, d=grid.d, noise_var=grid.noise_var, seed=_data_seed(grid.base_seed, n, seed_idx)
-        )
+        spec = SyntheticSpec(n=n, d=grid.d, seed=_data_seed(grid.base_seed, n, seed_idx))
         split = generate(spec)
         config = IRLSConfig(iterations=grid.iterations, weight_cap=grid.weight_cap)
         if regime is None:
@@ -175,35 +170,28 @@ def run_cell(grid: ExperimentGrid, label: str, n: int, seed_idx: int) -> ResultR
     )
 
 
-def _resolve_workers(max_workers: int | None) -> int:
-    if max_workers is None:
-        env = os.environ.get(THREADS_ENV_VAR)
-        if env is None:
-            return 1
-        try:
-            max_workers = int(env)
-        except ValueError:
-            max_workers = 0
-        if max_workers < 1:
-            raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {env!r}")
-    else:
-        _check_int("max_workers", max_workers)
-    return max_workers
-
-
-def run_grid(grid: ExperimentGrid, max_workers: int | None = None) -> list[ResultRow]:
+def run_grid(grid: ExperimentGrid) -> list[ResultRow]:
     """Run every cell of the grid and return rows in canonical order.
 
     Canonical order is (mechanism, N, seed); the output is independent of
-    the worker count and of the order labels were requested in.
+    the worker count and of the order labels were requested in.  A
+    DP_IRLS_THREADS value that is not a positive integer raises
+    ValueError before any cell runs.
     """
+    env = os.environ.get(THREADS_ENV_VAR, "1")
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {env!r}")
     cells = [
         (label, n, s)
         for label in grid.mechanisms
         for n in grid.n_values
         for s in range(grid.n_seeds)
     ]
-    workers = min(_resolve_workers(max_workers), len(cells))
+    workers = min(workers, len(cells))
     if workers == 1:
         rows = [run_cell(grid, *cell) for cell in cells]
     else:
@@ -250,7 +238,7 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def emit_csv(rows: list[ResultRow] | list[SummaryRow], path: str, header: bool = True) -> None:
+def emit_csv(rows: list[ResultRow] | list[SummaryRow], path: str) -> None:
     """Write result or summary rows as CSV, in the columns of the row type.
 
     Floats carry 17 significant digits so parsing the file reproduces the
@@ -259,7 +247,6 @@ def emit_csv(rows: list[ResultRow] | list[SummaryRow], path: str, header: bool =
     results = bool(rows) and isinstance(rows[0], ResultRow)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if header:
-            writer.writerow(RESULTS_HEADER if results else SUMMARY_HEADER)
+        writer.writerow(RESULTS_HEADER if results else SUMMARY_HEADER)
         for row in rows:
-            writer.writerow([_format_value(v) for v in astuple(row)])
+            writer.writerow([_format_value(v) for v in row])

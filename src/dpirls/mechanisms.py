@@ -10,7 +10,7 @@ replace-one-row neighboring relation these give, for the cross moment A:
 
 and for the Gram moment B a trace-difference bound of weight_cap / n,
 which the Wishart mechanism converts into a per-release epsilon
-guarantee.
+guarantee.  Each perturb function refuses a non-finite moment.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Iteratively reweighted least squares for the L1 regression objective.
 
-Each iteration forms residual weights s_i = 1 / max(1/weight_cap, |r_i|),
-builds the weighted moments A = (1/n) X^T S y and B = (1/n) X^T S X, and
-sets the next iterate to the solution of B theta = A.  The clamp keeps
+Starting from theta = 0, each iteration forms residual weights
+s_i = 1 / max(1/weight_cap, |r_i|), builds the weighted moments
+A = (1/n) X^T S y and B = (1/n) X^T S X, and sets the next iterate to
+the solution of B theta = A.  The clamp keeps
 every weight in (0, weight_cap], which is what the sensitivity bounds in
 :mod:`dpirls.mechanisms` assume.
 
@@ -17,7 +18,7 @@ always runs the configured number of iterations.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -26,11 +27,9 @@ from .accountant import NoisePlan, PrivacyBudget, plan_for_budget
 from .data import (
     Dataset,
     _as_theta,
-    _as_vector,
     _check_int,
     _check_positive_finite,
     _check_symmetric,
-    _freeze,
     validate_dataset,
 )
 from .mechanisms import as_generator, gaussian_perturb, laplace_perturb, wishart_perturb
@@ -71,28 +70,20 @@ class IRLSConfig:
 
     iterations: int = 10
     weight_cap: float = 100.0
-    theta_init: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         _check_int("iterations", self.iterations)
         _check_positive_finite("weight_cap", self.weight_cap)
-        if self.theta_init is not None:
-            theta = _as_vector("theta_init", self.theta_init)
-            if not np.isfinite(theta).all():
-                raise ValueError("theta_init must be finite")
-            object.__setattr__(self, "theta_init", _freeze(theta))
 
 
-@dataclass(frozen=True)
-class NoiseRelease:
+class NoiseRelease(NamedTuple):
     """Record of one privatized statistic: which mechanism, at what budget."""
 
     mechanism: str
     eps_prime: float
 
 
-@dataclass(frozen=True)
-class IRLSState:
+class IRLSState(NamedTuple):
     """Snapshot after one iteration.
 
     ``weights`` are the clamped weights that built this iteration's
@@ -101,8 +92,8 @@ class IRLSState:
     """
 
     iteration: int
-    theta: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
+    theta: np.ndarray
+    weights: np.ndarray
     objective: float
     used_ridge: bool
     releases: tuple[NoiseRelease, ...] = ()
@@ -243,23 +234,13 @@ def solve_step(A: np.ndarray, B: np.ndarray) -> StepSolution:
     )
 
 
-def _resolve_init(dataset: Dataset, config: IRLSConfig) -> np.ndarray:
-    if config.theta_init is None:
-        return np.zeros(dataset.d)
-    if config.theta_init.shape[0] != dataset.d:
-        raise ValueError(
-            f"theta_init has length {config.theta_init.shape[0]} but the data has d={dataset.d}"
-        )
-    return config.theta_init
-
-
 def _run_loop(
     dataset: Dataset,
     config: IRLSConfig,
     release: Callable[[MomentPair], tuple[np.ndarray, np.ndarray, tuple[NoiseRelease, ...]]]
     | None,
 ) -> tuple[np.ndarray, tuple[IRLSState, ...]]:
-    theta = _resolve_init(dataset, config)
+    theta = np.zeros(dataset.d)
     res = residuals(dataset, theta)
     trace: list[IRLSState] = []
     for t in range(1, config.iterations + 1):

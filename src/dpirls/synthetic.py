@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +66,7 @@ class SplitDataset:
         object.__setattr__(self, "true_theta", _freeze(theta))
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     mechanism: str
     n: int
     seed: int

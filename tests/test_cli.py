@@ -34,8 +34,7 @@ def test_help_exits_zero(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     for flag in ("--d", "--n", "--epsilon", "--iters", "--weight-cap", "--delta-f",
-                 "--mechanisms", "--seeds", "--base-seed", "--out-csv", "--out-svg",
-                 "--csv-header"):
+                 "--mechanisms", "--seeds", "--base-seed", "--out-csv", "--out-svg"):
         assert flag in out
 
 
@@ -49,7 +48,6 @@ def test_default_flag_values():
     assert args.delta_f == 1e-6
     assert args.seeds == 20
     assert args.base_seed == 0
-    assert args.csv_header == "on"
 
 
 def test_end_to_end_run(tmp_path, capsys):
@@ -75,16 +73,6 @@ def test_end_to_end_run(tmp_path, capsys):
 
     root = ET.parse(out_svg).getroot()
     assert root.tag.endswith("svg")
-
-
-def test_csv_header_off(tmp_path):
-    out_csv = tmp_path / "bare.csv"
-    code = main(FAST + ["--out-csv", str(out_csv), "--csv-header", "off"])
-    assert code == 0
-    first = out_csv.read_text().splitlines()[0]
-    assert not first.startswith("mechanism,")
-    summary_first = open(summary_path_for(str(out_csv))).read().splitlines()[0]
-    assert not summary_first.startswith("mechanism,")
 
 
 def test_output_bytes_stable_across_thread_counts(tmp_path, monkeypatch):

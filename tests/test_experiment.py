@@ -26,13 +26,18 @@ SMALL = dict(n_values=(100, 300), d=3, iterations=3, n_seeds=2, weight_cap=20.0)
 
 
 def _strip_time(rows):
-    return [dataclasses.replace(r, wall_time_ms=0) for r in rows]
+    return [r._replace(wall_time_ms=0) for r in rows]
 
 
-def test_singleton_grid_yields_one_row():
+def _run_grid(monkeypatch, grid, workers=1):
+    monkeypatch.setenv("DP_IRLS_THREADS", str(workers))
+    return run_grid(grid)
+
+
+def test_singleton_grid_yields_one_row(monkeypatch):
     grid = ExperimentGrid(n_values=(200,), d=2, iterations=2, n_seeds=1,
                           mechanisms=("cdp-lap",))
-    rows = run_grid(grid, max_workers=1)
+    rows = _run_grid(monkeypatch, grid)
     assert len(rows) == 1
     row = rows[0]
     assert row.mechanism == "cdp-lap"
@@ -45,39 +50,34 @@ def test_singleton_grid_yields_one_row():
     assert row.wall_time_ms >= 0
 
 
-def test_grid_rerun_is_identical_up_to_timing():
+def test_grid_rerun_is_identical_up_to_timing(monkeypatch):
     grid = ExperimentGrid(**SMALL)
-    rows1 = run_grid(grid, max_workers=1)
-    rows2 = run_grid(grid, max_workers=1)
+    rows1 = _run_grid(monkeypatch, grid)
+    rows2 = _run_grid(monkeypatch, grid)
     assert _strip_time(rows1) == _strip_time(rows2)
 
 
-def test_grid_independent_of_worker_count():
+def test_grid_independent_of_worker_count(monkeypatch):
     grid = ExperimentGrid(**SMALL)
-    seq = run_grid(grid, max_workers=1)
-    par = run_grid(grid, max_workers=4)
+    seq = _run_grid(monkeypatch, grid, 1)
+    par = _run_grid(monkeypatch, grid, 4)
     assert _strip_time(seq) == _strip_time(par)
 
 
 def test_threads_env_var_caps_workers(monkeypatch):
     grid = ExperimentGrid(**SMALL, mechanisms=("non-private",))
-    monkeypatch.setenv("DP_IRLS_THREADS", "3")
-    rows_env = run_grid(grid)
-    monkeypatch.setenv("DP_IRLS_THREADS", "not-a-number")
-    with pytest.raises(ValueError, match="DP_IRLS_THREADS"):
-        run_grid(grid)
+    rows_env = _run_grid(monkeypatch, grid, 3)
+    for bad in ("not-a-number", "0", "1.5"):
+        monkeypatch.setenv("DP_IRLS_THREADS", bad)
+        with pytest.raises(ValueError, match="DP_IRLS_THREADS must be a positive integer"):
+            run_grid(grid)
     monkeypatch.delenv("DP_IRLS_THREADS")
-    rows_direct = run_grid(grid, max_workers=1)
-    assert _strip_time(rows_env) == _strip_time(rows_direct)
-    # An explicit count goes through the package's integer check.
-    for bad in (0, 1.5, "2"):
-        with pytest.raises(ValueError, match="max_workers must be a positive integer"):
-            run_grid(grid, max_workers=bad)
+    rows_serial = run_grid(grid)
+    assert _strip_time(rows_env) == _strip_time(rows_serial)
 
 
 def test_grid_runs_serially_by_default(monkeypatch):
     monkeypatch.delenv("DP_IRLS_THREADS", raising=False)
-    assert experiment_module._resolve_workers(None) == 1
 
     def no_pool(*args, **kwargs):
         raise AssertionError("the default grid started a thread pool")
@@ -88,29 +88,29 @@ def test_grid_runs_serially_by_default(monkeypatch):
     assert all(r.status == "ok" for r in run_grid(grid))
 
 
-def test_rows_are_canonically_sorted():
+def test_rows_are_canonically_sorted(monkeypatch):
     grid = ExperimentGrid(
         n_values=(300, 100), d=2, iterations=2, n_seeds=2,
         mechanisms=("non-private", "cdp-lap"),
     )
-    rows = run_grid(grid, max_workers=2)
+    rows = _run_grid(monkeypatch, grid, 2)
     keys = [(r.mechanism, r.n, r.seed) for r in rows]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
 
 
-def test_mechanisms_share_datasets_and_subsets_reproduce():
+def test_mechanisms_share_datasets_and_subsets_reproduce(monkeypatch):
     # the non-private cells must not depend on which other labels ran
     full = ExperimentGrid(**SMALL, mechanisms=("non-private", "cdp-lap", "dp-conventional"))
     alone = ExperimentGrid(**SMALL, mechanisms=("non-private",))
-    sub = [r for r in run_grid(full, max_workers=1) if r.mechanism == "non-private"]
-    solo = run_grid(alone, max_workers=1)
+    sub = [r for r in _run_grid(monkeypatch, full) if r.mechanism == "non-private"]
+    solo = _run_grid(monkeypatch, alone)
     assert _strip_time(sub) == _strip_time(solo)
 
 
-def test_private_noise_differs_between_mechanism_labels():
+def test_private_noise_differs_between_mechanism_labels(monkeypatch):
     grid = ExperimentGrid(**SMALL, mechanisms=("cdp-lap", "dp-conventional"))
-    rows = run_grid(grid, max_workers=1)
+    rows = _run_grid(monkeypatch, grid)
     by_label = {}
     for r in rows:
         by_label.setdefault(r.mechanism, []).append(r.loglik_per_point)
@@ -127,7 +127,7 @@ def test_run_cell_isolates_failures(monkeypatch):
     row = run_cell(grid, "non-private", 100, 0)
     assert row.status.startswith("error: RuntimeError")
     assert math.isnan(row.loglik_per_point)
-    rows = run_grid(grid, max_workers=1)
+    rows = _run_grid(monkeypatch, grid)
     assert len(rows) == len(grid.n_values) * grid.n_seeds
     assert all(r.status.startswith("error:") for r in rows)
 
@@ -215,9 +215,9 @@ def test_aggregate_groups_and_sorts():
 
 # --- csv emission --------------------------------------------------------
 
-def test_results_csv_round_trip_exact(tmp_path):
+def test_results_csv_round_trip_exact(tmp_path, monkeypatch):
     grid = ExperimentGrid(**SMALL, mechanisms=("cdp-lap",))
-    rows = run_grid(grid, max_workers=1)
+    rows = _run_grid(monkeypatch, grid)
     path = tmp_path / "rows.csv"
     emit_csv(rows, str(path))
     with open(path, newline="") as fh:
@@ -235,9 +235,9 @@ def test_results_csv_round_trip_exact(tmp_path):
     assert parsed == rows
 
 
-def test_summary_csv_round_trip_exact(tmp_path):
+def test_summary_csv_round_trip_exact(tmp_path, monkeypatch):
     grid = ExperimentGrid(**SMALL, mechanisms=("cdp-lap", "non-private"))
-    summary = aggregate(run_grid(grid, max_workers=1))
+    summary = aggregate(_run_grid(monkeypatch, grid))
     path = tmp_path / "summary.csv"
     emit_csv(summary, str(path))
     with open(path, newline="") as fh:
@@ -256,13 +256,6 @@ def test_empty_summary_gives_header_only(tmp_path):
     assert path.read_bytes() == b"mechanism,N,mean_loglik,stderr_loglik,n_seeds\r\n"
 
 
-def test_csv_header_can_be_disabled(tmp_path):
-    path = tmp_path / "bare.csv"
-    emit_csv([_row("m", 10, 0, 1.25)], str(path), header=False)
-    first = path.read_text().splitlines()[0]
-    assert first.startswith("m,10,0,1.25")
-
-
 def test_csv_uses_decimal_points(tmp_path):
     path = tmp_path / "locale.csv"
     emit_csv([_row("m", 10, 0, 1.5)], str(path))
@@ -272,15 +265,15 @@ def test_csv_uses_decimal_points(tmp_path):
             assert " " not in fieldvalue
 
 
-def test_timing_roughly_linear_in_seed_count():
+def test_timing_roughly_linear_in_seed_count(monkeypatch):
     # crude guard against accidentally quadratic cell scheduling
     grid5 = ExperimentGrid(n_values=(2000,), d=5, iterations=5, n_seeds=5,
                            mechanisms=("cdp-lap",))
     grid10 = dataclasses.replace(grid5, n_seeds=10)
     t0 = time.perf_counter()
-    run_grid(grid5, max_workers=1)
+    _run_grid(monkeypatch, grid5)
     t5 = time.perf_counter() - t0
     t0 = time.perf_counter()
-    run_grid(grid10, max_workers=1)
+    _run_grid(monkeypatch, grid10)
     t10 = time.perf_counter() - t0
     assert t10 <= 3.0 * t5 + 0.05

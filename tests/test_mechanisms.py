@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dpirls.accountant import PrivacyBudget, plan_for_budget
 from dpirls.mechanisms import (
     SeededRng,
     as_generator,
@@ -251,10 +252,53 @@ def test_wishart_rejects_asymmetric_input():
     B = np.array([[1.0, 0.5], [0.2, 1.0]])
     with pytest.raises(ValueError, match="symmetric"):
         wishart_perturb(B, 0.5, 1.0, 10, SeededRng(0))
-    # Every comparison with NaN is False, so a NaN asymmetry once passed.
+    # A NaN entry is refused before the symmetry check, whose NaN
+    # asymmetry would name the wrong fault.
     B = np.array([[1.0, np.nan], [0.0, 1.0]])
-    with pytest.raises(ValueError, match=r"symmetric; max \|B - B\^T\| = nan$"):
+    with pytest.raises(ValueError, match="^B must be finite$"):
         wishart_perturb(B, 0.5, 1.0, 10, SeededRng(0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "perturb, name, value, args",
+    [
+        (laplace_perturb, "A", np.zeros(2), (0.5, 1.0, 10)),
+        (gaussian_perturb, "A", np.zeros(2), (0.5, 1e-6, 1.0, 10)),
+        (wishart_perturb, "B", np.eye(2), (0.5, 1.0, 10)),
+    ],
+)
+def test_perturb_rejects_non_finite_moments(perturb, name, value, args, bad):
+    # The first entry: a diagonal one for B, so B stays symmetric.
+    value = value.copy()
+    value.flat[0] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        perturb(value, *args, SeededRng(0))
+
+
+def test_wishart_release_falls_outside_a_neighbours_support_at_the_chi2_rate():
+    # The release B + W, W = Z Z^T, lies above B in the PSD order.  A
+    # neighbour that adds a capped unit row along u has B' = B + (cap/n) u u^T,
+    # so a release with u^T W u < cap/n cannot come from it.  W's variance
+    # is cap / (2 eps' n), so that happens with probability
+    # P[chi2_{d+1} < 2 eps'], a lower bound on the release's delta.
+    stats = pytest.importorskip("scipy.stats")
+    eps, cap, n, m = 0.3, 2.0, 100, 20_000
+    gen = np.random.default_rng(2024)
+    below = sum(
+        wishart_perturb(np.zeros((1, 1)), eps, cap, n, gen)[0, 0] < cap / n for _ in range(m)
+    )
+    p = stats.chi2.cdf(2 * eps, 2)
+    assert p == pytest.approx(0.259, abs=5e-4)
+    assert abs(below / m - p) < 5.0 * math.sqrt(p * (1.0 - p) / m)
+    # The README grid: 20 Wishart releases per cdp-* run at d=10.  The
+    # chance that one of them is impossible under the neighbour exceeds
+    # the grid's delta_f.
+    eps_prime = plan_for_budget(PrivacyBudget(0.9), 20).eps_prime
+    assert 2 * eps_prime == pytest.approx(0.424, abs=5e-4)
+    miss = 1.0 - (1.0 - stats.chi2.cdf(2 * eps_prime, 11)) ** 20
+    assert miss == pytest.approx(1.15e-5, rel=1e-2)
+    assert miss > 1e-5
 
 
 def test_wishart_empirical_mean():

@@ -323,10 +323,10 @@ def test_solve_step_rejects_asymmetric_B():
         assert sol.used_ridge is False and np.isfinite(sol.theta).all()
     with pytest.raises(ValueError, match="symmetric"):
         solve_step(A, np.array([[2.0, 0.0], [1.01e-10, 2.0]]))
-    # A NaN asymmetry fails the check rather than slipping past it; in
-    # solve_step the finiteness check stops it first.
+    # A NaN never reaches the symmetry check: both callers refuse a
+    # non-finite B first.
     B = np.array([[1.0, np.nan], [0.0, 1.0]])
-    with pytest.raises(ValueError, match=r"^B must be symmetric; max \|B - B\^T\| = nan$"):
+    with pytest.raises(ValueError, match="^B must be finite$"):
         wishart_perturb(B, 0.5, 1.0, 10, SeededRng(0))
     with pytest.raises(ValueError, match="finite"):
         solve_step(A, B)
@@ -413,11 +413,11 @@ def test_smoothed_objective_monotone():
 
 def test_objective_is_mean_absolute_residual():
     # every state: the objective is that state's own mean |residual|, and
-    # the weights come from the previous iterate (theta_0 for the first)
+    # the weights come from the previous iterate (zeros for the first)
     ds = _random_dataset(3, n=50, d=2)
-    cfg = IRLSConfig(iterations=4, weight_cap=10.0, theta_init=np.array([0.3, -0.1]))
+    cfg = IRLSConfig(iterations=4, weight_cap=10.0)
     _, trace = run_exact_irls(ds, cfg)
-    prev = cfg.theta_init
+    prev = np.zeros(ds.d)
     for state in trace:
         expected = float(np.mean(np.abs(residuals(ds, state.theta))))
         assert state.objective == pytest.approx(expected, rel=0, abs=0)
@@ -444,26 +444,11 @@ def test_exact_solver_accepts_unnormalized_data():
     assert np.isfinite(theta).all()
 
 
-def test_theta_init_is_respected():
-    ds = _random_dataset(66, n=120, d=3)
-    init = np.array([5.0, -5.0, 5.0])
-    _, trace1 = run_exact_irls(ds, IRLSConfig(iterations=1, weight_cap=10.0, theta_init=init))
-    _, trace0 = run_exact_irls(ds, IRLSConfig(iterations=1, weight_cap=10.0))
-    # different starting residuals -> different first-step weights
-    assert not np.array_equal(trace1[0].weights, trace0[0].weights)
-    with pytest.raises(ValueError, match="theta_init"):
-        run_exact_irls(ds, IRLSConfig(iterations=1, weight_cap=10.0, theta_init=np.zeros(7)))
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         IRLSConfig(iterations=0)
     with pytest.raises(ValueError):
         IRLSConfig(weight_cap=-1.0)
-    with pytest.raises(ValueError):
-        IRLSConfig(theta_init=np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        IRLSConfig(theta_init=np.array([np.inf]))
 
 
 # --- private IRLS --------------------------------------------------------
