@@ -11,7 +11,6 @@ import numpy as np
 
 from dpirls import (
     Dataset,
-    SeededRng,
     compute_moments,
     gaussian_std,
     laplace_scale,
@@ -38,7 +37,7 @@ def main():
     weights = np.full(2000, 1.0)
     moments = compute_moments(Dataset(X, y), weights)
 
-    released = wishart_perturb(moments.B, eps_prime, cap, 2000, SeededRng(3))
+    released = wishart_perturb(moments.B, eps_prime, cap, 2000, np.random.default_rng(3))
     eig_before = np.linalg.eigvalsh(moments.B).min()
     eig_after = np.linalg.eigvalsh(released).min()
     print("\nwishart release of the second moment matrix:")

@@ -30,7 +30,6 @@ from .experiment import (
     run_grid,
 )
 from .mechanisms import (
-    SeededRng,
     gaussian_perturb,
     gaussian_std,
     l1_sensitivity_A,
@@ -67,7 +66,6 @@ __all__ = [
     "PrivacyBudget",
     "Regime",
     "ResultRow",
-    "SeededRng",
     "SplitDataset",
     "SummaryRow",
     "SyntheticSpec",

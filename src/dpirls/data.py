@@ -66,8 +66,8 @@ def _check_probability(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
 
 
-# The moment checks of the releases.  A non-finite entry is refused
-# before B's symmetry check, which would misreport a NaN as asymmetry.
+# Moment checks for the releases and solve_step.  A non-finite entry is
+# refused before B's symmetry check, which would report NaN as asymmetry.
 
 def _as_vector(name: str, a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
@@ -255,6 +255,9 @@ def normalize_dataset(X: np.ndarray, y: np.ndarray) -> Dataset:
     than ``1e-12``.  The skip makes the operation bitwise idempotent:
     normalizing an already-normalized dataset returns identical bytes.
     All-zero inputs are returned unchanged.
+
+    Scaling by the data's own maxima is not a row-local map, so a private
+    run on the result protects the normalized data, not the caller's.
 
     Returns
     -------

@@ -28,6 +28,7 @@ import numpy as np
 
 from .accountant import PrivacyBudget, Regime
 from .data import _check_int
+from .mechanisms import _stream
 from .solver import IRLSConfig, Mechanism, run_exact_irls, run_private_irls
 from .synthetic import SyntheticSpec, evaluate_fit, generate
 
@@ -123,9 +124,7 @@ def _data_seed(base_seed: int, n: int, seed_idx: int) -> int:
 
 
 def _noise_generator(base_seed: int, label: str, n: int, seed_idx: int) -> np.random.Generator:
-    code = _LABEL_CODES[label]
-    seq = np.random.SeedSequence(base_seed, spawn_key=(1 + code, n, seed_idx))
-    return np.random.Generator(np.random.PCG64(seq))
+    return _stream(base_seed, 1 + _LABEL_CODES[label], n, seed_idx)
 
 
 def run_cell(grid: ExperimentGrid, label: str, n: int, seed_idx: int) -> ResultRow:

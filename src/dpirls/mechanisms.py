@@ -9,15 +9,15 @@ replace-one-row neighboring relation these give, for the cross moment A:
     L2 sensitivity  2 * weight_cap / n
 
 and for the Gram moment B a trace-difference bound of weight_cap / n,
-which the Wishart mechanism converts into a per-release epsilon
-guarantee.  Each perturb function refuses a non-finite moment.
+which bounds the Wishart release's density ratio by exp(eps').  That
+release is still not pure eps'-DP (see :func:`wishart_perturb`).  Each
+perturb function refuses a non-finite moment.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,35 +31,15 @@ from .data import (
 )
 
 
-@dataclass(frozen=True)
-class SeededRng:
-    """Reproducible random source: one (seed, stream_id) pair, one stream.
-
-    Distinct ``stream_id`` values under the same seed give statistically
-    independent streams; identical pairs reproduce draws bit for bit.
-    """
-
-    seed: int
-    stream_id: int = 0
-
-    def __post_init__(self) -> None:
-        _check_int("seed", self.seed, 0)
-        _check_int("stream_id", self.stream_id, 0)
-
-    def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
-        return np.random.Generator(np.random.PCG64(seq))
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """The PCG64 stream ``key`` of ``seed``; every seeded stream is built here."""
+    seq = np.random.SeedSequence(seed, spawn_key=key)
+    return np.random.Generator(np.random.PCG64(seq))
 
 
-def as_generator(rng: SeededRng | np.random.Generator | int) -> np.random.Generator:
-    """Accept a SeededRng, a Generator, or a plain seed."""
-    if isinstance(rng, SeededRng):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if isinstance(rng, (int, np.integer)):
-        return SeededRng(int(rng)).generator()
-    raise TypeError(f"expected SeededRng, numpy Generator, or int, got {type(rng).__name__}")
+def _check_generator(rng: np.random.Generator) -> None:
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
 
 
 def _check_calibration(n: int, weight_cap: float) -> None:
@@ -128,7 +108,7 @@ def laplace_perturb(
     eps_prime: float,
     weight_cap: float,
     n: int,
-    rng: SeededRng | np.random.Generator | int,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Release A with per-coordinate Laplace noise at scale Delta_1 / eps'.
 
@@ -137,8 +117,8 @@ def laplace_perturb(
     """
     A = _as_vector("A", A)
     scale = laplace_scale(A.shape[0], n, eps_prime, weight_cap)
-    gen = as_generator(rng)
-    return A + gen.laplace(loc=0.0, scale=scale, size=A.shape)
+    _check_generator(rng)
+    return A + rng.laplace(loc=0.0, scale=scale, size=A.shape)
 
 
 def gaussian_perturb(
@@ -147,7 +127,7 @@ def gaussian_perturb(
     failure_prob: float,
     weight_cap: float,
     n: int,
-    rng: SeededRng | np.random.Generator | int,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Release A with Gaussian noise at std sqrt(2 log(1.25/failure_prob)) Delta_2 / eps'.
 
@@ -156,8 +136,8 @@ def gaussian_perturb(
     """
     A = _as_vector("A", A)
     std = gaussian_std(n, eps_prime, failure_prob, weight_cap)
-    gen = as_generator(rng)
-    return A + gen.normal(loc=0.0, scale=std, size=A.shape)
+    _check_generator(rng)
+    return A + rng.normal(loc=0.0, scale=std, size=A.shape)
 
 
 def wishart_perturb(
@@ -165,22 +145,25 @@ def wishart_perturb(
     eps_prime: float,
     weight_cap: float,
     n: int,
-    rng: SeededRng | np.random.Generator | int,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Release B as B + Z Z^T with Z a (d, d+1) matrix of N(0, v) entries.
 
     v = weight_cap / (2 * eps' * n).  The additive part is positive
     semidefinite, so the release can only push B further into the PSD
-    cone, and the output is symmetric bit for bit.  Pure eps'-DP for one
-    release under the replace-one relation.
+    cone, and the output is symmetric bit for bit.  Its density ratio is
+    bounded by exp(eps') under the replace-one relation, but as the
+    release always lies above B in the PSD order it is not pure eps'-DP
+    where a neighbour's support differs: delta >= P[chi2_{d+1} < 2 eps']
+    (test_wishart_release_falls_outside_a_neighbours_support_at_the_chi2_rate).
     """
     B = _as_square("B", B)
     _check_symmetric("B", B)
     d = B.shape[0]
     _check_int("d", d)
     variance = wishart_variance(n, eps_prime, weight_cap)
-    gen = as_generator(rng)
-    Z = gen.normal(loc=0.0, scale=math.sqrt(variance), size=(d, d + 1))
+    _check_generator(rng)
+    Z = rng.normal(loc=0.0, scale=math.sqrt(variance), size=(d, d + 1))
     # numpy routes Z @ Z.T to BLAS syrk, which computes one triangle and
     # mirrors it, so the noise term is symmetric bitwise, not just up to
     # rounding (test_wishart_output_exactly_symmetric_and_psd_shift pins this).

@@ -26,13 +26,15 @@ import numpy as np
 from .accountant import NoisePlan, PrivacyBudget, plan_for_budget
 from .data import (
     Dataset,
+    _as_square,
     _as_theta,
+    _as_vector,
     _check_int,
     _check_positive_finite,
     _check_symmetric,
     validate_dataset,
 )
-from .mechanisms import as_generator, gaussian_perturb, laplace_perturb, wishart_perturb
+from .mechanisms import _check_generator, gaussian_perturb, laplace_perturb, wishart_perturb
 
 _RIDGE_FACTOR = 1e-8
 
@@ -212,12 +214,10 @@ def solve_step(A: np.ndarray, B: np.ndarray) -> StepSolution:
     ValueError, as :func:`dpirls.mechanisms.wishart_perturb` does: the
     Cholesky test reads only B's lower triangle, the solve all of it.
     """
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    if A.ndim != 1 or B.ndim != 2 or B.shape != (A.shape[0], A.shape[0]):
+    A = _as_vector("A", A)
+    B = _as_square("B", B)
+    if B.shape[0] != A.shape[0]:
         raise ValueError(f"shape mismatch: A {A.shape}, B {B.shape}")
-    if not (np.isfinite(A).all() and np.isfinite(B).all()):
-        raise ValueError("moments must be finite")
     _check_symmetric("B", B)
     theta = _cholesky_solve(A, B)
     if theta is not None:
@@ -287,7 +287,7 @@ def run_private_irls(
     config: IRLSConfig,
     budget: PrivacyBudget,
     mechanism: Mechanism | str,
-    rng,
+    rng: np.random.Generator,
     *,
     gaussian_failure_prob: float = 1e-6,
 ) -> tuple[np.ndarray, tuple[IRLSState, ...], NoisePlan]:
@@ -295,27 +295,28 @@ def run_private_irls(
 
     Each iteration spends the plan's eps' twice: once on A through the
     chosen mechanism (Laplace or Gaussian) and once on B through the
-    Wishart release.  The dataset must satisfy the norm bounds; they are
-    validated here because every calibration depends on them (a dataset
-    that already passed :func:`validate_dataset` is not checked again).
+    Wishart release, drawing all noise from ``rng``, a numpy Generator.
+    The dataset must satisfy the norm bounds; they are validated here
+    because every calibration depends on them (a dataset that already
+    passed :func:`validate_dataset` is not checked again).
 
     Returns the final iterate, the trace (each state carrying its two
     release records), and the resolved :class:`NoisePlan`.
     """
     mechanism = Mechanism(mechanism)
+    _check_generator(rng)
     validate_dataset(dataset)
     plan = plan_for_budget(budget, config.iterations)
-    gen = as_generator(rng)
     n, cap, eps_prime = dataset.n, config.weight_cap, plan.eps_prime
 
     def release(moments: MomentPair):
         if mechanism is Mechanism.LAPLACE:
-            A_out = laplace_perturb(moments.A, eps_prime, cap, n, gen)
+            A_out = laplace_perturb(moments.A, eps_prime, cap, n, rng)
         else:
             A_out = gaussian_perturb(
-                moments.A, eps_prime, gaussian_failure_prob, cap, n, gen
+                moments.A, eps_prime, gaussian_failure_prob, cap, n, rng
             )
-        B_out = wishart_perturb(moments.B, eps_prime, cap, n, gen)
+        B_out = wishart_perturb(moments.B, eps_prime, cap, n, rng)
         rels = (
             NoiseRelease(mechanism=mechanism.value, eps_prime=eps_prime),
             NoiseRelease(mechanism="wishart", eps_prime=eps_prime),

@@ -28,7 +28,7 @@ from .data import (
     _row_norms,
     validate_dataset,
 )
-from .mechanisms import as_generator
+from .mechanisms import _stream
 
 VARIANCE_FLOOR = 1e-8
 
@@ -82,11 +82,14 @@ def generate(spec: SyntheticSpec, *, normalize_response: bool = True) -> SplitDa
     ``normalize_response=False`` skips the response scaling (the output
     then deliberately fails the |y| <= 1 bound; it exists so tests can
     check exact parameter recovery).
+
+    Scaling by the data's own maxima is not a row-local map, so a private
+    run on the output protects the scaled data, not the raw draws.
     """
     test_count = round(0.1 * spec.n)
     train_count = spec.n - test_count
 
-    gen = as_generator(int(spec.seed))
+    gen = _stream(spec.seed, 0)
     X = gen.standard_normal((spec.n, spec.d))
     max_norm = float(_row_norms(X).max())
     if max_norm > 0.0:

@@ -23,7 +23,6 @@ from dpirls import (
     Mechanism,
     PrivacyBudget,
     Regime,
-    SeededRng,
     SyntheticSpec,
     advanced_per_release,
     aggregate,
@@ -44,6 +43,7 @@ from dpirls import (
     wishart_perturb,
     wishart_variance,
 )
+from dpirls.mechanisms import _stream
 from _oracles import grid_l1_minimizer
 
 
@@ -187,17 +187,17 @@ def test_acceptance_3_noise_calibration():
     m = 1_000_000
 
     zeros = np.zeros(m)
-    lap = laplace_perturb(zeros, eps_prime, cap, n, SeededRng(31))
+    lap = laplace_perturb(zeros, eps_prime, cap, n, _stream(31, 0))
     lap_target = laplace_scale(m, n, eps_prime, cap) * math.sqrt(2.0)
     assert abs(lap.std() - lap_target) <= 0.03 * lap_target
 
-    gau = gaussian_perturb(zeros, eps_prime, failure_prob, cap, n, SeededRng(32))
+    gau = gaussian_perturb(zeros, eps_prime, failure_prob, cap, n, _stream(32, 0))
     gau_target = gaussian_std(n, eps_prime, failure_prob, cap)
     assert abs(gau.std() - gau_target) <= 0.03 * gau_target
 
     d, draws = 4, 100_000
     variance, dof = wishart_variance(n, eps_prime, cap), d + 1
-    gen = SeededRng(33).generator()
+    gen = _stream(33, 0)
     zero_B = np.zeros((d, d))
     total = np.zeros((d, d))
     for _ in range(draws):
@@ -380,7 +380,7 @@ def test_acceptance_6_vanishing_noise_limit():
                         config,
                         PrivacyBudget(1e12, regime=regime),
                         mechanism,
-                        rng=SeededRng(seed, stream_id=7),
+                        rng=_stream(seed, 7),
                     )
                 diff = float(np.linalg.norm(theta_private - theta_exact))
                 assert diff <= 1e-6, (

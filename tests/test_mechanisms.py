@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from dpirls.accountant import PrivacyBudget, plan_for_budget
+from dpirls.data import Dataset
 from dpirls.mechanisms import (
-    SeededRng,
-    as_generator,
+    _stream,
     gaussian_perturb,
     gaussian_std,
     l1_sensitivity_A,
@@ -23,6 +23,7 @@ from dpirls.mechanisms import (
     wishart_perturb,
     wishart_variance,
 )
+from dpirls.solver import IRLSConfig, run_private_irls
 
 
 # --- sensitivities -------------------------------------------------------
@@ -128,8 +129,8 @@ def test_wishart_spec():
         0.02, rel=1e-15, abs=0
     )
     # The release adds Z Z^T for Z of shape (d, d + 1) with N(0, v) entries.
-    Z = SeededRng(7).generator().normal(0.0, math.sqrt(0.02), size=(10, 11))
-    out = wishart_perturb(np.zeros((10, 10)), 0.5, 2.0, 100, SeededRng(7))
+    Z = _stream(7, 0).normal(0.0, math.sqrt(0.02), size=(10, 11))
+    out = wishart_perturb(np.zeros((10, 10)), 0.5, 2.0, 100, _stream(7, 0))
     assert np.array_equal(out, Z @ Z.T)
 
 
@@ -153,7 +154,7 @@ def test_specs_reject_nonpositive_eps(eps):
 )
 def test_perturb_rejects_infinite_eps_prime(perturb, value, args):
     with pytest.raises(ValueError, match="eps_prime"):
-        perturb(value, math.inf, *args, SeededRng(0))
+        perturb(value, math.inf, *args, _stream(0, 0))
 
 
 def test_gaussian_rejects_bad_failure_prob():
@@ -187,7 +188,7 @@ def test_scales_monotone_in_parameters():
 
 def test_laplace_noise_vanishes_at_huge_eps():
     A = np.linspace(-0.5, 0.5, 4)
-    out = laplace_perturb(A, eps_prime=1e12, weight_cap=1.0, n=100, rng=SeededRng(5))
+    out = laplace_perturb(A, eps_prime=1e12, weight_cap=1.0, n=100, rng=_stream(5, 0))
     assert np.max(np.abs(out - A)) < 1e-9
 
 
@@ -196,7 +197,7 @@ def test_laplace_empirical_moments():
     # calibrated for d = m
     m = 1000000
     b = laplace_scale(d=m, n=50, eps_prime=0.7, weight_cap=3.0)
-    draws = laplace_perturb(np.zeros(m), 0.7, 3.0, 50, SeededRng(123))
+    draws = laplace_perturb(np.zeros(m), 0.7, 3.0, 50, _stream(123, 0))
     # Laplace std is scale * sqrt(2); a million draws pin it to ~0.1%
     assert draws.std() == pytest.approx(b * math.sqrt(2.0), rel=0.03)
     assert abs(draws.mean()) < 4.0 * b * math.sqrt(2.0) / math.sqrt(m)
@@ -206,7 +207,7 @@ def test_gaussian_noise_vanishes_at_huge_eps():
     A = np.linspace(-0.5, 0.5, 4)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        out = gaussian_perturb(A, 1e12, 1e-6, 1.0, 100, SeededRng(5))
+        out = gaussian_perturb(A, 1e12, 1e-6, 1.0, 100, _stream(5, 0))
     assert np.max(np.abs(out - A)) < 1e-9
 
 
@@ -215,7 +216,7 @@ def test_gaussian_empirical_std():
     # a large i.i.d. sample at the calibrated std
     m = 1000000
     std = gaussian_std(n=50, eps_prime=0.7, failure_prob=1e-5, weight_cap=3.0)
-    draws = gaussian_perturb(np.zeros(m), 0.7, 1e-5, 3.0, 50, SeededRng(321))
+    draws = gaussian_perturb(np.zeros(m), 0.7, 1e-5, 3.0, 50, _stream(321, 0))
     assert draws.std() == pytest.approx(std, rel=0.03)
     assert abs(draws.mean()) < 4.0 * std / math.sqrt(m)
 
@@ -228,9 +229,9 @@ def test_perturb_determinism():
         (gaussian_perturb, (A, 0.5, 1e-6, 2.0, 100)),
         (wishart_perturb, (B, 0.5, 2.0, 100)),
     ):
-        one = fn(*args, SeededRng(9, stream_id=4))
-        two = fn(*args, SeededRng(9, stream_id=4))
-        other = fn(*args, SeededRng(9, stream_id=5))
+        one = fn(*args, _stream(9, 4))
+        two = fn(*args, _stream(9, 4))
+        other = fn(*args, _stream(9, 5))
         assert np.array_equal(one, two)
         assert not np.array_equal(one, other)
 
@@ -241,7 +242,7 @@ def test_wishart_output_exactly_symmetric_and_psd_shift():
         M = rng.normal(size=(d, d))
         B = M @ M.T / d
         B = (B + B.T) / 2.0
-        out = wishart_perturb(B, 0.4, 2.0, 200, SeededRng(31))
+        out = wishart_perturb(B, 0.4, 2.0, 200, _stream(31, 0))
         assert np.array_equal(out, out.T), d
         # the additive part Z Z^T is PSD, so eigenvalues can only grow
         shift = out - B
@@ -251,12 +252,12 @@ def test_wishart_output_exactly_symmetric_and_psd_shift():
 def test_wishart_rejects_asymmetric_input():
     B = np.array([[1.0, 0.5], [0.2, 1.0]])
     with pytest.raises(ValueError, match="symmetric"):
-        wishart_perturb(B, 0.5, 1.0, 10, SeededRng(0))
+        wishart_perturb(B, 0.5, 1.0, 10, _stream(0, 0))
     # A NaN entry is refused before the symmetry check, whose NaN
     # asymmetry would name the wrong fault.
     B = np.array([[1.0, np.nan], [0.0, 1.0]])
     with pytest.raises(ValueError, match="^B must be finite$"):
-        wishart_perturb(B, 0.5, 1.0, 10, SeededRng(0))
+        wishart_perturb(B, 0.5, 1.0, 10, _stream(0, 0))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -273,7 +274,7 @@ def test_perturb_rejects_non_finite_moments(perturb, name, value, args, bad):
     value = value.copy()
     value.flat[0] = bad
     with pytest.raises(ValueError, match=f"^{name} must be finite$"):
-        perturb(value, *args, SeededRng(0))
+        perturb(value, *args, _stream(0, 0))
 
 
 def test_wishart_release_falls_outside_a_neighbours_support_at_the_chi2_rate():
@@ -306,7 +307,7 @@ def test_wishart_empirical_mean():
     d, cap, eps, n = 4, 2.0, 0.5, 100
     variance, dof = wishart_variance(n=n, eps_prime=eps, weight_cap=cap), d + 1
     B = np.zeros((d, d))
-    gen = SeededRng(456).generator()
+    gen = _stream(456, 0)
     total = np.zeros((d, d))
     m = 100000
     for _ in range(m):
@@ -340,41 +341,31 @@ def test_wishart_privacy_ratio_bound():
 
 def test_perturb_shape_checks():
     with pytest.raises(ValueError, match="1-dimensional"):
-        laplace_perturb(np.zeros((2, 2)), 0.5, 1.0, 10, SeededRng(0))
+        laplace_perturb(np.zeros((2, 2)), 0.5, 1.0, 10, _stream(0, 0))
     with pytest.raises(ValueError, match="square"):
-        wishart_perturb(np.zeros((2, 3)), 0.5, 1.0, 10, SeededRng(0))
+        wishart_perturb(np.zeros((2, 3)), 0.5, 1.0, 10, _stream(0, 0))
 
 
-# --- seeded rng ----------------------------------------------------------
+# --- random source ---------------------------------------------------------
 
-def test_seeded_rng_reproducible():
-    a = SeededRng(7, stream_id=2).generator().normal(size=8)
-    b = SeededRng(7, stream_id=2).generator().normal(size=8)
-    assert np.array_equal(a, b)
-
-
-def test_seeded_rng_streams_differ():
-    a = SeededRng(7, stream_id=0).generator().normal(size=8)
-    b = SeededRng(7, stream_id=1).generator().normal(size=8)
-    c = SeededRng(8, stream_id=0).generator().normal(size=8)
-    assert not np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-
-
-def test_seeded_rng_validation():
-    with pytest.raises(ValueError):
-        SeededRng(-1)
-    with pytest.raises(ValueError):
-        SeededRng(3, stream_id=-2)
-    with pytest.raises(ValueError):
-        SeededRng(1.5)  # type: ignore[arg-type]
+_RANDOMIZED = {
+    "laplace": lambda rng: laplace_perturb(np.zeros(2), 0.5, 1.0, 10, rng),
+    "gaussian": lambda rng: gaussian_perturb(np.zeros(2), 0.5, 1e-6, 1.0, 10, rng),
+    "wishart": lambda rng: wishart_perturb(np.eye(2), 0.5, 1.0, 10, rng),
+    "run_private_irls": lambda rng: run_private_irls(
+        Dataset(X=np.array([[0.5], [-0.25], [0.1]]), y=np.array([0.5, 0.25, -0.2])),
+        IRLSConfig(iterations=2),
+        PrivacyBudget(0.9),
+        "laplace",
+        rng,
+    ),
+}
 
 
-def test_as_generator_accepts_the_three_forms():
-    g1 = as_generator(SeededRng(4))
-    g2 = as_generator(4)
-    assert np.array_equal(g1.normal(size=3), g2.normal(size=3))
-    gen = np.random.default_rng(0)
-    assert as_generator(gen) is gen
-    with pytest.raises(TypeError):
-        as_generator("seed")  # type: ignore[arg-type]
+@pytest.mark.parametrize("bad", [4, None, np.random.RandomState(0)], ids=["int", "None", "RandomState"])
+@pytest.mark.parametrize("entry", _RANDOMIZED)
+def test_randomized_entry_points_take_only_a_generator(entry, bad):
+    with pytest.raises(TypeError, match=f"Generator, got {type(bad).__name__}$"):
+        _RANDOMIZED[entry](bad)
+    # A Generator is accepted where the bad value was refused.
+    _RANDOMIZED[entry](_stream(0, 0))

@@ -19,6 +19,7 @@ GONE = (
     "MomentPair",
     "estimate_residual_variance",
     "loglik_per_test_point",
+    "SeededRng",
 )
 
 

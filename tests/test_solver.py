@@ -10,7 +10,7 @@ from _oracles import grid_l1_minimizer, longdouble_solve, naive_moments
 import dpirls.solver as solver_module
 from dpirls.accountant import PrivacyBudget, Regime
 from dpirls.data import DataValidationError, Dataset, normalize_dataset
-from dpirls.mechanisms import SeededRng, wishart_perturb
+from dpirls.mechanisms import _stream, wishart_perturb
 from dpirls.solver import (
     IRLSConfig,
     Mechanism,
@@ -316,7 +316,7 @@ def test_solve_step_rejects_asymmetric_B():
     with pytest.raises(ValueError, match=message):
         solve_step(A, B)
     with pytest.raises(ValueError, match=message):  # the same check and message
-        wishart_perturb(B, 0.5, 1.0, 10, SeededRng(0))
+        wishart_perturb(B, 0.5, 1.0, 10, _stream(0, 0))
     # Asymmetry at the 1e-10 tolerance passes, as rounding in a Gram may leave.
     for B in (np.array([[2.0, 1e-10], [0.0, 2.0]]), np.array([[2.0, 0.0], [-1e-10, 2.0]])):
         sol = solve_step(A, B)
@@ -327,8 +327,8 @@ def test_solve_step_rejects_asymmetric_B():
     # non-finite B first.
     B = np.array([[1.0, np.nan], [0.0, 1.0]])
     with pytest.raises(ValueError, match="^B must be finite$"):
-        wishart_perturb(B, 0.5, 1.0, 10, SeededRng(0))
-    with pytest.raises(ValueError, match="finite"):
+        wishart_perturb(B, 0.5, 1.0, 10, _stream(0, 0))
+    with pytest.raises(ValueError, match="^B must be finite$"):
         solve_step(A, B)
 
 
@@ -351,7 +351,11 @@ def test_solve_step_hopeless_matrix_raises():
 def test_solve_step_validation():
     with pytest.raises(ValueError, match="shape"):
         solve_step(np.zeros(3), np.eye(2))
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="^A must be 1-dimensional"):
+        solve_step(np.zeros((2, 1)), np.eye(2))
+    with pytest.raises(ValueError, match="^B must be square"):
+        solve_step(np.zeros(2), np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="^A must be finite$"):
         solve_step(np.array([np.nan, 0.0]), np.eye(2))
 
 
@@ -466,20 +470,20 @@ def test_private_run_is_deterministic():
     cfg = IRLSConfig(iterations=3, weight_cap=20.0)
     out = []
     for _ in range(2):
-        theta, trace, plan = run_private_irls(ds, cfg, _budget(), Mechanism.LAPLACE, SeededRng(17))
+        theta, trace, plan = run_private_irls(ds, cfg, _budget(), Mechanism.LAPLACE, _stream(17, 0))
         out.append((theta, trace, plan))
     assert np.array_equal(out[0][0], out[1][0])
     for s1, s2 in zip(out[0][1], out[1][1]):
         assert np.array_equal(s1.theta, s2.theta)
         assert s1.objective == s2.objective
-    other, _, _ = run_private_irls(ds, cfg, _budget(), Mechanism.LAPLACE, SeededRng(18))
+    other, _, _ = run_private_irls(ds, cfg, _budget(), Mechanism.LAPLACE, _stream(18, 0))
     assert not np.array_equal(out[0][0], other)
 
 
 def test_private_release_accounting():
     ds = _random_dataset(101, n=300, d=4)
     cfg = IRLSConfig(iterations=6, weight_cap=20.0)
-    _, trace, plan = run_private_irls(ds, cfg, _budget(), Mechanism.LAPLACE, SeededRng(3))
+    _, trace, plan = run_private_irls(ds, cfg, _budget(), Mechanism.LAPLACE, _stream(3, 0))
     assert plan.total_releases == 12
     assert len(trace) == 6
     for state in trace:
@@ -494,13 +498,13 @@ def test_private_gaussian_path():
     ds = _random_dataset(102, n=300, d=4)
     cfg = IRLSConfig(iterations=4, weight_cap=20.0)
     theta, trace, plan = run_private_irls(
-        ds, cfg, _budget(), Mechanism.GAUSSIAN, SeededRng(5), gaussian_failure_prob=1e-6
+        ds, cfg, _budget(), Mechanism.GAUSSIAN, _stream(5, 0), gaussian_failure_prob=1e-6
     )
     assert np.isfinite(theta).all()
     assert trace[0].releases[0].mechanism == "gaussian"
     with pytest.raises(ValueError):
         run_private_irls(
-            ds, cfg, _budget(), Mechanism.GAUSSIAN, SeededRng(5), gaussian_failure_prob=0.0
+            ds, cfg, _budget(), Mechanism.GAUSSIAN, _stream(5, 0), gaussian_failure_prob=0.0
         )
 
 
@@ -514,7 +518,7 @@ def test_private_matches_exact_when_noise_vanishes():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         for mech in (Mechanism.LAPLACE, Mechanism.GAUSSIAN):
-            theta, _, _ = run_private_irls(ds, cfg, big, mech, SeededRng(1))
+            theta, _, _ = run_private_irls(ds, cfg, big, mech, _stream(1, 0))
             np.testing.assert_allclose(theta, exact, rtol=0, atol=1e-6)
 
 
@@ -535,7 +539,7 @@ def test_private_solver_touches_data_only_via_releases(monkeypatch):
 
     monkeypatch.setattr(solver_module, "laplace_perturb", fake_laplace)
     monkeypatch.setattr(solver_module, "wishart_perturb", fake_wishart)
-    theta, _, _ = run_private_irls(ds, cfg, _budget(), Mechanism.LAPLACE, SeededRng(9))
+    theta, _, _ = run_private_irls(ds, cfg, _budget(), Mechanism.LAPLACE, _stream(9, 0))
     exact, _ = run_exact_irls(ds, cfg)
     assert calls == {"laplace": 5, "wishart": 5}
     np.testing.assert_array_equal(theta, exact)
@@ -546,7 +550,7 @@ def test_private_rejects_unnormalized_data():
     ds = Dataset(X=rng.normal(size=(100, 3)) * 5.0, y=rng.normal(size=100))
     with pytest.raises(DataValidationError):
         run_private_irls(
-            ds, IRLSConfig(iterations=2, weight_cap=5.0), _budget(), Mechanism.LAPLACE, SeededRng(0)
+            ds, IRLSConfig(iterations=2, weight_cap=5.0), _budget(), Mechanism.LAPLACE, _stream(0, 0)
         )
 
 
@@ -555,7 +559,7 @@ def test_private_rejects_mechanism_none():
     for label in ("none", "bogus"):
         with pytest.raises(ValueError):
             run_private_irls(
-                ds, IRLSConfig(iterations=2, weight_cap=5.0), _budget(), label, SeededRng(0)
+                ds, IRLSConfig(iterations=2, weight_cap=5.0), _budget(), label, _stream(0, 0)
             )
 
 
@@ -576,7 +580,7 @@ def test_all_mechanism_regime_combinations_run():
     for regime in Regime:
         for mech in (Mechanism.LAPLACE, Mechanism.GAUSSIAN):
             theta, trace, plan = run_private_irls(
-                ds, cfg, _budget(regime), mech, SeededRng(2)
+                ds, cfg, _budget(regime), mech, _stream(2, 0)
             )
             assert np.isfinite(theta).all()
             assert plan.regime is regime
