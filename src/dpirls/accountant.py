@@ -35,6 +35,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .data import _check_int, _check_positive_finite, _check_probability
 
@@ -74,8 +75,7 @@ class PrivacyBudget:
             )
 
 
-@dataclass(frozen=True)
-class NoisePlan:
+class NoisePlan(NamedTuple):
     """Resolved accounting for one run: what each release may spend.
 
     ``rho`` is the zCDP spend of the plan's releases,
@@ -88,13 +88,6 @@ class NoisePlan:
     regime: Regime
     rho: float | None = None
 
-    def __post_init__(self) -> None:
-        _check_positive_finite("eps_prime", self.eps_prime)
-        if self.total_releases < 1:
-            raise ValueError("total_releases must be positive")
-        if (self.rho is not None) != (self.regime is Regime.CDP):
-            raise ValueError("rho is recorded exactly when regime is CDP")
-
 
 def _check_split_args(epsilon: float, iterations: int) -> int:
     _check_positive_finite("epsilon", epsilon)
@@ -102,16 +95,25 @@ def _check_split_args(epsilon: float, iterations: int) -> int:
     return 2 * iterations
 
 
+def _checked_split(eps_prime: float, epsilon: float, k: int) -> float:
+    if not (eps_prime > 0.0 and math.isfinite(eps_prime)):
+        raise ValueError(f"epsilon={epsilon!r} cannot be split over {k} releases: eps'={eps_prime!r}")
+    return eps_prime
+
+
 def cdp_per_release(epsilon: float, iterations: int) -> float:
-    """eps' = sqrt(2 eps / k) for the k = 2J releases under an eps-zCDP budget."""
+    """eps' = sqrt(2 eps / k) for the k = 2J releases under an eps-zCDP budget.
+
+    Computed as sqrt(eps / J), the same float, so that 2 eps cannot overflow.
+    """
     k = _check_split_args(epsilon, iterations)
-    return math.sqrt(2.0 * epsilon / k)
+    return _checked_split(math.sqrt(epsilon / iterations), epsilon, k)
 
 
 def conventional_per_release(epsilon: float, iterations: int) -> float:
     """Basic composition: eps' = eps / k for the k = 2J releases."""
     k = _check_split_args(epsilon, iterations)
-    return epsilon / k
+    return _checked_split(epsilon / k, epsilon, k)
 
 
 def _advanced_cost(eps_prime: float, k: int, failure_prob: float) -> float:
@@ -162,13 +164,15 @@ def plan_for_budget(budget: PrivacyBudget, iterations: int) -> NoisePlan:
     For the CDP regime the plan also records the zCDP receipt ``rho`` of
     the actual releases, which equals the budget up to rounding.
     """
-    k = _check_split_args(budget.epsilon, iterations)
     rho = None
     if budget.regime is Regime.CDP:
         eps_prime = cdp_per_release(budget.epsilon, iterations)
-        rho = k * eps_prime**2 / 2.0
+        # k eps'^2 / 2 with k = 2J, without the doubling that overflows.
+        rho = iterations * eps_prime**2
     elif budget.regime is Regime.CONVENTIONAL:
         eps_prime = conventional_per_release(budget.epsilon, iterations)
     else:
         eps_prime = advanced_per_release(budget.epsilon, budget.failure_prob, iterations)
-    return NoisePlan(eps_prime=eps_prime, total_releases=k, regime=budget.regime, rho=rho)
+    return NoisePlan(
+        eps_prime=eps_prime, total_releases=2 * iterations, regime=budget.regime, rho=rho
+    )

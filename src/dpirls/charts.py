@@ -97,6 +97,21 @@ def emit_svg_chart(summary: list[SummaryRow], path: str, title: str | None = Non
         return _MARGIN_TOP + (y_max - y) / (y_max - y_min) * plot_h
 
     parts: list[str] = []
+
+    def line(x1: float, y1: float, x2: float, y2: float, stroke: str) -> None:
+        parts.append(
+            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
+            f'y2="{_fmt(y2)}" stroke="{stroke}"/>'
+        )
+
+    def text(x: str, y: str, size: int, body: str, anchor: str = "middle", extra: str = "") -> None:
+        # x and y come formatted: two of them are written as bare integers.
+        anchor = f' text-anchor="{anchor}"' if anchor else ""
+        parts.append(
+            f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{extra}>{body}</text>'
+        )
+
     parts.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
@@ -107,56 +122,27 @@ def emit_svg_chart(summary: list[SummaryRow], path: str, title: str | None = Non
         f'width="{_fmt(plot_w)}" height="{_fmt(plot_h)}" fill="none" stroke="#444444"/>'
     )
     if title:
-        parts.append(
-            f'<text x="{_fmt(_WIDTH / 2)}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{_escape(title)}</text>'
-        )
+        text(_fmt(_WIDTH / 2), "24", 15, _escape(title))
 
     # x ticks at every distinct N present in the summary
     seen_n = sorted({row.n for row in summary})
     for n in seen_n:
         x = px(math.log10(n))
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{_fmt(_MARGIN_TOP)}" x2="{_fmt(x)}" '
-            f'y2="{_fmt(_MARGIN_TOP + plot_h)}" stroke="#dddddd"/>'
-        )
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{_fmt(_MARGIN_TOP + plot_h)}" x2="{_fmt(x)}" '
-            f'y2="{_fmt(_MARGIN_TOP + plot_h + 5)}" stroke="#444444"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(_MARGIN_TOP + plot_h + 20)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{n}</text>'
-        )
+        line(x, _MARGIN_TOP, x, _MARGIN_TOP + plot_h, "#dddddd")
+        line(x, _MARGIN_TOP + plot_h, x, _MARGIN_TOP + plot_h + 5, "#444444")
+        text(_fmt(x), _fmt(_MARGIN_TOP + plot_h + 20), 11, str(n))
 
     # five evenly spaced y ticks
     for i in range(5):
         y_val = y_min + (y_max - y_min) * i / 4.0
         y = py(y_val)
-        parts.append(
-            f'<line x1="{_fmt(_MARGIN_LEFT)}" y1="{_fmt(y)}" x2="{_fmt(_MARGIN_LEFT + plot_w)}" '
-            f'y2="{_fmt(y)}" stroke="#eeeeee"/>'
-        )
-        parts.append(
-            f'<line x1="{_fmt(_MARGIN_LEFT - 5)}" y1="{_fmt(y)}" x2="{_fmt(_MARGIN_LEFT)}" '
-            f'y2="{_fmt(y)}" stroke="#444444"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(_MARGIN_LEFT - 9)}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_tick_label(y_val)}</text>'
-        )
+        line(_MARGIN_LEFT, y, _MARGIN_LEFT + plot_w, y, "#eeeeee")
+        line(_MARGIN_LEFT - 5, y, _MARGIN_LEFT, y, "#444444")
+        text(_fmt(_MARGIN_LEFT - 9), _fmt(y + 4), 11, _tick_label(y_val), "end")
 
-    parts.append(
-        f'<text x="{_fmt(_MARGIN_LEFT + plot_w / 2)}" y="{_fmt(_HEIGHT - 18)}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-        "N (log scale)</text>"
-    )
-    parts.append(
-        f'<text x="20" y="{_fmt(_MARGIN_TOP + plot_h / 2)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 20 {_fmt(_MARGIN_TOP + plot_h / 2)})">'
-        "log-likelihood per test point</text>"
-    )
+    text(_fmt(_MARGIN_LEFT + plot_w / 2), _fmt(_HEIGHT - 18), 12, "N (log scale)")
+    mid = _fmt(_MARGIN_TOP + plot_h / 2)
+    text("20", mid, 12, "log-likelihood per test point", extra=f' transform="rotate(-90 20 {mid})"')
 
     for idx, mechanism in enumerate(mechanisms):
         color = _PALETTE[idx % len(_PALETTE)]
@@ -164,15 +150,9 @@ def emit_svg_chart(summary: list[SummaryRow], path: str, title: str | None = Non
         for x, y, err in pts:
             if err > 0.0:
                 cx, y_lo, y_hi = px(x), py(y - err), py(y + err)
-                parts.append(
-                    f'<line x1="{_fmt(cx)}" y1="{_fmt(y_lo)}" x2="{_fmt(cx)}" '
-                    f'y2="{_fmt(y_hi)}" stroke="{color}"/>'
-                )
+                line(cx, y_lo, cx, y_hi, color)
                 for ye in (y_lo, y_hi):
-                    parts.append(
-                        f'<line x1="{_fmt(cx - 3)}" y1="{_fmt(ye)}" x2="{_fmt(cx + 3)}" '
-                        f'y2="{_fmt(ye)}" stroke="{color}"/>'
-                    )
+                    line(cx - 3, ye, cx + 3, ye, color)
         if pts:
             coords = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y, _ in pts)
             parts.append(
@@ -187,10 +167,7 @@ def emit_svg_chart(summary: list[SummaryRow], path: str, title: str | None = Non
         parts.append(
             f'<rect x="{_fmt(lx)}" y="{_fmt(ly - 9)}" width="14" height="14" fill="{color}"/>'
         )
-        parts.append(
-            f'<text x="{_fmt(lx + 20)}" y="{_fmt(ly + 3)}" font-family="sans-serif" '
-            f'font-size="12">{_escape(mechanism)}</text>'
-        )
+        text(_fmt(lx + 20), _fmt(ly + 3), 12, _escape(mechanism), anchor="")
 
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

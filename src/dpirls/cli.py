@@ -9,6 +9,7 @@ their error in the status column.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -25,24 +26,13 @@ from .charts import emit_svg_chart
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in text.split(",") if part.strip())
+        return tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one integer")
-    return values
 
 
 def _label_list(text: str) -> tuple[str, ...]:
-    labels = tuple(part.strip() for part in text.split(",") if part.strip())
-    if not labels:
-        raise argparse.ArgumentTypeError("expected at least one mechanism label")
-    unknown = [m for m in labels if m not in MECHANISM_SPECS]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown mechanism labels {unknown}; known: {', '.join(MECHANISM_SPECS)}"
-        )
-    return labels
+    return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,32 +44,29 @@ def build_parser() -> argparse.ArgumentParser:
             "held-out log-likelihood per point."
         ),
     )
-    parser.add_argument("--d", type=int, default=10, help="feature dimension (default 10)")
-    parser.add_argument(
-        "--n",
-        type=_int_list,
-        default=(500, 1000, 2000, 5000, 10000),
-        help="comma-separated dataset sizes (default 500,1000,2000,5000,10000)",
-    )
-    parser.add_argument("--epsilon", type=float, default=0.9, help="total privacy budget (default 0.9)")
-    parser.add_argument("--iters", type=int, default=10, help="IRLS iterations J (default 10)")
-    parser.add_argument(
-        "--weight-cap", type=float, default=100.0, help="residual weight clamp (default 100)"
-    )
-    parser.add_argument(
+    # ExperimentGrid owns the defaults and checks every value.
+    grid = {f.name: f.default for f in dataclasses.fields(ExperimentGrid)}
+
+    def grid_option(flag: str, field: str, kind, text: str) -> None:
+        parser.add_argument(flag, type=kind, default=grid[field], help=text)
+
+    sizes = ",".join(map(str, grid["n_values"]))
+    labels = ", ".join(MECHANISM_SPECS)
+    grid_option("--d", "d", int, "feature dimension (default %(default)s)")
+    grid_option("--n", "n_values", _int_list, f"comma-separated dataset sizes (default {sizes})")
+    grid_option("--epsilon", "epsilon", float, "total privacy budget (default %(default)g)")
+    grid_option("--iters", "iterations", int, "IRLS iterations J (default %(default)s)")
+    grid_option("--weight-cap", "weight_cap", float, "residual weight clamp (default %(default)g)")
+    grid_option(
         "--delta-f",
-        type=float,
-        default=1e-6,
-        help="failure probability for advanced composition and the Gaussian release (default 1e-6)",
+        "delta_f",
+        float,
+        "failure probability for advanced composition and the Gaussian release "
+        "(default %(default)g)",
     )
-    parser.add_argument(
-        "--mechanisms",
-        type=_label_list,
-        default=tuple(MECHANISM_SPECS),
-        help=f"comma-separated labels from: {', '.join(MECHANISM_SPECS)}",
-    )
-    parser.add_argument("--seeds", type=int, default=20, help="seeds per cell (default 20)")
-    parser.add_argument("--base-seed", type=int, default=0, help="root seed (default 0)")
+    grid_option("--mechanisms", "mechanisms", _label_list, f"comma-separated labels from: {labels}")
+    grid_option("--seeds", "n_seeds", int, "seeds per cell (default %(default)s)")
+    grid_option("--base-seed", "base_seed", int, "root seed (default %(default)s)")
     parser.add_argument(
         "--out-csv",
         default="dpirls_results.csv",

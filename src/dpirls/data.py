@@ -56,7 +56,7 @@ _INT_BOUNDS = {0: "a non-negative integer", 1: "a positive integer"}
 
 
 def _check_int(name: str, value: int, low: int = 1) -> None:
-    if not isinstance(value, (int, np.integer)) or value < low:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
         bound = _INT_BOUNDS.get(low, f"an integer >= {low}")
         raise ValueError(f"{name} must be {bound}, got {value!r}")
 
@@ -87,10 +87,10 @@ def _as_square(name: str, a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _as_theta(theta: np.ndarray, d: int, name: str = "theta") -> np.ndarray:
+def _as_theta(theta: np.ndarray, d: int) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim != 1 or theta.shape[0] != d:
-        raise ValueError(f"{name} must have shape ({d},), got {theta.shape}")
+        raise ValueError(f"theta must have shape ({d},), got {theta.shape}")
     return theta
 
 

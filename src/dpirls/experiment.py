@@ -59,7 +59,7 @@ THREADS_ENV_VAR = "DP_IRLS_THREADS"
 class ExperimentGrid:
     """Full cross product of mechanisms, sizes, and seed indices."""
 
-    n_values: tuple[int, ...]
+    n_values: tuple[int, ...] = (500, 1000, 2000, 5000, 10000)
     d: int = 10
     epsilon: float = 0.9
     iterations: int = 10
@@ -89,13 +89,19 @@ class ExperimentGrid:
             )
         if len(set(self.mechanisms)) != len(self.mechanisms):
             raise ValueError("mechanism labels must be distinct")
-        needs_delta = [m for m in ("dp-advanced", "cdp-gau") if m in self.mechanisms]
+        needs_delta = [m for m in self.mechanisms if _needs_delta(m)]
         if needs_delta and not (0.0 < self.delta_f < 1.0):
             raise ValueError(
                 f"{'/'.join(needs_delta)} needs delta_f in (0, 1), got {self.delta_f!r}"
             )
         _check_int("n_seeds", self.n_seeds)
         _check_int("base_seed", self.base_seed, 0)
+
+
+def _needs_delta(label: str) -> bool:
+    # Strong composition and the Gaussian release each take delta_f.
+    regime, mechanism = MECHANISM_SPECS[label]
+    return regime is Regime.ADVANCED or mechanism is Mechanism.GAUSSIAN
 
 
 class ResultRow(NamedTuple):
@@ -147,11 +153,8 @@ def run_cell(grid: ExperimentGrid, label: str, n: int, seed_idx: int) -> ResultR
                 regime=regime,
             )
             rng = _noise_generator(grid.base_seed, label, n, seed_idx)
-            kwargs = {}
-            if mechanism is Mechanism.GAUSSIAN:
-                kwargs["gaussian_failure_prob"] = grid.delta_f
             theta, _, plan = run_private_irls(
-                split.train, config, budget, mechanism, rng, **kwargs
+                split.train, config, budget, mechanism, rng, gaussian_failure_prob=grid.delta_f
             )
             eps_prime = plan.eps_prime
         loglik = evaluate_fit(split, theta, label, seed_idx).loglik_per_point

@@ -188,12 +188,20 @@ def _cholesky_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray | None:
     # cholesky is LAPACK potrf on B's lower triangle, and it raises
     # LinAlgError exactly where potrf reports info > 0.  Two solves against
     # the factor would cost more than solve(B, A): 19 and 416 us against 20
-    # and 257 us at d = 10 and 100.
+    # and 257 us at d = 10 and 100.  An exactly singular B can pass potrf
+    # on rounding (a pivot near 1e-8) and then fail in LU, so a failed
+    # solve counts as a failed factorization.
     try:
         np.linalg.cholesky(B)
+        theta = np.linalg.solve(B, A)
     except np.linalg.LinAlgError:
         return None
-    return np.linalg.solve(B, A)
+    if not np.isfinite(theta).all():
+        raise MomentSolveError(
+            f"B theta = A overflows float64: max |A| = {np.abs(A).max():.3g}, "
+            f"max |B| = {np.abs(B).max():.3g}"
+        )
+    return theta
 
 
 def solve_step(A: np.ndarray, B: np.ndarray) -> StepSolution:
@@ -206,13 +214,16 @@ def solve_step(A: np.ndarray, B: np.ndarray) -> StepSolution:
     cost about 20 us at d=10 and 250 us at d=100 (2-core host, numpy 2.4,
     OpenBLAS 0.3.31), against 15 and 84 us for LAPACK potrf/potrs.
 
-    If the factorization fails (B not positive definite, e.g. after an
-    unlucky noise draw), retries once with B + lam I for
+    If the factorization or the solve fails (B not positive definite,
+    e.g. after an unlucky noise draw, or exactly singular but passing the
+    Cholesky test on rounding), retries once with B + lam I for
     lam = 1e-8 * trace(B) / d.  A second failure raises
     :class:`MomentSolveError` reporting the eigenvalue range and the
-    ridge that was tried.  A B whose asymmetry exceeds 1e-10 raises
-    ValueError, as :func:`dpirls.mechanisms.wishart_perturb` does: the
-    Cholesky test reads only B's lower triangle, the solve all of it.
+    ridge that was tried.  A theta that overflows float64 (B near
+    singular against a large A) raises it too, so only a finite theta is
+    returned.  A B whose asymmetry exceeds 1e-10 raises ValueError, as
+    :func:`dpirls.mechanisms.wishart_perturb` does: the Cholesky test
+    reads only B's lower triangle, the solve all of it.
     """
     A = _as_vector("A", A)
     B = _as_square("B", B)

@@ -3,8 +3,8 @@
 Generation order: draw X with standard normal rows, scale X so the
 largest row L2 norm is 1, draw the true parameter, draw y = X theta +
 noise from the scaled X, then scale y to [-1, 1].  The true parameter is
-therefore exact for the pre-scaling responses; with the response scaling
-disabled and vanishing noise the generator is an exact-recovery fixture.
+therefore exact for the pre-scaling responses: with vanishing noise it is
+the regression parameter of y before the last step.
 
 Scoring follows the usual Gaussian plug-in: estimate the residual
 variance on the training fit, then report the mean per-point Gaussian
@@ -14,7 +14,7 @@ log-density of the held-out residuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -24,7 +24,6 @@ from .data import (
     _as_theta,
     _check_int,
     _check_positive_finite,
-    _freeze,
     _row_norms,
     validate_dataset,
 )
@@ -51,19 +50,12 @@ class SyntheticSpec:
         _check_int("seed", self.seed, 0)
 
 
-@dataclass(frozen=True)
-class SplitDataset:
+class SplitDataset(NamedTuple):
     """Train/test split of one synthetic problem plus the generating parameter."""
 
     train: Dataset
     test: Dataset
-    true_theta: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        theta = _as_theta(self.true_theta, self.train.d, "true_theta")
-        if self.test.d != self.train.d:
-            raise ValueError("train and test must share the feature dimension")
-        object.__setattr__(self, "true_theta", _freeze(theta))
+    true_theta: np.ndarray
 
 
 class EvalResult(NamedTuple):
@@ -74,14 +66,12 @@ class EvalResult(NamedTuple):
     residual_var: float
 
 
-def generate(spec: SyntheticSpec, *, normalize_response: bool = True) -> SplitDataset:
+def generate(spec: SyntheticSpec) -> SplitDataset:
     """Generate one problem and hold out 10% of the points for testing.
 
     The holdout is the last round(0.1 * n) rows; rows are i.i.d., so any
-    fixed subset is distributionally a uniform one.
-    ``normalize_response=False`` skips the response scaling (the output
-    then deliberately fails the |y| <= 1 bound; it exists so tests can
-    check exact parameter recovery).
+    fixed subset is distributionally a uniform one.  Both splits pass
+    :func:`dpirls.data.validate_dataset`, and ``true_theta`` is read-only.
 
     Scaling by the data's own maxima is not a row-local map, so a private
     run on the output protects the scaled data, not the raw draws.
@@ -95,17 +85,16 @@ def generate(spec: SyntheticSpec, *, normalize_response: bool = True) -> SplitDa
     if max_norm > 0.0:
         X /= max_norm
     theta_star = gen.standard_normal(spec.d)
+    theta_star.setflags(write=False)
     y = X @ theta_star + math.sqrt(spec.noise_var) * gen.standard_normal(spec.n)
-    if normalize_response:
-        max_abs = float(np.abs(y).max())
-        if max_abs > 0.0:
-            y = y / max_abs
+    max_abs = float(np.abs(y).max())
+    if max_abs > 0.0:
+        y = y / max_abs
 
     train = Dataset(X=X[:train_count], y=y[:train_count])
     test = Dataset(X=X[train_count:], y=y[train_count:])
-    if normalize_response:
-        validate_dataset(train)
-        validate_dataset(test)
+    validate_dataset(train)
+    validate_dataset(test)
     return SplitDataset(train=train, test=test, true_theta=theta_star)
 
 

@@ -4,6 +4,8 @@ These deliberately avoid the library's own code paths: plain loops and
 brute-force searches whose correctness is obvious by inspection.
 """
 
+import math
+
 import numpy as np
 
 
@@ -72,3 +74,19 @@ def streaming_mean_stderr(values):
     for v in values:
         ss += (v - mean) ** 2
     return mean, (ss / (k - 1)) ** 0.5 / k**0.5
+
+
+def unscaled_synthetic(n, d, noise_var, seed):
+    """X, y and theta* from synthetic.generate's documented recipe, without
+    its last step, the scaling of y to [-1, 1].
+
+    The draws come from the stream generate uses (spawn key 0 of ``seed``),
+    so theta* is the exact regression parameter of this y up to the noise.
+    """
+    seq = np.random.SeedSequence(seed, spawn_key=(0,))
+    gen = np.random.Generator(np.random.PCG64(seq))
+    X = gen.standard_normal((n, d))
+    X = X / np.linalg.norm(X, axis=1).max()
+    theta = gen.standard_normal(d)
+    y = X @ theta + math.sqrt(noise_var) * gen.standard_normal(n)
+    return X, y, theta

@@ -23,7 +23,6 @@ from dpirls import (
     Mechanism,
     PrivacyBudget,
     Regime,
-    SyntheticSpec,
     advanced_per_release,
     aggregate,
     cdp_per_release,
@@ -32,7 +31,6 @@ from dpirls import (
     emit_csv,
     gaussian_perturb,
     gaussian_std,
-    generate,
     l1_sensitivity_A,
     l2_sensitivity_A,
     laplace_perturb,
@@ -44,7 +42,7 @@ from dpirls import (
     wishart_variance,
 )
 from dpirls.mechanisms import _stream
-from _oracles import grid_l1_minimizer
+from _oracles import grid_l1_minimizer, unscaled_synthetic
 
 
 def _ball_points(gen, m, d, sharp_every=10):
@@ -331,13 +329,12 @@ def test_acceptance_5_exact_solver_oracle_equivalence():
     # Realizable noiseless case: 1111 points leave a 1000-row training
     # split after the 10% holdout.
     for seed in (0, 1, 2):
-        split = generate(
-            SyntheticSpec(n=1111, d=10, noise_var=1e-30, seed=seed),
-            normalize_response=False,
-        )
-        assert split.train.n == 1000
-        theta, _ = run_exact_irls(split.train, loose)
-        err = float(np.linalg.norm(theta - split.true_theta))
+        X, y, true_theta = unscaled_synthetic(n=1111, d=10, noise_var=1e-30, seed=seed)
+        m = 1111 - round(0.1 * 1111)
+        train = Dataset(X[:m], y[:m])
+        assert train.n == 1000
+        theta, _ = run_exact_irls(train, loose)
+        err = float(np.linalg.norm(theta - true_theta))
         assert err <= 1e-6, f"seed {seed}: parameter recovery error {err:.3e}"
 
 

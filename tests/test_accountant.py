@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpirls.accountant import (
-    NoisePlan,
     PrivacyBudget,
     Regime,
     advanced_per_release,
@@ -117,6 +116,27 @@ def test_rules_monotone_in_budget_and_iterations():
         assert rule(0.9, 5) > rule(0.9, 20)
 
 
+def test_split_rules_at_the_float_ends():
+    # The top: 2 eps overflowed above about 9e307, and so did the receipt's
+    # k eps'^2.  sqrt(eps / J) is the old split wherever 2 eps was finite.
+    for eps in (1.7e308, 1.7976931348623157e308):
+        plan = plan_for_budget(PrivacyBudget(eps), 20)
+        assert plan.eps_prime == math.sqrt(eps / 20)
+        assert plan.rho == pytest.approx(eps, rel=1e-15, abs=0)
+        assert plan_for_budget(PrivacyBudget(eps, regime=Regime.CONVENTIONAL), 20).eps_prime == eps / 40
+    for eps, j in ((0.9, 7), (1e-300, 3), (8.9e307, 20)):
+        assert cdp_per_release(eps, j) == math.sqrt(2.0 * eps / (2 * j))
+    # The bottom: a split that rounds to 0.0 names the budget and the
+    # release count, not the per-release value it could not make.
+    for rule in (cdp_per_release, conventional_per_release):
+        with pytest.raises(ValueError, match=r"epsilon=5e-324 cannot be split over 20 releases"):
+            rule(5e-324, 10)
+    for regime in (Regime.CDP, Regime.CONVENTIONAL):
+        with pytest.raises(ValueError, match=r"epsilon=5e-324"):
+            plan_for_budget(PrivacyBudget(5e-324, regime=regime), 10)
+    assert cdp_per_release(5e-324, 1) > 0.0
+
+
 def test_rule_argument_validation():
     for rule in (cdp_per_release, conventional_per_release):
         with pytest.raises(ValueError):
@@ -202,7 +222,3 @@ def test_plan_fields_per_regime():
 def test_plan_validation():
     with pytest.raises(ValueError):
         plan_for_budget(PrivacyBudget(0.9), 0)
-    with pytest.raises(ValueError, match="rho"):
-        NoisePlan(eps_prime=0.1, total_releases=4, regime=Regime.CONVENTIONAL, rho=0.02)
-    with pytest.raises(ValueError, match="rho"):
-        NoisePlan(eps_prime=0.1, total_releases=4, regime=Regime.CDP, rho=None)

@@ -110,11 +110,12 @@ def test_output_bytes_stable_across_blas_thread_counts(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_unknown_mechanism_is_an_argparse_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--mechanisms", "nope"])
-    assert exc.value.code == 2
+def test_unknown_mechanism_is_an_argparse_error(tmp_path, capsys):
+    # The parser only splits the list; ExperimentGrid refuses the label.
+    out_csv = tmp_path / "x.csv"
+    assert main(["--mechanisms", "nope", "--out-csv", str(out_csv)]) == 2
     assert "unknown mechanism" in capsys.readouterr().err
+    assert not out_csv.exists()
 
 
 def test_invalid_grid_returns_two(tmp_path, capsys):

@@ -156,6 +156,8 @@ def test_grid_validation():
         ExperimentGrid(n_values=(100,), mechanisms=("dp-advanced",), delta_f=0.0)
     with pytest.raises(ValueError):
         ExperimentGrid(n_values=(100,), n_seeds=0)
+    with pytest.raises(ValueError, match="n_seeds"):
+        ExperimentGrid(n_values=(100,), n_seeds=True)
     with pytest.raises(ValueError):
         ExperimentGrid(n_values=(100,), epsilon=-1.0)
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """IRLS loop, weights, moments, and the guarded linear solve."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -348,6 +349,26 @@ def test_solve_step_hopeless_matrix_raises():
         solve_step(np.ones(2), np.diag([1.0, -1.0]))
 
 
+def test_exactly_singular_B_that_passes_cholesky_takes_the_ridge():
+    # Twenty copies of one row: B is exactly singular, but potrf accepts it
+    # on rounding and LU then raised a bare LinAlgError ("Singular matrix").
+    ds = Dataset(np.tile([[0.5, 0.5]], (20, 1)), np.full(20, 0.3))
+    B = compute_moments(ds, weights_from_residuals(ds.y, 5.0)).B
+    np.linalg.cholesky(B)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(B, np.ones(2))
+    theta, trace = run_exact_irls(ds, IRLSConfig(3, 5.0))
+    # the ridge of 1e-8 trace(B) / d moves theta by about 1e-8 relative
+    np.testing.assert_allclose(theta, [0.3, 0.3], rtol=1e-7, atol=0)
+    assert all(state.used_ridge for state in trace)
+
+
+def test_solve_step_refuses_an_overflowing_theta():
+    # B passes the Cholesky test, but theta = A / 1e-300 overflows float64.
+    with pytest.raises(MomentSolveError, match="overflows"):
+        solve_step(np.array([1e10, 1.0]), np.diag([1e-300, 1.0]))
+
+
 def test_solve_step_validation():
     with pytest.raises(ValueError, match="shape"):
         solve_step(np.zeros(3), np.eye(2))
@@ -451,6 +472,8 @@ def test_exact_solver_accepts_unnormalized_data():
 def test_config_validation():
     with pytest.raises(ValueError):
         IRLSConfig(iterations=0)
+    with pytest.raises(ValueError, match="iterations"):
+        IRLSConfig(iterations=True)
     with pytest.raises(ValueError):
         IRLSConfig(weight_cap=-1.0)
 
@@ -584,3 +607,53 @@ def test_all_mechanism_regime_combinations_run():
             )
             assert np.isfinite(theta).all()
             assert plan.regime is regime
+
+
+# --- edge-case contract --------------------------------------------------
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    n=st.integers(2, 10),
+    d=st.integers(1, 12),
+    shape=st.sampled_from(["duplicate rows", "zero column", "rounded"]),
+    zero_y=st.booleans(),
+    log_cap=st.floats(-300.0, 300.0),
+    log_eps=st.floats(-300.0, 300.0),
+    iterations=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_edge_case_contract(n, d, shape, zero_y, log_cap, log_eps, iterations, seed):
+    # Degenerate data, extreme caps and budgets: every solver returns a
+    # finite theta or raises MomentSolveError/ValueError, nothing else;
+    # numpy's LinAlgError subclasses ValueError, so it is refused by name.
+    # Only finiteness is asserted; some singular B still solve without the
+    # ridge, to a very large theta.
+    gen = np.random.default_rng(seed)
+    X = gen.standard_normal((n, d))
+    if shape == "duplicate rows":
+        X[n // 2:] = X[: n - n // 2]
+    elif shape == "zero column":
+        X[:, gen.integers(d)] = 0.0
+    else:
+        X = np.round(X)
+    max_norm = np.linalg.norm(X, axis=1).max()
+    if max_norm > 0.0:
+        X /= max_norm
+    y = np.zeros(n) if zero_y else gen.uniform(-1.0, 1.0, n)
+    ds = Dataset(X, y)
+    config = IRLSConfig(iterations, 10.0**log_cap)
+    budget = PrivacyBudget(10.0**log_eps)
+    runs = [lambda: run_exact_irls(ds, config)[0]]
+    for mechanism in Mechanism:
+        runs.append(
+            lambda m=mechanism: run_private_irls(ds, config, budget, m, _stream(seed, 0))[0]
+        )
+    for run in runs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                theta = run()
+            except (MomentSolveError, ValueError) as exc:
+                assert not isinstance(exc, np.linalg.LinAlgError), exc
+                continue
+        assert np.isfinite(theta).all()

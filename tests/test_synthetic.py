@@ -11,7 +11,6 @@ from dpirls.data import validate_dataset
 from dpirls.mechanisms import _stream
 from dpirls.solver import IRLSConfig, run_exact_irls
 from dpirls.synthetic import (
-    SplitDataset,
     SyntheticSpec,
     estimate_residual_variance,
     evaluate_fit,
@@ -19,6 +18,7 @@ from dpirls.synthetic import (
     loglik_per_test_point,
 )
 from dpirls.data import Dataset
+from _oracles import unscaled_synthetic
 
 
 def test_generated_data_satisfies_bounds():
@@ -115,24 +115,14 @@ def test_spec_validation():
         SyntheticSpec(n=10, d=2, seed=-3)
 
 
-def test_true_theta_recovered_without_response_scaling():
-    # with near-zero observation noise and the response scaling disabled,
-    # the generating parameter is the exact regression parameter
-    split = generate(SyntheticSpec(n=1000, d=10, noise_var=1e-20, seed=7), normalize_response=False)
-    res = split.train.y - split.train.X @ split.true_theta
-    assert np.abs(res).max() < 1e-8
-    theta, _ = run_exact_irls(split.train, IRLSConfig(iterations=40, weight_cap=1e6))
-    np.testing.assert_allclose(theta, split.true_theta, rtol=0, atol=1e-6)
-
-
 def test_response_scaling_rescales_theta():
     # the scaled problem's parameter is true_theta / c for the y scale c
     spec = SyntheticSpec(n=800, d=4, noise_var=1e-20, seed=13)
-    raw = generate(spec, normalize_response=False)
+    _, raw_y, true_theta = unscaled_synthetic(spec.n, spec.d, spec.noise_var, spec.seed)
     scaled = generate(spec)
-    c = np.abs(np.concatenate([raw.train.y, raw.test.y])).max()
+    c = np.abs(raw_y).max()
     theta, _ = run_exact_irls(scaled.train, IRLSConfig(iterations=40, weight_cap=1e6))
-    np.testing.assert_allclose(theta, raw.true_theta / c, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(theta, true_theta / c, rtol=0, atol=1e-6)
 
 
 # --- residual variance ---------------------------------------------------
@@ -229,9 +219,3 @@ def test_evaluate_fit_composes_the_pipeline():
     var = estimate_residual_variance(split.train, theta)
     assert result.residual_var == var
     assert result.loglik_per_point == loglik_per_test_point(split.test, theta, var)
-
-
-def test_split_dataset_validation():
-    split = generate(SyntheticSpec(n=100, d=2, seed=0))
-    with pytest.raises(ValueError, match="true_theta"):
-        SplitDataset(train=split.train, test=split.test, true_theta=np.zeros(5))
