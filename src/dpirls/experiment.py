@@ -1,11 +1,12 @@
 """Utility-versus-size experiment grid over mechanisms and budgets.
 
 Each cell is one (mechanism label, dataset size, seed index) triple: a
-fresh synthetic problem is generated, fitted, and scored on its holdout.
-All mechanism labels at the same (size, seed index) share the identical
-dataset; noise streams are derived per label so cells are independent
-and the whole table is reproducible bit for bit regardless of worker
-count or which subset of labels is requested.
+synthetic problem is fitted and scored on its holdout.  The split is
+built once per (size, seed index) and shared by every label there (its
+arrays are read-only, so no label can change what another sees); noise
+streams are derived per label so cells are independent and the whole
+table is reproducible bit for bit regardless of worker count or which
+subset of labels is requested.
 
 Cells run one after another unless the DP_IRLS_THREADS environment
 variable asks for a thread pool.  Serial is the default because on a
@@ -18,6 +19,7 @@ aborting the grid.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 import time
@@ -26,11 +28,19 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import synthetic
 from .accountant import PrivacyBudget, Regime
 from .data import _check_int
 from .mechanisms import _stream
 from .solver import IRLSConfig, Mechanism, run_exact_irls, run_private_irls
-from .synthetic import SyntheticSpec, evaluate_fit, generate
+from .synthetic import SyntheticSpec, evaluate_fit
+
+# run_cell makes its split through this one-entry memo, keyed by the
+# frozen SyntheticSpec.  run_grid runs the labels at one (N, seed) back
+# to back, so each split, with its bounds check and X^T X memos, is
+# built once.  A failing build is not cached, so each cell of its group
+# fails alone.
+generate = functools.lru_cache(maxsize=1)(synthetic.generate)
 
 # label -> (budget regime, mechanism on A); both None for the exact baseline.
 # The composed budgets are not matched guarantees.  cdp-* spend epsilon as
@@ -187,11 +197,12 @@ def run_grid(grid: ExperimentGrid) -> list[ResultRow]:
         workers = 0
     if workers < 1:
         raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {env!r}")
+    # Labels innermost, so each (N, seed) split is built once and reused.
     cells = [
         (label, n, s)
-        for label in grid.mechanisms
         for n in grid.n_values
         for s in range(grid.n_seeds)
+        for label in grid.mechanisms
     ]
     workers = min(workers, len(cells))
     if workers == 1:

@@ -47,6 +47,14 @@ def _check_calibration(n: int, weight_cap: float) -> None:
     _check_positive_finite("weight_cap", weight_cap)
 
 
+def _check_calibrated(name: str, value: float, **inputs: float) -> None:
+    # The derived value can under- or overflow from valid inputs, so the
+    # message names the inputs it came from.
+    if not (value > 0.0 and math.isfinite(value)):
+        given = ", ".join(f"{k}={v!r}" for k, v in inputs.items())
+        raise ValueError(f"{name} must be positive and finite, got {value!r} from {given}")
+
+
 def l1_sensitivity_A(d: int, n: int, weight_cap: float) -> float:
     """Worst-case L1 change of the cross moment A over neighboring datasets.
 
@@ -68,7 +76,7 @@ def laplace_scale(d: int, n: int, eps_prime: float, weight_cap: float) -> float:
     """Per-coordinate Laplace scale Delta_1 / eps' for one release of A."""
     _check_positive_finite("eps_prime", eps_prime)
     scale = l1_sensitivity_A(d, n, weight_cap) / eps_prime
-    _check_positive_finite("scale", scale)
+    _check_calibrated("scale", scale, eps_prime=eps_prime, weight_cap=weight_cap, n=n, d=d)
     return scale
 
 
@@ -90,7 +98,7 @@ def gaussian_std(n: int, eps_prime: float, failure_prob: float, weight_cap: floa
         )
     mult = math.sqrt(2.0 * math.log(1.25 / failure_prob))
     std = mult * l2_sensitivity_A(n, weight_cap) / eps_prime
-    _check_positive_finite("std", std)
+    _check_calibrated("std", std, eps_prime=eps_prime, weight_cap=weight_cap, n=n)
     return std
 
 
@@ -99,7 +107,7 @@ def wishart_variance(n: int, eps_prime: float, weight_cap: float) -> float:
     _check_calibration(n, weight_cap)
     _check_positive_finite("eps_prime", eps_prime)
     variance = weight_cap / (2.0 * eps_prime * n)
-    _check_positive_finite("variance", variance)
+    _check_calibrated("variance", variance, eps_prime=eps_prime, weight_cap=weight_cap, n=n)
     return variance
 
 

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import hashlib
 import math
+import sys
 import time
 
 import numpy as np
@@ -59,9 +60,16 @@ def test_grid_rerun_is_identical_up_to_timing(monkeypatch):
 
 
 def test_grid_independent_of_worker_count(monkeypatch):
+    # More workers than cores, switching threads as often as possible:
+    # labels at one (N, seed) share a split and its memos across workers.
     grid = ExperimentGrid(**SMALL)
     seq = _run_grid(monkeypatch, grid, 1)
-    par = _run_grid(monkeypatch, grid, 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        par = _run_grid(monkeypatch, grid, 4)
+    finally:
+        sys.setswitchinterval(interval)
     assert _strip_time(seq) == _strip_time(par)
 
 
@@ -107,6 +115,28 @@ def test_mechanisms_share_datasets_and_subsets_reproduce(monkeypatch):
     sub = [r for r in _run_grid(monkeypatch, full) if r.mechanism == "non-private"]
     solo = _run_grid(monkeypatch, alone)
     assert _strip_time(sub) == _strip_time(solo)
+
+
+def test_labels_share_one_split_per_size_and_seed(monkeypatch):
+    grid = ExperimentGrid(**{**SMALL, "n_seeds": 3},
+                          mechanisms=("non-private", "cdp-lap", "dp-conventional"))
+    experiment_module.generate.cache_clear()
+    rows = _run_grid(monkeypatch, grid)
+    info = experiment_module.generate.cache_info()
+    assert (info.misses, info.hits) == (2 * 3, 2 * 3 * 2)
+    # Label-major order, as the grid ran before the splits were shared:
+    # consecutive cells never repeat a (N, seed), so every split is fresh.
+    experiment_module.generate.cache_clear()
+    fresh = [
+        run_cell(grid, label, n, s)
+        for label in grid.mechanisms
+        for n in grid.n_values
+        for s in range(grid.n_seeds)
+    ]
+    assert experiment_module.generate.cache_info().hits == 0
+    fresh.sort(key=lambda r: (r.mechanism, r.n, r.seed))
+    assert _strip_time(rows) == _strip_time(fresh)
+    assert all(r.status == "ok" for r in rows)
 
 
 def test_private_noise_differs_between_mechanism_labels(monkeypatch):

@@ -144,6 +144,27 @@ def test_specs_reject_nonpositive_eps(eps):
         wishart_variance(n=10, eps_prime=eps, weight_cap=1.0)
 
 
+def test_calibration_errors_name_their_inputs():
+    # Valid inputs whose quotient under- or overflows: the message must
+    # say which eps', cap and n (and d) gave the unusable value.
+    with pytest.raises(ValueError, match=r"scale .* got 0\.0 from eps_prime=1e\+100, "
+                                         r"weight_cap=1e-300, n=8, d=3"):
+        laplace_scale(d=3, n=8, eps_prime=1e100, weight_cap=1e-300)
+    with pytest.raises(ValueError, match=r"std .* got inf from eps_prime=1e-300, "
+                                         r"weight_cap=1e\+300, n=8"):
+        gaussian_std(n=8, eps_prime=1e-300, failure_prob=1e-6, weight_cap=1e300)
+    with pytest.raises(ValueError, match=r"variance .* got 0\.0 from eps_prime=1e\+100, "
+                                         r"weight_cap=1e-300, n=8"):
+        wishart_variance(n=8, eps_prime=1e100, weight_cap=1e-300)
+
+
+def test_private_run_names_the_inputs_of_an_unusable_scale():
+    split = Dataset(np.full((8, 3), 0.5), np.full(8, 0.25))
+    with pytest.raises(ValueError, match=r"weight_cap=1e-300, n=8, d=3"):
+        run_private_irls(split, IRLSConfig(2, 1e-300), PrivacyBudget(1e100), "laplace",
+                         _stream(0, 0))
+
+
 @pytest.mark.parametrize(
     "perturb, value, args",
     [

@@ -619,10 +619,14 @@ def test_all_mechanism_regime_combinations_run():
     zero_y=st.booleans(),
     log_cap=st.floats(-300.0, 300.0),
     log_eps=st.floats(-300.0, 300.0),
+    regime=st.sampled_from(Regime),
+    log_delta=st.floats(-300.0, -0.01),
     iterations=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_edge_case_contract(n, d, shape, zero_y, log_cap, log_eps, iterations, seed):
+def test_edge_case_contract(
+    n, d, shape, zero_y, log_cap, log_eps, regime, log_delta, iterations, seed
+):
     # Degenerate data, extreme caps and budgets: every solver returns a
     # finite theta or raises MomentSolveError/ValueError, nothing else;
     # numpy's LinAlgError subclasses ValueError, so it is refused by name.
@@ -642,7 +646,8 @@ def test_edge_case_contract(n, d, shape, zero_y, log_cap, log_eps, iterations, s
     y = np.zeros(n) if zero_y else gen.uniform(-1.0, 1.0, n)
     ds = Dataset(X, y)
     config = IRLSConfig(iterations, 10.0**log_cap)
-    budget = PrivacyBudget(10.0**log_eps)
+    delta = 10.0**log_delta if regime is Regime.ADVANCED else 0.0
+    budget = PrivacyBudget(10.0**log_eps, delta, regime)
     runs = [lambda: run_exact_irls(ds, config)[0]]
     for mechanism in Mechanism:
         runs.append(
