@@ -30,9 +30,9 @@ def main():
           f" (error {np.linalg.norm(theta_l1 - theta_true):.4f})")
 
     print("\nmean absolute residual by iteration (monotone by construction):")
-    for state in trace[::5]:
-        print(f"  iter {state.iteration:2d}: {state.objective:.6f}")
-    print(f"  iter {trace[-1].iteration:2d}: {trace[-1].objective:.6f}")
+    for t, state in enumerate(trace, 1):
+        if t % 5 == 1 or t == len(trace):
+            print(f"  iter {t:2d}: {state.objective:.6f}")
 
 
 if __name__ == "__main__":

@@ -63,11 +63,7 @@ class PrivacyBudget:
         if not isinstance(self.regime, Regime):
             raise ValueError(f"regime must be a Regime, got {self.regime!r}")
         if self.regime is Regime.ADVANCED:
-            if not (0.0 < self.failure_prob < 1.0):
-                raise ValueError(
-                    "ADVANCED regime needs failure_prob in (0, 1), "
-                    f"got {self.failure_prob!r}"
-                )
+            _check_probability("failure_prob", self.failure_prob)
         elif self.failure_prob != 0.0:
             raise ValueError(
                 f"failure_prob must be 0 in regime {self.regime.value}, "
@@ -76,17 +72,14 @@ class PrivacyBudget:
 
 
 class NoisePlan(NamedTuple):
-    """Resolved accounting for one run: what each release may spend.
+    """Resolved accounting for one run of J iterations: what each release may spend.
 
-    ``rho`` is the zCDP spend of the plan's releases,
-    ``total_releases * eps_prime**2 / 2``, recorded exactly when the
-    regime is CDP.
+    ``rho = J eps'^2`` is the zCDP spend of the plan's 2J releases,
+    recorded exactly when the regime is CDP and None otherwise.
     """
 
     eps_prime: float
-    total_releases: int
-    regime: Regime
-    rho: float | None = None
+    rho: float | None
 
 
 def _check_split_args(epsilon: float, iterations: int) -> int:
@@ -173,6 +166,4 @@ def plan_for_budget(budget: PrivacyBudget, iterations: int) -> NoisePlan:
         eps_prime = conventional_per_release(budget.epsilon, iterations)
     else:
         eps_prime = advanced_per_release(budget.epsilon, budget.failure_prob, iterations)
-    return NoisePlan(
-        eps_prime=eps_prime, total_releases=2 * iterations, regime=budget.regime, rho=rho
-    )
+    return NoisePlan(eps_prime=eps_prime, rho=rho)

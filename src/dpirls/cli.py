@@ -40,15 +40,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dpirls",
         description=(
             "Compare private and exact L1 regression across dataset sizes: "
-            "one synthetic problem per (mechanism, N, seed) cell, scored by "
-            "held-out log-likelihood per point."
+            "one synthetic problem per (N, seed), fitted by every mechanism "
+            "and scored by held-out log-likelihood per point."
         ),
     )
     # ExperimentGrid owns the defaults and checks every value.
     grid = {f.name: f.default for f in dataclasses.fields(ExperimentGrid)}
 
     def grid_option(flag: str, field: str, kind, text: str) -> None:
-        parser.add_argument(flag, type=kind, default=grid[field], help=text)
+        # main fills ExperimentGrid by dest; metavar is argparse's own for the flag.
+        metavar = flag.lstrip("-").replace("-", "_").upper()
+        parser.add_argument(
+            flag, type=kind, default=grid[field], dest=field, metavar=metavar, help=text
+        )
 
     sizes = ",".join(map(str, grid["n_values"]))
     labels = ", ".join(MECHANISM_SPECS)
@@ -84,17 +88,8 @@ def summary_path_for(out_csv: str) -> str:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        grid = ExperimentGrid(
-            n_values=args.n,
-            d=args.d,
-            epsilon=args.epsilon,
-            iterations=args.iters,
-            weight_cap=args.weight_cap,
-            delta_f=args.delta_f,
-            mechanisms=args.mechanisms,
-            n_seeds=args.seeds,
-            base_seed=args.base_seed,
-        )
+        fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentGrid)}
+        grid = ExperimentGrid(**fields)
         # Cells catch their own errors: run_grid raises only for a bad
         # DP_IRLS_THREADS, and does so before the first cell.
         rows = run_grid(grid)
@@ -105,10 +100,14 @@ def main(argv: list[str] | None = None) -> int:
     emit_csv(rows, args.out_csv)
     summary = aggregate(rows)
     emit_csv(summary, summary_path_for(args.out_csv))
-    if args.out_svg:
+    chart = args.out_svg
+    if chart and not any(math.isfinite(s.mean_loglik) for s in summary):
+        print(f"dpirls: no finite mean to plot; {chart} not written", file=sys.stderr)
+        chart = None
+    if chart:
         emit_svg_chart(
             summary,
-            args.out_svg,
+            chart,
             title=f"L1 regression utility, d={grid.d}, eps={grid.epsilon:g}, J={grid.iterations}",
         )
 
@@ -119,8 +118,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{s.mechanism:<18}{s.n:>8}{mean:>16}{err:>12}{s.n_seeds:>7}")
     print(f"results: {args.out_csv}")
     print(f"summary: {summary_path_for(args.out_csv)}")
-    if args.out_svg:
-        print(f"chart:   {args.out_svg}")
+    if chart:
+        print(f"chart:   {chart}")
 
     failures = [r for r in rows if r.status != "ok"]
     if failures:

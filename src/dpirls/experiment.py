@@ -30,7 +30,7 @@ import numpy as np
 
 from . import synthetic
 from .accountant import PrivacyBudget, Regime
-from .data import _check_int
+from .data import _check_int, _check_probability
 from .mechanisms import _stream
 from .solver import IRLSConfig, Mechanism, run_exact_irls, run_private_irls
 from .synthetic import SyntheticSpec, evaluate_fit
@@ -100,10 +100,8 @@ class ExperimentGrid:
         if len(set(self.mechanisms)) != len(self.mechanisms):
             raise ValueError("mechanism labels must be distinct")
         needs_delta = [m for m in self.mechanisms if _needs_delta(m)]
-        if needs_delta and not (0.0 < self.delta_f < 1.0):
-            raise ValueError(
-                f"{'/'.join(needs_delta)} needs delta_f in (0, 1), got {self.delta_f!r}"
-            )
+        if needs_delta:
+            _check_probability(f"delta_f (used by {'/'.join(needs_delta)})", self.delta_f)
         _check_int("n_seeds", self.n_seeds)
         _check_int("base_seed", self.base_seed, 0)
 

@@ -18,6 +18,7 @@ always runs the configured number of iterations.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -66,16 +67,24 @@ class StepSolution(NamedTuple):
     used_ridge: bool
 
 
+def _check_weight_cap(weight_cap: float) -> None:
+    # The clamp's floor 1/weight_cap must be finite too, or every weight
+    # would be 1/inf = 0.
+    _check_positive_finite("weight_cap", weight_cap)
+    if math.isinf(1.0 / float(weight_cap)):
+        raise ValueError(f"weight_cap must have a finite reciprocal, got {weight_cap!r}")
+
+
 @dataclass(frozen=True)
 class IRLSConfig:
     """Loop parameters shared by the exact and private solvers."""
 
-    iterations: int = 10
-    weight_cap: float = 100.0
+    iterations: int
+    weight_cap: float
 
     def __post_init__(self) -> None:
         _check_int("iterations", self.iterations)
-        _check_positive_finite("weight_cap", self.weight_cap)
+        _check_weight_cap(self.weight_cap)
 
 
 class NoiseRelease(NamedTuple):
@@ -88,17 +97,17 @@ class NoiseRelease(NamedTuple):
 class IRLSState(NamedTuple):
     """Snapshot after one iteration.
 
-    ``weights`` are the clamped weights that built this iteration's
-    moments (computed from the previous iterate); ``objective`` is the
-    mean absolute residual of ``theta`` itself.
+    ``trace[t]`` holds iteration t + 1.  ``weights`` are the clamped
+    weights that built this iteration's moments (computed from the
+    previous iterate); ``objective`` is the mean absolute residual of
+    ``theta`` itself.
     """
 
-    iteration: int
     theta: np.ndarray
     weights: np.ndarray
     objective: float
     used_ridge: bool
-    releases: tuple[NoiseRelease, ...] = ()
+    releases: tuple[NoiseRelease, ...]
 
 
 def residuals(dataset: Dataset, theta: np.ndarray) -> np.ndarray:
@@ -112,7 +121,7 @@ def weights_from_residuals(res: np.ndarray, weight_cap: float) -> np.ndarray:
     Every output lies in (0, weight_cap]; the cap binds exactly when
     |r_i| <= 1/weight_cap.  Built in one n-length buffer.
     """
-    _check_positive_finite("weight_cap", weight_cap)
+    _check_weight_cap(weight_cap)
     w = np.abs(np.asarray(res, dtype=np.float64))
     np.maximum(w, 1.0 / weight_cap, out=w)
     return np.divide(1.0, w, out=w)
@@ -254,7 +263,7 @@ def _run_loop(
     theta = np.zeros(dataset.d)
     res = residuals(dataset, theta)
     trace: list[IRLSState] = []
-    for t in range(1, config.iterations + 1):
+    for _ in range(config.iterations):
         weights = weights_from_residuals(res, config.weight_cap)
         moments = compute_moments(dataset, weights)
         if release is None:
@@ -270,7 +279,6 @@ def _run_loop(
         weights.setflags(write=False)
         trace.append(
             IRLSState(
-                iteration=t,
                 theta=theta,
                 weights=weights,
                 objective=float(np.mean(np.abs(res))),
@@ -281,15 +289,12 @@ def _run_loop(
     return theta, tuple(trace)
 
 
-def run_exact_irls(
-    dataset: Dataset, config: IRLSConfig | None = None
-) -> tuple[np.ndarray, tuple[IRLSState, ...]]:
+def run_exact_irls(dataset: Dataset, config: IRLSConfig) -> tuple[np.ndarray, tuple[IRLSState, ...]]:
     """Noise-free IRLS on the exact moments.
 
     Returns the final iterate and the per-iteration trace.  Does not
     require the privacy norm bounds, since nothing is released.
     """
-    config = config or IRLSConfig()
     return _run_loop(dataset, config, release=None)
 
 

@@ -1,6 +1,7 @@
 """Command line behavior: flags, outputs, exit codes, determinism."""
 
 import csv
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
+import dpirls.cli as cli_module
 import dpirls.experiment as experiment_module
 from dpirls.cli import build_parser, main, summary_path_for
+from dpirls.experiment import ExperimentGrid
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -41,13 +44,40 @@ def test_help_exits_zero(capsys):
 def test_default_flag_values():
     args = build_parser().parse_args([])
     assert args.d == 10
-    assert args.n == (500, 1000, 2000, 5000, 10000)
+    assert args.n_values == (500, 1000, 2000, 5000, 10000)
     assert args.epsilon == 0.9
-    assert args.iters == 10
+    assert args.iterations == 10
     assert args.weight_cap == 100.0
     assert args.delta_f == 1e-6
-    assert args.seeds == 20
+    assert args.n_seeds == 20
     assert args.base_seed == 0
+
+
+def test_grid_flags_fill_the_grid_by_field_name(tmp_path, monkeypatch):
+    seen = []
+
+    def capture(grid):
+        seen.append(grid)
+        return []
+
+    monkeypatch.setattr(cli_module, "run_grid", capture)
+    argv = [
+        "--d", "3", "--n", "100,300", "--epsilon", "0.5", "--iters", "4",
+        "--weight-cap", "7", "--delta-f", "1e-5", "--mechanisms", "cdp-gau,non-private",
+        "--seeds", "2", "--base-seed", "5",
+    ]
+    assert main(argv + ["--out-csv", str(tmp_path / "r.csv")]) == 0
+    expected = ExperimentGrid(
+        n_values=(100, 300), d=3, epsilon=0.5, iterations=4, weight_cap=7.0, delta_f=1e-5,
+        mechanisms=("cdp-gau", "non-private"), n_seeds=2, base_seed=5,
+    )
+    fields = dataclasses.fields(ExperimentGrid)
+    assert all(getattr(expected, f.name) != f.default for f in fields)
+    assert seen == [expected]
+    # each field is the dest of exactly one flag
+    names = sorted(f.name for f in fields)
+    dests = [action.dest for action in build_parser()._actions]
+    assert sorted(dest for dest in dests if dest in names) == names
 
 
 def test_end_to_end_run(tmp_path, capsys):
@@ -86,7 +116,7 @@ def test_output_bytes_stable_across_thread_counts(tmp_path, monkeypatch):
     assert _mask_wall_time(paths[0]) == _mask_wall_time(paths[1])
     s0 = summary_path_for(str(paths[0]))
     s1 = summary_path_for(str(paths[1]))
-    assert open(s0, "rb").read() == open(s1, "rb").read()
+    assert Path(s0).read_bytes() == Path(s1).read_bytes()
 
 
 def test_output_bytes_stable_across_blas_thread_counts(tmp_path):
@@ -171,6 +201,24 @@ def test_failed_cells_reported_and_exit_one(tmp_path, monkeypatch, capsys):
     assert bad and all(r[6].startswith("error:") for r in bad)
     good = [r for r in rows if r[1] == "100"]
     assert good and all(r[6] == "ok" for r in good)
+
+
+def test_chart_skipped_when_no_cell_succeeds(tmp_path, monkeypatch, capsys):
+    def failing_generate(spec, **kwargs):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(experiment_module, "generate", failing_generate)
+    out_csv = tmp_path / "f.csv"
+    out_svg = tmp_path / "f.svg"
+    code = main(FAST + ["--out-csv", str(out_csv), "--out-svg", str(out_svg)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "no finite mean to plot" in captured.err
+    assert "8 of 8 cells failed" in captured.err
+    assert "Traceback" not in captured.err
+    assert "mean_loglik" in captured.out and "chart:" not in captured.out
+    assert not out_svg.exists()
+    assert out_csv.exists() and Path(summary_path_for(str(out_csv))).exists()
 
 
 def test_import_loads_no_scipy():

@@ -375,7 +375,7 @@ _RANDOMIZED = {
     "wishart": lambda rng: wishart_perturb(np.eye(2), 0.5, 1.0, 10, rng),
     "run_private_irls": lambda rng: run_private_irls(
         Dataset(X=np.array([[0.5], [-0.25], [0.1]]), y=np.array([0.5, 0.25, -0.2])),
-        IRLSConfig(iterations=2),
+        IRLSConfig(iterations=2, weight_cap=100.0),
         PrivacyBudget(0.9),
         "laplace",
         rng,

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from _oracles import grid_l1_minimizer, longdouble_solve, naive_moments
 
 import dpirls.solver as solver_module
-from dpirls.accountant import PrivacyBudget, Regime
+from dpirls.accountant import PrivacyBudget, Regime, plan_for_budget
 from dpirls.data import DataValidationError, Dataset, normalize_dataset
 from dpirls.mechanisms import _stream, wishart_perturb
 from dpirls.solver import (
@@ -457,7 +457,6 @@ def test_no_early_stopping():
     ds = Dataset(X=np.eye(3) * 0.5, y=np.array([0.25, 0.25, 0.25]))
     _, trace = run_exact_irls(ds, IRLSConfig(iterations=30, weight_cap=5.0))
     assert len(trace) == 30
-    assert [st.iteration for st in trace] == list(range(1, 31))
     # the exact solver releases nothing, so its states carry no records
     assert all(st.releases == () and st.used_ridge is False for st in trace)
 
@@ -471,11 +470,18 @@ def test_exact_solver_accepts_unnormalized_data():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        IRLSConfig(iterations=0)
+        IRLSConfig(iterations=0, weight_cap=100.0)
     with pytest.raises(ValueError, match="iterations"):
-        IRLSConfig(iterations=True)
+        IRLSConfig(iterations=True, weight_cap=100.0)
     with pytest.raises(ValueError):
-        IRLSConfig(weight_cap=-1.0)
+        IRLSConfig(iterations=10, weight_cap=-1.0)
+    # 1/1e-310 overflows to inf, so the clamp would make every weight 0;
+    # 1e-300 still has a finite reciprocal.
+    IRLSConfig(iterations=10, weight_cap=1e-300)
+    with pytest.raises(ValueError, match="weight_cap"):
+        IRLSConfig(iterations=10, weight_cap=1e-310)
+    with pytest.raises(ValueError, match="weight_cap"):
+        weights_from_residuals(np.zeros(3), 1e-310)
 
 
 # --- private IRLS --------------------------------------------------------
@@ -507,8 +513,8 @@ def test_private_release_accounting():
     ds = _random_dataset(101, n=300, d=4)
     cfg = IRLSConfig(iterations=6, weight_cap=20.0)
     _, trace, plan = run_private_irls(ds, cfg, _budget(), Mechanism.LAPLACE, _stream(3, 0))
-    assert plan.total_releases == 12
     assert len(trace) == 6
+    assert sum(len(state.releases) for state in trace) == 2 * cfg.iterations
     for state in trace:
         assert len(state.releases) == 2
         assert state.releases[0].mechanism == "laplace"
@@ -602,11 +608,10 @@ def test_all_mechanism_regime_combinations_run():
     cfg = IRLSConfig(iterations=2, weight_cap=10.0)
     for regime in Regime:
         for mech in (Mechanism.LAPLACE, Mechanism.GAUSSIAN):
-            theta, trace, plan = run_private_irls(
-                ds, cfg, _budget(regime), mech, _stream(2, 0)
-            )
+            budget = _budget(regime)
+            theta, trace, plan = run_private_irls(ds, cfg, budget, mech, _stream(2, 0))
             assert np.isfinite(theta).all()
-            assert plan.regime is regime
+            assert plan == plan_for_budget(budget, cfg.iterations)
 
 
 # --- edge-case contract --------------------------------------------------
