@@ -39,6 +39,11 @@ class DataValidationError(ValueError):
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     # Fortran order is what Dataset.X needs; for vectors it is C order too.
+    # An array that is already stored so, read-only and owning its buffer,
+    # is adopted as it is; anything else is copied.
+    flags = a.flags
+    if a.dtype == np.float64 and flags.f_contiguous and flags.owndata and not flags.writeable:
+        return a
     out = np.array(a, dtype=np.float64, order="F", copy=True)
     out.setflags(write=False)
     return out
@@ -129,7 +134,7 @@ class Dataset:
 
     Construction checks shapes only.  Use :func:`validate_dataset` to
     enforce the norm bounds, or :func:`normalize_dataset` to establish
-    them.  The stored arrays are read-only copies, and ``X`` is stored
+    them.  The stored arrays are read-only, and ``X`` is stored
     column-major (Fortran order) whatever the input's order: every pass
     the solver makes over X (``X @ theta``, ``X.T @ v``, the row scaling
     ``X * sqrt(w)[:, None]``, row norms) then streams through each
@@ -137,6 +142,12 @@ class Dataset:
     per row.  ``X^T X`` and ``X^T y`` are memoised per instance on first
     use (see ``_unit_moments``), and so is a passed bounds check (see
     ``_bounds_checked``); both are sound because the arrays are read-only.
+
+    An input that is already float64, F-contiguous, read-only and owns its
+    buffer is adopted as it is, not copied; whoever passes one hands it
+    over and must not set it writeable again.  Every other input (a
+    writeable array, a view, C order, another dtype, a list) is copied, so
+    later changes to the caller's array do not reach the dataset.
     """
 
     X: np.ndarray = field(repr=False)
@@ -173,9 +184,9 @@ class Dataset:
         """X^T X (one syrk) and X^T y, computed on first use and kept.
 
         :func:`dpirls.solver.compute_moments` builds its capped-weight
-        update from these.  ``X`` and ``y`` are read-only copies taken at
-        construction, so the memo cannot go stale; it lives in this
-        instance's ``__dict__``, so no two datasets share one.
+        update from these.  ``X`` and ``y`` are read-only and private to
+        the dataset from construction on, so the memo cannot go stale; it
+        lives in this instance's ``__dict__``, so no two datasets share one.
         """
         XtX = self.X.T @ self.X
         Xty = self.X.T @ self.y
@@ -265,8 +276,10 @@ def normalize_dataset(X: np.ndarray, y: np.ndarray) -> Dataset:
         Validated dataset with max row norm and max ``|y|`` equal to 1
         (within a few ulp) unless the corresponding input was all zero.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    # One private column-major copy of each input, scaled in place and
+    # then adopted by the Dataset: never the caller's own arrays.
+    X = np.array(X, dtype=np.float64, order="F")
+    y = np.array(y, dtype=np.float64)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
         raise DataValidationError(
             f"expected X (n, d) and y (n,); got X {X.shape} and y {y.shape}"
@@ -276,8 +289,10 @@ def normalize_dataset(X: np.ndarray, y: np.ndarray) -> Dataset:
 
     max_norm = float(_row_norms(X).max()) if X.size else 0.0
     if max_norm > 0.0 and abs(max_norm - 1.0) > _RENORM_SKIP:
-        X = X / max_norm
+        X /= max_norm
     max_abs_y = float(np.abs(y).max()) if y.size else 0.0
     if max_abs_y > 0.0 and abs(max_abs_y - 1.0) > _RENORM_SKIP:
-        y = y / max_abs_y
+        y /= max_abs_y
+    X.setflags(write=False)
+    y.setflags(write=False)
     return validate_dataset(Dataset(X=X, y=y))

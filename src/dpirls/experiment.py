@@ -19,7 +19,6 @@ aborting the grid.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import os
 import time
@@ -33,14 +32,31 @@ from .accountant import PrivacyBudget, Regime
 from .data import _check_int, _check_probability
 from .mechanisms import _stream
 from .solver import IRLSConfig, Mechanism, run_exact_irls, run_private_irls
-from .synthetic import SyntheticSpec, evaluate_fit
+from .synthetic import SplitDataset, SyntheticSpec, evaluate_fit
 
-# run_cell makes its split through this one-entry memo, keyed by the
-# frozen SyntheticSpec.  run_grid runs the labels at one (N, seed) back
-# to back, so each split, with its bounds check and X^T X memos, is
-# built once.  A failing build is not cached, so each cell of its group
-# fails alone.
-generate = functools.lru_cache(maxsize=1)(synthetic.generate)
+# The split generate last returned, with its spec; None when empty.
+_last_split: tuple[SyntheticSpec, SplitDataset] | None = None
+
+
+def generate(spec: SyntheticSpec) -> SplitDataset:
+    """``synthetic.generate`` through a one-entry memo keyed by the frozen spec.
+
+    run_grid runs the labels at one (N, seed) back to back, so each split,
+    with its bounds check and X^T X memos, is built once.  The previous
+    split is dropped before the next is built, so two never live here at
+    once, and run_grid empties the memo when it returns.  A failing build
+    leaves the memo empty, so each cell of its group fails alone.  Two
+    pool workers may both build a split the memo lacks; each gets a
+    correct one.
+    """
+    global _last_split
+    last = _last_split
+    if last is not None and last[0] == spec:
+        return last[1]
+    _last_split = None
+    split = synthetic.generate(spec)
+    _last_split = (spec, split)
+    return split
 
 # label -> (budget regime, mechanism on A); both None for the exact baseline.
 # The composed budgets are not matched guarantees.  cdp-* spend epsilon as
@@ -188,6 +204,7 @@ def run_grid(grid: ExperimentGrid) -> list[ResultRow]:
     DP_IRLS_THREADS value that is not a positive integer raises
     ValueError before any cell runs.
     """
+    global _last_split
     env = os.environ.get(THREADS_ENV_VAR, "1")
     try:
         workers = int(env)
@@ -203,15 +220,18 @@ def run_grid(grid: ExperimentGrid) -> list[ResultRow]:
         for label in grid.mechanisms
     ]
     workers = min(workers, len(cells))
-    if workers == 1:
-        rows = [run_cell(grid, *cell) for cell in cells]
-    else:
-        # Imported here: the pool is opt-in, and concurrent.futures costs
-        # every serial run its import time.
-        from concurrent.futures import ThreadPoolExecutor
+    try:
+        if workers == 1:
+            rows = [run_cell(grid, *cell) for cell in cells]
+        else:
+            # Imported here: the pool is opt-in, and concurrent.futures costs
+            # every serial run its import time.
+            from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda c: run_cell(grid, *c), cells))
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                rows = list(pool.map(lambda c: run_cell(grid, *c), cells))
+    finally:
+        _last_split = None
     rows.sort(key=lambda r: (r.mechanism, r.n, r.seed))
     return rows
 

@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import (
+    _NORM_BLOCK_ELEMENTS,
     Dataset,
     _as_theta,
     _check_int,
@@ -73,29 +74,78 @@ def generate(spec: SyntheticSpec) -> SplitDataset:
     fixed subset is distributionally a uniform one.  Both splits pass
     :func:`dpirls.data.validate_dataset`, and ``true_theta`` is read-only.
 
+    Block order: X is drawn in row blocks of about 2^16 entries, each a
+    multiple of 64 rows high and counted from the first row of X, not of
+    each split; the last block takes the rows left over (all n when n is
+    smaller than one block), and a one-row remainder joins the block
+    before it.  Each block's row norms are taken, then it is copied
+    straight into the column-major train or test array, or both when it
+    straddles the split.  Consecutive draws continue one stream, so X is
+    bitwise the single (n, d) draw of the module's generation order.
+    ``X @ theta*`` runs over the same blocks, each gathered back into C
+    order.  With every block starting at a multiple of 4 rows, the
+    OpenBLAS kernels checked give each row bitwise as the product over
+    the whole C-ordered X on one thread does, which a block starting at
+    the test split's first row would not.  The split holds the only copy
+    of X: each Dataset adopts its array.
+
     Scaling by the data's own maxima is not a row-local map, so a private
     run on the output protects the scaled data, not the raw draws.
     """
-    test_count = round(0.1 * spec.n)
-    train_count = spec.n - test_count
+    n, d = spec.n, spec.d
+    test_count = round(0.1 * n)
+    train_count = n - test_count
+    X_train = np.empty((train_count, d), order="F")
+    X_test = np.empty((test_count, d), order="F")
+    parts = ((X_train, 0), (X_test, train_count))
+    step = min(n, max(64, _NORM_BLOCK_ELEMENTS // d // 64 * 64))
+    # A one-row last block joins the block before it: numpy multiplies a
+    # (1, d) block by theta* along another path, with other rounding.
+    edges = [*range(0, n - 1, step), n]
+    blocks = list(zip(edges, edges[1:]))
 
     gen = _stream(spec.seed, 0)
-    X = gen.standard_normal((spec.n, spec.d))
-    max_norm = float(_row_norms(X).max())
+    max_norm = 0.0
+    for start, stop in blocks:
+        block = gen.standard_normal((stop - start, d))
+        max_norm = max(max_norm, float(_row_norms(block).max()))
+        for rows, block_rows in _overlaps(parts, start, stop):
+            rows[...] = block[block_rows]
     if max_norm > 0.0:
-        X /= max_norm
-    theta_star = gen.standard_normal(spec.d)
+        X_train /= max_norm
+        X_test /= max_norm
+    theta_star = gen.standard_normal(d)
     theta_star.setflags(write=False)
-    y = X @ theta_star + math.sqrt(spec.noise_var) * gen.standard_normal(spec.n)
+
+    y = np.empty(n)
+    buf = np.empty((max(stop - start for start, stop in blocks), d))
+    for start, stop in blocks:
+        for rows, block_rows in _overlaps(parts, start, stop):
+            buf[block_rows] = rows
+        y[start:stop] = buf[: stop - start] @ theta_star
+    del block, buf  # before the bounds checks add their own temporaries
+    y += math.sqrt(spec.noise_var) * gen.standard_normal(n)
     max_abs = float(np.abs(y).max())
     if max_abs > 0.0:
-        y = y / max_abs
+        y /= max_abs
 
-    train = Dataset(X=X[:train_count], y=y[:train_count])
-    test = Dataset(X=X[train_count:], y=y[train_count:])
+    X_train.setflags(write=False)
+    X_test.setflags(write=False)
+    train = Dataset(X=X_train, y=y[:train_count])
+    test = Dataset(X=X_test, y=y[train_count:])
     validate_dataset(train)
     validate_dataset(test)
     return SplitDataset(train=train, test=test, true_theta=theta_star)
+
+
+def _overlaps(parts, start: int, stop: int):
+    # For each (array, first global row) in parts that global rows
+    # [start, stop) reach: the view of its rows there, and the matching
+    # rows of the block that starts at global row start.
+    for X, offset in parts:
+        lo, hi = max(start, offset), min(stop, offset + X.shape[0])
+        if lo < hi:
+            yield X[lo - offset : hi - offset], slice(lo - start, hi - start)
 
 
 def estimate_residual_variance(dataset: Dataset, theta: np.ndarray) -> float:

@@ -120,20 +120,37 @@ def test_mechanisms_share_datasets_and_subsets_reproduce(monkeypatch):
 def test_labels_share_one_split_per_size_and_seed(monkeypatch):
     grid = ExperimentGrid(**{**SMALL, "n_seeds": 3},
                           mechanisms=("non-private", "cdp-lap", "dp-conventional"))
-    experiment_module.generate.cache_clear()
+    memo, build = experiment_module.generate, experiment_module.synthetic.generate
+    calls, builds = [], []
+
+    def counted_memo(spec):
+        calls.append(spec)
+        return memo(spec)
+
+    def counted_build(spec):
+        # The previous split is dropped before the next one is built.
+        assert experiment_module._last_split is None
+        builds.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(experiment_module, "generate", counted_memo)
+    monkeypatch.setattr(experiment_module.synthetic, "generate", counted_build)
+    monkeypatch.setattr(experiment_module, "_last_split", None)
     rows = _run_grid(monkeypatch, grid)
-    info = experiment_module.generate.cache_info()
-    assert (info.misses, info.hits) == (2 * 3, 2 * 3 * 2)
+    misses = len(builds)
+    assert (misses, len(calls) - misses) == (2 * 3, 2 * 3 * 2)
+    assert experiment_module._last_split is None  # run_grid empties the memo
     # Label-major order, as the grid ran before the splits were shared:
     # consecutive cells never repeat a (N, seed), so every split is fresh.
-    experiment_module.generate.cache_clear()
+    calls.clear()
+    builds.clear()
     fresh = [
         run_cell(grid, label, n, s)
         for label in grid.mechanisms
         for n in grid.n_values
         for s in range(grid.n_seeds)
     ]
-    assert experiment_module.generate.cache_info().hits == 0
+    assert len(calls) - len(builds) == 0
     fresh.sort(key=lambda r: (r.mechanism, r.n, r.seed))
     assert _strip_time(rows) == _strip_time(fresh)
     assert all(r.status == "ok" for r in rows)
