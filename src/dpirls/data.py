@@ -28,8 +28,8 @@ _RENORM_SKIP = 1e-12
 # larger asymmetry means the caller is not passing a moment matrix.
 _SYMMETRY_TOLERANCE = 1e-10
 
-# _row_norms works through X in blocks of about this many entries, so its
-# temporaries stay at 512 KiB whatever n is.
+# _row_norms and _first_nonfinite_row work through X in blocks of about
+# this many entries, so their temporaries stay at 512 KiB whatever n is.
 _NORM_BLOCK_ELEMENTS = 1 << 16
 
 
@@ -128,6 +128,17 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
     return out
 
 
+def _first_nonfinite_row(X: np.ndarray) -> int:
+    # Index of the first row of X holding a NaN or an infinity, or -1.
+    # Checked over blocks of rows, so no n x d mask is allocated.
+    step = max(1, _NORM_BLOCK_ELEMENTS // max(X.shape[1], 1))
+    for start in range(0, X.shape[0], step):
+        finite = np.isfinite(X[start:start + step])
+        if not finite.all():
+            return start + int(np.argmin(finite.all(axis=1)))
+    return -1
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Design matrix ``X`` of shape (n, d) and response vector ``y`` of shape (n,).
@@ -137,9 +148,10 @@ class Dataset:
     them.  The stored arrays are read-only, and ``X`` is stored
     column-major (Fortran order) whatever the input's order: every pass
     the solver makes over X (``X @ theta``, ``X.T @ v``, the row scaling
-    ``X * sqrt(w)[:, None]``, row norms) then streams through each
-    feature column contiguously instead of running a d-element inner loop
-    per row.  ``X^T X`` and ``X^T y`` are memoised per instance on first
+    ``X[a:b] * sqrt(w[a:b])[:, None]`` and the row gather of one block in
+    ``compute_moments``, row norms) then streams through each feature
+    column contiguously instead of running a d-element inner loop per
+    row.  ``X^T X`` and ``X^T y`` are memoised per instance on first
     use (see ``_unit_moments``), and so is a passed bounds check (see
     ``_bounds_checked``); both are sound because the arrays are read-only.
 
@@ -234,14 +246,18 @@ def validate_dataset(dataset: Dataset) -> Dataset:
 
 
 def _check_bounds(dataset: Dataset) -> None:
-    if not np.isfinite(dataset.X).all():
-        bad = int(np.argwhere(~np.isfinite(dataset.X).all(axis=1))[0, 0])
-        raise DataValidationError(f"X contains a non-finite value at row {bad}")
+    norms = _row_norms(dataset.X)
+    # A finite row norm means a finite row, so X is searched for a NaN or
+    # an infinity only when some norm is not finite (the norm of a huge
+    # but finite row overflows too).
+    if not np.isfinite(norms).all():
+        bad = _first_nonfinite_row(dataset.X)
+        if bad >= 0:
+            raise DataValidationError(f"X contains a non-finite value at row {bad}")
     if not np.isfinite(dataset.y).all():
         bad = int(np.argwhere(~np.isfinite(dataset.y))[0, 0])
         raise DataValidationError(f"y contains a non-finite value at row {bad}")
 
-    norms = _row_norms(dataset.X)
     over = norms > 1.0 + NORM_TOLERANCE
     if over.any():
         bad = int(np.argmax(over))
@@ -284,7 +300,7 @@ def normalize_dataset(X: np.ndarray, y: np.ndarray) -> Dataset:
         raise DataValidationError(
             f"expected X (n, d) and y (n,); got X {X.shape} and y {y.shape}"
         )
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+    if _first_nonfinite_row(X) >= 0 or not np.isfinite(y).all():
         raise DataValidationError("cannot normalize non-finite data")
 
     max_norm = float(_row_norms(X).max()) if X.size else 0.0

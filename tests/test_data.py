@@ -216,6 +216,43 @@ def test_normalize_peak_memory_stays_near_one_copy():
     assert peak <= 1.3 * X.nbytes, peak / X.nbytes
 
 
+def test_validation_peak_memory_is_a_small_fraction_of_X():
+    # Finiteness and row norms are checked over blocks of rows; one
+    # isfinite(X) mask alone was 0.125x the size of X.
+    rng = np.random.default_rng(5)
+    ds = Dataset(X=rng.uniform(-1.0, 1.0, size=(20000, 50)) / 8.0, y=rng.uniform(-1.0, 1.0, 20000))
+    tracemalloc.start()
+    try:
+        validate_dataset(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.115 * ds.X.nbytes, peak / ds.X.nbytes
+
+
+def test_non_finite_value_in_a_late_block_names_its_row():
+    rng = np.random.default_rng(6)
+    n, d = 20000, 50
+    assert n * d > 10 * _NORM_BLOCK_ELEMENTS
+    X = rng.uniform(-1.0, 1.0, size=(n, d)) / 8.0
+    y = rng.uniform(-1.0, 1.0, n)
+    for row, bad in ((n - 2, np.nan), (17001, -np.inf)):
+        X_bad = X.copy()
+        X_bad[row, 7] = bad
+        X_bad[-1, 0] = np.inf  # a later bad row is not the one reported
+        with pytest.raises(DataValidationError, match=f"non-finite value at row {row}$"):
+            validate_dataset(Dataset(X=X_bad, y=y))
+        with pytest.raises(DataValidationError, match="^cannot normalize non-finite data$"):
+            normalize_dataset(X_bad, y)
+    # A finite row whose norm overflows is reported by its norm instead.
+    X_big = X.copy()
+    X_big[n - 3] = 1e200
+    with np.errstate(over="ignore"), pytest.raises(
+        DataValidationError, match=f"^row {n - 3} of X has L2 norm inf > 1"
+    ):
+        validate_dataset(Dataset(X=X_big, y=y))
+
+
 def test_normalize_known_values():
     # max row norm 5 -> rows scaled by 1/5; max |y| = 4 -> y scaled by 1/4
     ds = normalize_dataset(np.array([[3.0, 4.0], [0.0, 1.0]]), np.array([2.0, -4.0]))

@@ -1,6 +1,7 @@
 """IRLS loop, weights, moments, and the guarded linear solve."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -135,6 +136,22 @@ def _rel_frobenius(got, ref):
     return float(np.linalg.norm((got - ref).astype(np.float64)) / np.linalg.norm(ref.astype(np.float64)))
 
 
+def _one_product_moments(ds, w):
+    # compute_moments' formulas as one product over all rows: the direct
+    # one, or the capped-weight update where its two conditions hold.
+    n = ds.n
+    if not _update_path_taken(w):
+        Xs = ds.X * np.sqrt(w)[:, None]
+        return ds.X.T @ (w * ds.y) / n, (Xs.T @ Xs) / n
+    hi = w.max()
+    idx = np.flatnonzero(w < hi)
+    c = np.sqrt(hi - w[idx])
+    Gt = np.take(ds.X.T, idx, axis=1)
+    Gt *= c
+    XtX, Xty = ds.X.T @ ds.X, ds.X.T @ ds.y
+    return (hi * Xty - Gt @ (c * ds.y[idx])) / n, (hi * XtX - Gt @ Gt.T) / n
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(
     n=st.integers(20, 3000),
@@ -174,13 +191,10 @@ def test_moments_property_against_longdouble(n, d, cap, share, ratio, subspace, 
     A_ref, B_ref = _longdouble_moments(ds, w)
     assert _rel_frobenius(m.A, A_ref) <= 1e-12
     assert _rel_frobenius(m.B, B_ref) <= 1e-12
-    if not _update_path_taken(w):
-        Xs = ds.X * np.sqrt(w)[:, None]
-        assert np.array_equal(m.A, ds.X.T @ (w * ds.y) / n)
-        assert np.array_equal(m.B, (Xs.T @ Xs) / n)
-        assert "_unit_moments" not in vars(ds)
-    else:
-        assert "_unit_moments" in vars(ds)
+    # Every draw fits one block (n d <= 90000): the one-product bits.
+    assert ("_unit_moments" in vars(ds)) == _update_path_taken(w)
+    A_one, B_one = _one_product_moments(ds, w)
+    assert np.array_equal(m.A, A_one) and np.array_equal(m.B, B_one)
 
     # A second dataset of the same shape gets its own memo: scaling by
     # powers of two is exact, so its moments are exactly rescaled, and
@@ -213,6 +227,104 @@ def test_moments_update_path_only_when_most_rows_are_capped():
     A_ref, B_ref = naive_moments(ds.X, ds.y, w)
     np.testing.assert_allclose(m.A, A_ref, rtol=0, atol=1e-14)
     np.testing.assert_allclose(m.B, B_ref, rtol=0, atol=1e-14)
+
+
+def _capped_weights(n, below, seed, cap=5.0):
+    # ``below`` rows drawn under the cap (max/min < 64), the rest at it
+    rng = np.random.default_rng(seed)
+    w = np.full(n, cap)
+    w[rng.permutation(n)[:below]] = rng.uniform(cap / 8.0, cap, size=below) * (1.0 - 1e-12)
+    return w
+
+
+def _block_rows(d):
+    return max(1, solver_module._MOMENT_BLOCK_ELEMENTS // d)
+
+
+@pytest.mark.parametrize("path", ["direct", "update"])
+def test_multi_block_moments_against_longdouble(path):
+    ds = _random_dataset(16, n=30000, d=40)
+    if path == "direct":
+        w = np.random.default_rng(17).uniform(0.01, 10.0, size=ds.n)
+        rows = ds.n
+    else:
+        rows = 14000
+        w = _capped_weights(ds.n, rows, seed=17)
+    assert _update_path_taken(w) == (path == "update")
+    assert rows > _block_rows(ds.d)  # two blocks or more
+    m = compute_moments(ds, w)
+    assert np.array_equal(m.B, m.B.T)
+    A_ref, B_ref = _longdouble_moments(ds, w)
+    assert _rel_frobenius(m.A, A_ref) <= 1e-12
+    assert _rel_frobenius(m.B, B_ref) <= 1e-12
+
+
+def test_update_path_block_edges():
+    d = 20
+    step = _block_rows(d)
+    ds = _random_dataset(18, n=2 * (2 * step + 1), d=d)
+    XtX, Xty = ds.X.T @ ds.X, ds.X.T @ ds.y
+    # k = 0: no row below the cap leaves b X^T X and b X^T y exactly.
+    m = compute_moments(ds, np.full(ds.n, 5.0))
+    assert np.array_equal(m.A, 5.0 * Xty / ds.n) and np.array_equal(m.B, 5.0 * XtX / ds.n)
+    # k = 1 and a k that fits one block exactly: the one-product formula.
+    for k in (1, step):
+        w = _capped_weights(ds.n, k, seed=k)
+        m, ref = compute_moments(ds, w), _one_product_moments(ds, w)
+        assert np.array_equal(m.A, ref[0]) and np.array_equal(m.B, ref[1]), k
+    # A k one row past a block edge (a one-row last block), and one that
+    # ends mid-block after two full ones.
+    for k in (step + 1, 2 * step + 1):
+        w = _capped_weights(ds.n, k, seed=k)
+        assert _update_path_taken(w)
+        m = compute_moments(ds, w)
+        assert np.array_equal(m.B, m.B.T), k
+        A_ref, B_ref = _longdouble_moments(ds, w)
+        assert _rel_frobenius(m.A, A_ref) <= 1e-12, k
+        assert _rel_frobenius(m.B, B_ref) <= 1e-12, k
+
+
+@pytest.mark.parametrize("path", ["direct", "update"])
+def test_one_block_moments_are_the_one_product_formula_bitwise(path):
+    # The README grid's largest training split: every call it makes is one
+    # block, so its bytes are those of the one-product formula.
+    ds = _random_dataset(19, n=9000, d=10)
+    assert ds.n * ds.d <= solver_module._MOMENT_BLOCK_ELEMENTS
+    if path == "direct":
+        w = np.random.default_rng(20).uniform(0.01, 10.0, size=ds.n)
+    else:
+        w = _capped_weights(ds.n, 4000, seed=20)
+    assert _update_path_taken(w) == (path == "update")
+    m, ref = compute_moments(ds, w), _one_product_moments(ds, w)
+    assert np.array_equal(m.A, ref[0])
+    assert np.array_equal(m.B, ref[1])
+
+
+@pytest.mark.parametrize(
+    "path, n, d, bound",
+    [("direct", 200_000, 10, 0.5), ("update", 100_000, 50, 0.2)],
+)
+def test_moments_scratch_memory_is_a_block_not_a_copy(path, n, d, bound):
+    # The peak is one block of 4 MiB plus a few vectors of length n; one
+    # product over all rows copied X (1.10 times its size on the direct
+    # path) or the half of its rows below the cap (0.53 on the update).
+    rng = np.random.default_rng(21)
+    X = rng.uniform(-1.0, 1.0, size=(n, d)) / math.sqrt(d)
+    ds = Dataset(X=X, y=rng.uniform(-1.0, 1.0, size=n))
+    del X
+    if path == "direct":
+        w = rng.uniform(0.01, 10.0, size=n)
+    else:
+        w = _capped_weights(n, n // 2, seed=22)
+        ds._unit_moments  # memoised once per dataset, not scratch
+    assert _update_path_taken(w) == (path == "update")
+    tracemalloc.start()
+    try:
+        compute_moments(ds, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * ds.X.nbytes, peak / ds.X.nbytes
 
 
 def test_moments_validation():
