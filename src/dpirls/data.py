@@ -152,8 +152,9 @@ class Dataset:
     ``compute_moments``, row norms) then streams through each feature
     column contiguously instead of running a d-element inner loop per
     row.  ``X^T X`` and ``X^T y`` are memoised per instance on first
-    use (see ``_unit_moments``), and so is a passed bounds check (see
-    ``_bounds_checked``); both are sound because the arrays are read-only.
+    use (see ``_unit_moments``), and so are the solver's first IRLS step
+    (see ``_first_step``) and a passed bounds check (see
+    ``_bounds_checked``); all are sound because the arrays are read-only.
 
     An input that is already float64, F-contiguous, read-only and owns its
     buffer is adopted as it is, not copied; whoever passes one hands it
@@ -205,6 +206,22 @@ class Dataset:
         XtX.setflags(write=False)
         Xty.setflags(write=False)
         return XtX, Xty
+
+    @functools.cached_property
+    def _first_step(self) -> list:
+        """The solver's first IRLS step on this dataset: one slot, ``[None]`` until a solve fills it.
+
+        Every solve starts at theta = 0, where the clamped weights
+        1 / max(1/weight_cap, |y_i|) and the exact moments A and B depend
+        on X, y and the cap alone.  The first solve that misses this memo
+        computes them and stores ``(cap key, weights, MomentPair)`` in the
+        slot with read-only arrays, replacing the entry for any other cap;
+        every later solve at that cap, exact or private, starts from it (a
+        private one still adds its own noise to these moments).  It cannot
+        go stale for the same reason as ``_unit_moments``: X and y never
+        change, and neither does the step they determine at a given cap.
+        """
+        return [None]
 
     @functools.cached_property
     def _bounds_checked(self) -> bool:
@@ -281,7 +298,8 @@ def normalize_dataset(X: np.ndarray, y: np.ndarray) -> Dataset:
     absolute entry, each only when that maximum differs from 1 by more
     than ``1e-12``.  The skip makes the operation bitwise idempotent:
     normalizing an already-normalized dataset returns identical bytes.
-    All-zero inputs are returned unchanged.
+    All-zero inputs are returned unchanged.  Non-finite data, and a row
+    whose L2 norm overflows float64, raise :class:`DataValidationError`.
 
     Scaling by the data's own maxima is not a row-local map, so a private
     run on the result protects the normalized data, not the caller's.
@@ -303,7 +321,18 @@ def normalize_dataset(X: np.ndarray, y: np.ndarray) -> Dataset:
     if _first_nonfinite_row(X) >= 0 or not np.isfinite(y).all():
         raise DataValidationError("cannot normalize non-finite data")
 
-    max_norm = float(_row_norms(X).max()) if X.size else 0.0
+    # A finite row whose norm overflows would make max_norm inf and X all
+    # zeros after the division; it is refused instead, without numpy's
+    # overflow warning.
+    with np.errstate(over="ignore"):
+        norms = _row_norms(X)
+    max_norm = float(norms.max()) if X.size else 0.0
+    if math.isinf(max_norm):
+        bad = int(np.argmax(np.isinf(norms)))
+        raise DataValidationError(
+            f"row {bad} of X has an L2 norm that overflows float64; "
+            "scale X down before normalizing"
+        )
     if max_norm > 0.0 and abs(max_norm - 1.0) > _RENORM_SKIP:
         X /= max_norm
     max_abs_y = float(np.abs(y).max()) if y.size else 0.0

@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -290,3 +291,21 @@ def test_normalize_leaves_zero_data_alone():
 def test_normalize_rejects_non_finite():
     with pytest.raises(DataValidationError, match="non-finite"):
         normalize_dataset(np.array([[np.inf, 0.0]]), np.array([1.0]))
+
+
+def test_normalize_refuses_a_row_norm_that_overflows():
+    # Dividing by an infinite max_norm would zero all of X.  The refusal
+    # names the first such row and raises no overflow warning on the way.
+    match = "^row {} of X has an L2 norm that overflows float64"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataValidationError, match=match.format(0)):
+            normalize_dataset([[1e200, 1.0], [0.5, 0.25]], [1.0, 2.0])
+        X = np.full((2000, 3), 0.5)
+        X[[1500, 1700], 2] = -1e160
+        with pytest.raises(DataValidationError, match=match.format(1500)):
+            normalize_dataset(X, np.ones(2000))
+        # A large row whose norm stays finite still scales, exactly here.
+        big = 2.0**500
+        ds = normalize_dataset([[big, 0.0], [0.5, 0.25]], [1.0, 2.0])
+    np.testing.assert_array_equal(ds.X, [[1.0, 0.0], [0.5 / big, 0.25 / big]])

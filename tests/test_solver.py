@@ -1,6 +1,8 @@
 """IRLS loop, weights, moments, and the guarded linear solve."""
 
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -13,6 +15,7 @@ import dpirls.solver as solver_module
 from dpirls.accountant import PrivacyBudget, Regime, plan_for_budget
 from dpirls.data import DataValidationError, Dataset, normalize_dataset
 from dpirls.mechanisms import _stream, wishart_perturb
+from dpirls.synthetic import SyntheticSpec, generate
 from dpirls.solver import (
     IRLSConfig,
     Mechanism,
@@ -565,12 +568,75 @@ def test_objective_is_mean_absolute_residual():
 
 
 def test_no_early_stopping():
-    # trivially converged after one step, but the trace still has J states
+    # trivially converged after one step: the exact loop stops computing,
+    # but the trace still has J states
     ds = Dataset(X=np.eye(3) * 0.5, y=np.array([0.25, 0.25, 0.25]))
     _, trace = run_exact_irls(ds, IRLSConfig(iterations=30, weight_cap=5.0))
     assert len(trace) == 30
     # the exact solver releases nothing, so its states carry no records
     assert all(st.releases == () and st.used_ridge is False for st in trace)
+
+
+def _reference_loop(ds, cfg):
+    # The loop as the paper states it: J rounds of residuals, weights,
+    # moments and solve from theta = 0, nothing memoised, no stopping.
+    theta = np.zeros(ds.d)
+    res = residuals(ds, theta)
+    states = []
+    for _ in range(cfg.iterations):
+        w = weights_from_residuals(res, cfg.weight_cap)
+        m = compute_moments(ds, w)
+        solution = solve_step(m.A, m.B)
+        theta = solution.theta
+        res = residuals(ds, theta)
+        states.append((theta, w, float(np.mean(np.abs(res))), solution.used_ridge))
+    return states
+
+
+def _assert_trace_is(trace, states):
+    assert len(trace) == len(states)
+    for state, (theta, w, objective, used_ridge) in zip(trace, states):
+        assert state.theta.tobytes() == theta.tobytes()
+        assert state.weights.tobytes() == w.tobytes()
+        assert state.objective == objective and state.used_ridge == used_ridge
+
+
+def _fresh_copy(ds):
+    return Dataset(X=ds.X.copy(), y=ds.y.copy())
+
+
+def _moment_calls(monkeypatch):
+    # The weights of every compute_moments call the solvers make.
+    calls = []
+    original = solver_module.compute_moments
+
+    def recording(dataset, weights):
+        calls.append(np.array(weights))
+        return original(dataset, weights)
+
+    monkeypatch.setattr(solver_module, "compute_moments", recording)
+    return calls
+
+
+def test_exact_solve_stops_at_its_bitwise_fixed_point(monkeypatch):
+    # At cap 5 the first shape's iterate repeats itself bit for bit after a
+    # few iterations, the second's never does within J = 20.  Both traces
+    # are the full loop's, bit for bit, but only the first saves calls.
+    calls = _moment_calls(monkeypatch)
+    for spec, cap, stalls in (
+        (SyntheticSpec(n=500, d=10, seed=0), 5.0, True),
+        (SyntheticSpec(n=300, d=4, seed=0), 100.0, False),
+    ):
+        ds = generate(spec).train
+        cfg = IRLSConfig(iterations=20, weight_cap=cap)
+        states = _reference_loop(_fresh_copy(ds), cfg)
+        thetas = [theta.tobytes() for theta, *_ in states]
+        assert any(a == b for a, b in zip(thetas, thetas[1:])) == stalls
+        calls.clear()
+        theta, trace = run_exact_irls(ds, cfg)
+        _assert_trace_is(trace, states)
+        assert theta.tobytes() == thetas[-1]
+        assert (len(calls) < cfg.iterations) == stalls
 
 
 def test_exact_solver_accepts_unnormalized_data():
@@ -724,6 +790,81 @@ def test_all_mechanism_regime_combinations_run():
             theta, trace, plan = run_private_irls(ds, cfg, budget, mech, _stream(2, 0))
             assert np.isfinite(theta).all()
             assert plan == plan_for_budget(budget, cfg.iterations)
+
+
+def test_solves_on_one_dataset_share_their_first_step(monkeypatch):
+    ds = _random_dataset(107, n=400, d=5)
+    cfg = IRLSConfig(iterations=4, weight_cap=20.0)
+
+    def solves(data, config):
+        return (
+            lambda: run_private_irls(data, config, _budget(), Mechanism.LAPLACE, _stream(4, 0)),
+            lambda: run_private_irls(
+                data, config, _budget(Regime.ADVANCED), Mechanism.GAUSSIAN, _stream(5, 0),
+                gaussian_failure_prob=1e-6,
+            ),
+            lambda: run_exact_irls(data, config),
+        )
+
+    def outputs(result):
+        theta, trace = result[:2]
+        return theta.tobytes(), [
+            (s.theta.tobytes(), s.weights.tobytes(), s.objective, s.used_ridge, s.releases)
+            for s in trace
+        ]
+
+    def first_step_calls(cap):
+        w0 = weights_from_residuals(residuals(ds, np.zeros(ds.d)), cap).tobytes()
+        return sum(w.tobytes() == w0 for w in calls)
+
+    alone = [outputs(solves(_fresh_copy(ds), cfg)[i]()) for i in range(3)]
+    calls = _moment_calls(monkeypatch)
+    assert [outputs(solve()) for solve in solves(ds, cfg)] == alone
+    assert first_step_calls(cfg.weight_cap) == 1
+    _, weights, moments = vars(ds)["_first_step"][0]
+    assert not any(a.flags.writeable for a in (weights, *moments))
+
+    # Another cap, or a float32 cap equal in value but not in its clamp,
+    # builds its own first step, which replaces the entry.
+    for cap in (10.0, np.float32(20.0), 20.0):
+        other = IRLSConfig(iterations=4, weight_cap=cap)
+        expected = outputs(run_exact_irls(_fresh_copy(ds), other))
+        calls.clear()
+        assert outputs(run_exact_irls(ds, other)) == expected
+        assert first_step_calls(cap) == 1
+
+
+def test_threads_sharing_a_dataset_get_the_steps_they_would_get_alone():
+    # Four threads on two cores, switching as often as possible, solve on
+    # one dataset at two caps, so each keeps replacing the other's entry.
+    # A thread that read one cap's key with another's step, or a step
+    # half-replaced, would return other bits than the same solve alone.
+    ds = _random_dataset(108, n=300, d=4)
+    configs = [IRLSConfig(iterations=3, weight_cap=cap) for cap in (5.0, 20.0)]
+    expected = [run_exact_irls(_fresh_copy(ds), cfg)[0].tobytes() for cfg in configs]
+    results, errors = [], []
+
+    def worker(i):
+        try:
+            for j in range(30):
+                k = (i + j) % 2
+                results.append(run_exact_irls(ds, configs[k])[0].tobytes() == expected[k])
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and len(results) == 4 * 30 and all(results)
+    assert vars(ds)["_first_step"][0][0] in {(float, cfg.weight_cap) for cfg in configs}
 
 
 # --- edge-case contract --------------------------------------------------
