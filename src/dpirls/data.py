@@ -326,6 +326,11 @@ def normalize_dataset(X: np.ndarray, y: np.ndarray) -> Dataset:
     # overflow warning.
     with np.errstate(over="ignore"):
         norms = _row_norms(X)
+    # Below 2^-500 the squares in a norm can underflow (1e-170 reads 0.0).
+    # Scaling X by 2^600 is exact and leaves every nonzero square normal.
+    if X.size and norms.max() < 2.0**-500:
+        np.ldexp(X, 600, out=X)
+        norms = _row_norms(X)
     max_norm = float(norms.max()) if X.size else 0.0
     if math.isinf(max_norm):
         bad = int(np.argmax(np.isinf(norms)))

@@ -16,6 +16,7 @@ perturb function refuses a non-finite moment.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -53,6 +54,22 @@ def _check_calibrated(name: str, value: float, **inputs: float) -> None:
     if not (value > 0.0 and math.isfinite(value)):
         given = ", ".join(f"{k}={v!r}" for k, v in inputs.items())
         raise ValueError(f"{name} must be positive and finite, got {value!r} from {given}")
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _memo(calibration, *args):
+    return calibration(*args)
+
+
+def _memoised(calibration, *args):
+    # calibration(*args), kept per function and argument values and types,
+    # so a solve's 2J releases derive their noise scales once.  A failure is
+    # not kept, nor is an unhashable argument such as a 0-d array.
+    try:
+        return _memo(calibration, *args)
+    except TypeError:
+        pass
+    return calibration(*args)
 
 
 def l1_sensitivity_A(d: int, n: int, weight_cap: float) -> float:
@@ -96,6 +113,11 @@ def gaussian_std(n: int, eps_prime: float, failure_prob: float, weight_cap: floa
             UserWarning,
             stacklevel=2,
         )
+    # Memoised below the warning, which fires on every call.
+    return _memoised(_gaussian_std, n, eps_prime, failure_prob, weight_cap)
+
+
+def _gaussian_std(n, eps_prime, failure_prob, weight_cap):
     mult = math.sqrt(2.0 * math.log(1.25 / failure_prob))
     std = mult * l2_sensitivity_A(n, weight_cap) / eps_prime
     _check_calibrated("std", std, eps_prime=eps_prime, weight_cap=weight_cap, n=n)
@@ -124,7 +146,7 @@ def laplace_perturb(
     data bounds and weight clamp stated in the module docstring.
     """
     A = _as_vector("A", A)
-    scale = laplace_scale(A.shape[0], n, eps_prime, weight_cap)
+    scale = _memoised(laplace_scale, A.shape[0], n, eps_prime, weight_cap)
     _check_generator(rng)
     return A + rng.laplace(loc=0.0, scale=scale, size=A.shape)
 
@@ -169,7 +191,7 @@ def wishart_perturb(
     _check_symmetric("B", B)
     d = B.shape[0]
     _check_int("d", d)
-    variance = wishart_variance(n, eps_prime, weight_cap)
+    variance = _memoised(wishart_variance, n, eps_prime, weight_cap)
     _check_generator(rng)
     Z = rng.normal(loc=0.0, scale=math.sqrt(variance), size=(d, d + 1))
     # numpy routes Z @ Z.T to BLAS syrk, which computes one triangle and

@@ -207,7 +207,7 @@ def compute_moments(dataset: Dataset, weights: np.ndarray) -> MomentPair:
         raise ValueError(f"weights must have shape ({dataset.n},), got {w.shape}")
     # One min/max pair serves the check (NaN fails both comparisons) and
     # the choice of path.
-    lo, hi = w.min(), w.max()
+    lo, hi = np.minimum.reduce(w), np.maximum.reduce(w)
     if not (lo > 0.0 and hi < np.inf):
         raise ValueError("weights must be finite and strictly positive")
     n, d = dataset.n, dataset.d
@@ -261,8 +261,8 @@ def _cholesky_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray | None:
     # The Cholesky factor is the positive-definiteness test: numpy's
     # cholesky is LAPACK potrf on B's lower triangle, and it raises
     # LinAlgError exactly where potrf reports info > 0.  Two solves against
-    # the factor would cost more than solve(B, A): 19 and 416 us against 20
-    # and 257 us at d = 10 and 100.  An exactly singular B can pass potrf
+    # the factor would cost more than solve(B, A): 11 and 184 us against 6
+    # and 95 us at d = 10 and 100.  An exactly singular B can pass potrf
     # on rounding (a pivot near 1e-8) and then fail in LU, so a failed
     # solve counts as a failed factorization.
     try:
@@ -285,8 +285,9 @@ def solve_step(A: np.ndarray, B: np.ndarray) -> StepSolution:
     it is, theta comes from ``np.linalg.solve(B, A)`` (LU with partial
     pivoting, backward stable on such a B), because numpy has no
     triangular solve to reuse the factor with.  The check and the solve
-    cost about 20 us at d=10 and 250 us at d=100 (2-core host, numpy 2.4,
-    OpenBLAS 0.3.31), against 15 and 84 us for LAPACK potrf/potrs.
+    cost about 4 + 6 us at d=10 and 45 + 92 us at d=100 (2-core host, numpy
+    2.4, OpenBLAS 0.3.31, repeated calls), against 2 and 38 us for LAPACK
+    potrf/potrs.
 
     If the factorization or the solve fails (B not positive definite,
     e.g. after an unlucky noise draw, or exactly singular but passing the
@@ -372,7 +373,8 @@ def _run_loop(
             IRLSState(
                 theta=theta,
                 weights=weights,
-                objective=float(np.mean(np.abs(res))),
+                # np.mean's bits without its Python wrapper.
+                objective=float(np.add.reduce(np.abs(res))) / dataset.n,
                 used_ridge=solution.used_ridge,
                 releases=rels,
             )
@@ -429,6 +431,7 @@ def run_private_irls(
     validate_dataset(dataset)
     plan = plan_for_budget(budget, config.iterations)
     n, cap, eps_prime = dataset.n, config.weight_cap, plan.eps_prime
+    rels = (NoiseRelease(mechanism.value, eps_prime), NoiseRelease("wishart", eps_prime))
 
     def release(moments: MomentPair):
         if mechanism is Mechanism.LAPLACE:
@@ -438,10 +441,6 @@ def run_private_irls(
                 moments.A, eps_prime, gaussian_failure_prob, cap, n, rng
             )
         B_out = wishart_perturb(moments.B, eps_prime, cap, n, rng)
-        rels = (
-            NoiseRelease(mechanism=mechanism.value, eps_prime=eps_prime),
-            NoiseRelease(mechanism="wishart", eps_prime=eps_prime),
-        )
         return A_out, B_out, rels
 
     theta, trace = _run_loop(dataset, config, release=release)

@@ -282,6 +282,17 @@ def test_normalize_reaches_unit_maximum():
         validate_dataset(ds)
 
 
+@pytest.mark.parametrize("v", [1e-170, 3e-162, 1e-160])
+def test_normalize_scales_rows_whose_squares_underflow(v):
+    # Squared, these entries underflow: 1e-170 read as all-zero X, 3e-162
+    # gave a largest row norm of 0.954, and 1e-160 one above the bound.
+    ds = normalize_dataset([[v, v], [v / 2, 0.0]], [1.0, 0.5])
+    norms = np.linalg.norm(ds.X, axis=1)
+    assert abs(norms.max() - 1.0) <= 4 * np.finfo(float).eps
+    np.testing.assert_allclose(ds.X, [[2**-0.5, 2**-0.5], [2**-1.5, 0.0]], rtol=1e-15)
+    np.testing.assert_array_equal(ds.y, [1.0, 0.5])
+
+
 def test_normalize_leaves_zero_data_alone():
     ds = normalize_dataset(np.zeros((4, 2)), np.zeros(4))
     assert np.array_equal(ds.X, np.zeros((4, 2)))

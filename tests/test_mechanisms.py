@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import dpirls.mechanisms as mechanisms
 from dpirls.accountant import PrivacyBudget, plan_for_budget
 from dpirls.data import Dataset
 from dpirls.mechanisms import (
@@ -255,6 +256,84 @@ def test_perturb_determinism():
         other = fn(*args, _stream(9, 5))
         assert np.array_equal(one, two)
         assert not np.array_equal(one, other)
+
+
+# --- memoised calibrations ----------------------------------------------
+
+_RELEASES = [
+    (laplace_perturb, np.zeros(2), {}),
+    (gaussian_perturb, np.zeros(2), {"failure_prob": 1e-6}),
+    (wishart_perturb, np.eye(2), {}),
+]
+
+
+@pytest.mark.parametrize("perturb, value, extra", _RELEASES)
+def test_releases_check_their_calibration_on_every_call(perturb, value, extra):
+    # A valid call fills the memo first; a failure is never kept, so each
+    # bad argument raises on every call, with the error it raised before.
+    good = dict(eps_prime=0.5, weight_cap=1.0, n=10, **extra)
+    perturb(value, rng=_stream(0, 0), **good)
+    bad = [
+        ({"eps_prime": -0.5}, ValueError, "eps_prime must be positive"),
+        ({"eps_prime": "0.5"}, TypeError, "not supported"),
+        ({"weight_cap": 0.0}, ValueError, "weight_cap must be positive"),
+        ({"n": 0}, ValueError, "n must be a positive integer"),
+        ({"n": 10.0}, ValueError, "n must be a positive integer"),
+        ({"eps_prime": 1e-300, "weight_cap": 1e300}, ValueError, "got inf from"),
+    ]
+    if extra:
+        bad.append(({"failure_prob": 0.0}, ValueError, "failure_prob must lie"))
+    for change, error, match in bad:
+        for _ in range(3):
+            with pytest.raises(error, match=match):
+                perturb(value, rng=_stream(0, 0), **{**good, **change})
+
+
+def test_gaussian_warning_fires_on_every_call():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(3):
+            gaussian_perturb(np.zeros(2), 1.5, 1e-6, 1.0, 10, _stream(0, 0))
+            gaussian_std(n=10, eps_prime=1.5, failure_prob=1e-6, weight_cap=1.0)
+    assert [w.category for w in caught] == [UserWarning] * 6
+    assert all("eps_prime=1.5 >= 1" in str(w.message) for w in caught)
+
+
+def test_equal_caps_of_two_types_are_memoised_apart():
+    # np.float32(20) == 20.0 and they hash alike, but a float32 cap keeps
+    # the scale in float32, so each type's release must draw at its own.
+    A = np.array([0.1, -0.2, 0.3])
+    caps = (np.float32(20.0), 20.0)
+    scales = [laplace_scale(3, 100, 0.5, cap) for cap in caps]
+    assert float(scales[0]) != scales[1]
+    mechanisms._memo.cache_clear()
+    for cap, scale in list(zip(caps, scales)) * 2:
+        expected = A + _stream(1, 0).laplace(loc=0.0, scale=scale, size=3)
+        assert laplace_perturb(A, 0.5, cap, 100, _stream(1, 0)).tobytes() == expected.tobytes()
+    assert mechanisms._memo.cache_info().currsize == 2
+
+
+def test_an_unhashable_argument_takes_the_uncached_call():
+    # A 0-d array cannot key the memo: the release gives what the public
+    # calibration gives it, and raises what it raises, and nothing is kept.
+    A, B = np.array([0.1, -0.2, 0.3]), np.eye(3) * 0.5
+    mechanisms._memo.cache_clear()
+    eps = np.array(0.5)
+    scale = laplace_scale(3, 100, eps, 2.0)
+    expected = A + _stream(2, 0).laplace(loc=0.0, scale=scale, size=3)
+    assert laplace_perturb(A, eps, 2.0, 100, _stream(2, 0)).tobytes() == expected.tobytes()
+    std = gaussian_std(100, eps, 1e-6, np.array(2.0))
+    expected = A + _stream(2, 0).normal(loc=0.0, scale=std, size=3)
+    out = gaussian_perturb(A, eps, 1e-6, np.array(2.0), 100, _stream(2, 0))
+    assert out.tobytes() == expected.tobytes()
+    Z = _stream(2, 0).normal(loc=0.0, scale=math.sqrt(wishart_variance(100, eps, 2.0)), size=(3, 4))
+    assert wishart_perturb(B, eps, 2.0, 100, _stream(2, 0)).tobytes() == (B + Z @ Z.T).tobytes()
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^eps_prime must be positive and finite, got array\(-0\.5\)$"):
+            laplace_perturb(A, np.array(-0.5), 2.0, 100, _stream(2, 0))
+        with pytest.raises(ValueError, match=r"^weight_cap must be positive and finite, got array\(0\.\)$"):
+            wishart_perturb(B, 0.5, np.array(0.0), 100, _stream(2, 0))
+    assert mechanisms._memo.cache_info().currsize == 0
 
 
 def test_wishart_output_exactly_symmetric_and_psd_shift():
