@@ -1,5 +1,9 @@
 """Differentially private L1 linear regression via perturbed IRLS moments.
 
+The loop computes the Huber M-estimate at delta = 1/weight_cap, which
+tends to the L1 fit as the cap grows; at the README grid's cap 5 the
+non-private label is least squares, or nearly (see :mod:`dpirls.solver`).
+
 The solver never sees raw data after the moment computation: each
 iteration releases the weighted cross moment A (Laplace or Gaussian
 noise) and the weighted Gram moment B (additive Wishart noise), and the

@@ -73,12 +73,18 @@ def _check_probability(name: str, value: float) -> None:
 
 # Moment checks for the releases and solve_step.  A non-finite entry is
 # refused before B's symmetry check, which would report NaN as asymmetry.
+# Checks reduce with the ufuncs themselves: ndarray.all/.any's Python
+# wrappers cost more than the check on an IRLS step's small arrays.
+
+def _all_finite(a: np.ndarray) -> bool:
+    return np.logical_and.reduce(np.isfinite(a), axis=None)
+
 
 def _as_vector(name: str, a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 1:
         raise ValueError(f"{name} must be 1-dimensional, got ndim={a.ndim}")
-    if not np.isfinite(a).all():
+    if not _all_finite(a):
         raise ValueError(f"{name} must be finite")
     return a
 
@@ -87,7 +93,7 @@ def _as_square(name: str, a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    if not _all_finite(a):
         raise ValueError(f"{name} must be finite")
     return a
 
@@ -102,28 +108,29 @@ def _as_theta(theta: np.ndarray, d: int) -> np.ndarray:
 def _check_symmetric(name: str, B: np.ndarray) -> None:
     # Exact equality is the common case (syrk mirrors its triangle), and
     # it is cheaper than forming B - B^T.
-    if (B == B.T).all():
+    if np.logical_and.reduce(B == B.T, axis=None):
         return
-    asym = float(np.max(np.abs(B - B.T)))
+    asym = float(np.maximum.reduce(np.abs(B - B.T), axis=None))
     # "not <=" so that a NaN asymmetry fails too.
     if not asym <= _SYMMETRY_TOLERANCE:
         raise ValueError(f"{name} must be symmetric; max |{name} - {name}^T| = {asym:.3g}")
 
 
 def _row_norms(X: np.ndarray) -> np.ndarray:
-    # np.linalg.norm(X, axis=1) over blocks of rows.  Each row is reduced
-    # on its own, in the same order as in the full call, so the result is
-    # bitwise the same for C- and F-ordered X, while the n x d squares
-    # become one block's worth.  No block is a single row of a longer X:
-    # numpy lays a (1, d) temporary out C-contiguous and sums it pairwise,
-    # where the full call sums an F-ordered X's rows left to right.
+    # np.linalg.norm(X, axis=1) by its own formula, over blocks of rows.
+    # Each row is reduced on its own, in the same order as in the full
+    # call, so the result is bitwise the same for C- and F-ordered X,
+    # while the n x d squares become one block's worth.  No block is a
+    # single row of a longer X: numpy lays a (1, d) temporary out
+    # C-contiguous and sums it pairwise, where the full call sums an
+    # F-ordered X's rows left to right.
     n, d = X.shape
     step = max(2, _NORM_BLOCK_ELEMENTS // max(d, 1))
     out = np.empty(n)
     start = 0
     while start < n:
         stop = n if n - start <= step + 1 else start + step
-        out[start:stop] = np.linalg.norm(X[start:stop], axis=1)
+        np.sqrt(np.add.reduce(np.square(X[start:stop]), axis=1), out=out[start:stop])
         start = stop
     return out
 
@@ -134,7 +141,7 @@ def _first_nonfinite_row(X: np.ndarray) -> int:
     step = max(1, _NORM_BLOCK_ELEMENTS // max(X.shape[1], 1))
     for start in range(0, X.shape[0], step):
         finite = np.isfinite(X[start:start + step])
-        if not finite.all():
+        if not np.logical_and.reduce(finite, axis=None):
             return start + int(np.argmin(finite.all(axis=1)))
     return -1
 
@@ -267,23 +274,23 @@ def _check_bounds(dataset: Dataset) -> None:
     # A finite row norm means a finite row, so X is searched for a NaN or
     # an infinity only when some norm is not finite (the norm of a huge
     # but finite row overflows too).
-    if not np.isfinite(norms).all():
+    if not _all_finite(norms):
         bad = _first_nonfinite_row(dataset.X)
         if bad >= 0:
             raise DataValidationError(f"X contains a non-finite value at row {bad}")
-    if not np.isfinite(dataset.y).all():
+    if not _all_finite(dataset.y):
         bad = int(np.argwhere(~np.isfinite(dataset.y))[0, 0])
         raise DataValidationError(f"y contains a non-finite value at row {bad}")
 
     over = norms > 1.0 + NORM_TOLERANCE
-    if over.any():
+    if np.logical_or.reduce(over, axis=None):
         bad = int(np.argmax(over))
         raise DataValidationError(
             f"row {bad} of X has L2 norm {norms[bad]:.6g} > 1; "
             "normalize_dataset establishes the bound"
         )
     over_y = np.abs(dataset.y) > 1.0 + NORM_TOLERANCE
-    if over_y.any():
+    if np.logical_or.reduce(over_y, axis=None):
         bad = int(np.argmax(over_y))
         raise DataValidationError(
             f"y[{bad}] = {dataset.y[bad]:.6g} lies outside [-1, 1]; "
@@ -318,7 +325,7 @@ def normalize_dataset(X: np.ndarray, y: np.ndarray) -> Dataset:
         raise DataValidationError(
             f"expected X (n, d) and y (n,); got X {X.shape} and y {y.shape}"
         )
-    if _first_nonfinite_row(X) >= 0 or not np.isfinite(y).all():
+    if _first_nonfinite_row(X) >= 0 or not _all_finite(y):
         raise DataValidationError("cannot normalize non-finite data")
 
     # A finite row whose norm overflows would make max_norm inf and X all

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -34,28 +35,25 @@ from .mechanisms import _stream
 from .solver import IRLSConfig, Mechanism, run_exact_irls, run_private_irls
 from .synthetic import SplitDataset, SyntheticSpec, evaluate_fit
 
-# The split generate last returned, with its spec; None when empty.
-_last_split: tuple[SyntheticSpec, SplitDataset] | None = None
+# Per thread: the split generate last returned there, with its spec.
+_last_split = threading.local()
 
 
 def generate(spec: SyntheticSpec) -> SplitDataset:
-    """``synthetic.generate`` through a one-entry memo keyed by the frozen spec.
+    """``synthetic.generate`` through a one-entry memo per thread, keyed by the frozen spec.
 
-    run_grid runs the labels at one (N, seed) back to back, so each split,
-    with its bounds check and X^T X memos, is built once.  The previous
-    split is dropped before the next is built, so two never live here at
-    once, and run_grid empties the memo when it returns.  A failing build
-    leaves the memo empty, so each cell of its group fails alone.  Two
-    pool workers may both build a split the memo lacks; each gets a
-    correct one.
+    run_grid runs the labels at one (N, seed) back to back on one thread,
+    so each split, with its bounds check and X^T X memos, is built once.
+    The previous split is dropped before the next is built; run_grid
+    empties the entry when it returns, and a pool worker's dies with it.
+    A failing build leaves it empty, so each cell of its group fails alone.
     """
-    global _last_split
-    last = _last_split
+    last = getattr(_last_split, "entry", None)
     if last is not None and last[0] == spec:
         return last[1]
-    _last_split = None
+    _last_split.entry = None
     split = synthetic.generate(spec)
-    _last_split = (spec, split)
+    _last_split.entry = (spec, split)
     return split
 
 # label -> (budget regime, mechanism on A); both None for the exact baseline.
@@ -204,7 +202,6 @@ def run_grid(grid: ExperimentGrid) -> list[ResultRow]:
     DP_IRLS_THREADS value that is not a positive integer raises
     ValueError before any cell runs.
     """
-    global _last_split
     env = os.environ.get(THREADS_ENV_VAR, "1")
     try:
         workers = int(env)
@@ -212,26 +209,24 @@ def run_grid(grid: ExperimentGrid) -> list[ResultRow]:
         workers = 0
     if workers < 1:
         raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {env!r}")
-    # Labels innermost, so each (N, seed) split is built once and reused.
-    cells = [
-        (label, n, s)
-        for n in grid.n_values
-        for s in range(grid.n_seeds)
-        for label in grid.mechanisms
-    ]
-    workers = min(workers, len(cells))
+    # One group per (N, seed), its labels in order, so each group's split
+    # is built once, by the thread that runs the group.
+    groups = [[(label, n, s) for label in grid.mechanisms]
+              for n in grid.n_values for s in range(grid.n_seeds)]
+    workers = min(workers, len(groups))
     try:
         if workers == 1:
-            rows = [run_cell(grid, *cell) for cell in cells]
+            rows = [run_cell(grid, *cell) for group in groups for cell in group]
         else:
             # Imported here: the pool is opt-in, and concurrent.futures costs
             # every serial run its import time.
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(lambda c: run_cell(grid, *c), cells))
+                done = pool.map(lambda g: [run_cell(grid, *cell) for cell in g], groups)
+                rows = [row for group in done for row in group]
     finally:
-        _last_split = None
+        _last_split.entry = None
     rows.sort(key=lambda r: (r.mechanism, r.n, r.seed))
     return rows
 

@@ -148,7 +148,7 @@ def laplace_perturb(
     A = _as_vector("A", A)
     scale = _memoised(laplace_scale, A.shape[0], n, eps_prime, weight_cap)
     _check_generator(rng)
-    return A + rng.laplace(loc=0.0, scale=scale, size=A.shape)
+    return A + rng.laplace(0.0, scale, A.shape)
 
 
 def gaussian_perturb(
@@ -167,7 +167,7 @@ def gaussian_perturb(
     A = _as_vector("A", A)
     std = gaussian_std(n, eps_prime, failure_prob, weight_cap)
     _check_generator(rng)
-    return A + rng.normal(loc=0.0, scale=std, size=A.shape)
+    return A + rng.normal(0.0, std, A.shape)
 
 
 def wishart_perturb(
@@ -193,7 +193,7 @@ def wishart_perturb(
     _check_int("d", d)
     variance = _memoised(wishart_variance, n, eps_prime, weight_cap)
     _check_generator(rng)
-    Z = rng.normal(loc=0.0, scale=math.sqrt(variance), size=(d, d + 1))
+    Z = rng.normal(0.0, math.sqrt(variance), (d, d + 1))
     # numpy routes Z @ Z.T to BLAS syrk, which computes one triangle and
     # mirrors it, so the noise term is symmetric bitwise, not just up to
     # rounding (test_wishart_output_exactly_symmetric_and_psd_shift pins this).

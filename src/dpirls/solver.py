@@ -1,4 +1,4 @@
-"""Iteratively reweighted least squares for the L1 regression objective.
+"""Iteratively reweighted least squares, the paper's route to L1 regression.
 
 Starting from theta = 0, each iteration forms residual weights
 s_i = 1 / max(1/weight_cap, |r_i|), builds the weighted moments
@@ -6,6 +6,12 @@ A = (1/n) X^T S y and B = (1/n) X^T S X, and sets the next iterate to
 the solution of B theta = A.  The clamp keeps
 every weight in (0, weight_cap], which is what the sensitivity bounds in
 :mod:`dpirls.mechanisms` assume.
+
+The loop computes the Huber M-estimate at delta = 1/weight_cap, which
+tends to the L1 fit only as the cap grows: s_i = psi(r_i) / r_i for
+psi(r) = clip(r / delta, -1, 1), so a fixed point solves X^T psi(r) = 0.
+At the README grid's cap 5 the ``non-private`` label is least squares in 61
+of its 100 cells (every residual within 1/cap) and nearly so in the rest.
 
 The private variant releases A and B through calibrated noise once per
 iteration (2 * iterations releases total) and touches the raw data only
@@ -26,6 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .accountant import NoisePlan, PrivacyBudget, plan_for_budget
 from .data import (
@@ -207,7 +214,7 @@ def compute_moments(dataset: Dataset, weights: np.ndarray) -> MomentPair:
         raise ValueError(f"weights must have shape ({dataset.n},), got {w.shape}")
     # One min/max pair serves the check (NaN fails both comparisons) and
     # the choice of path.
-    lo, hi = np.minimum.reduce(w), np.maximum.reduce(w)
+    lo, hi = float(np.minimum.reduce(w)), float(np.maximum.reduce(w))
     if not (lo > 0.0 and hi < np.inf):
         raise ValueError("weights must be finite and strictly positive")
     n, d = dataset.n, dataset.d
@@ -217,15 +224,15 @@ def compute_moments(dataset: Dataset, weights: np.ndarray) -> MomentPair:
     # cost each a few microseconds more.
     if hi <= _UPDATE_MAX_RATIO * lo:
         below = w < hi
-        if 2 * np.count_nonzero(below) <= n:
+        if 2 * np.add.reduce(below, dtype=np.intp) <= n:
             XtX, Xty = dataset._unit_moments
-            idx = np.flatnonzero(below)
+            idx = below.nonzero()[0]
             c = np.sqrt(hi - w[idx])
             # Gathered along the rows of X.T, which are X's contiguous
             # columns; X[idx] reads each row at a stride of n and was 2.6x
             # slower at n=36000, d=100.  Gt is G^T for G = diag(c) X[idx].
             if idx.shape[0] <= step:
-                Gt = np.take(dataset.X.T, idx, axis=1)
+                Gt = dataset.X.T.take(idx, axis=1)
                 Gt *= c
                 sum_y, sum_G = Gt @ (c * dataset.y[idx]), Gt @ Gt.T
             else:
@@ -234,7 +241,7 @@ def compute_moments(dataset: Dataset, weights: np.ndarray) -> MomentPair:
                     rows, cb = idx[start:stop], c[start:stop]
                     # Every index is in range; "clip" writes straight into
                     # out= where the default "raise" buffers it.
-                    np.take(dataset.X.T, rows, axis=1, out=Gt, mode="clip")
+                    dataset.X.T.take(rows, axis=1, out=Gt, mode="clip")
                     Gt *= cb
                     sum_y += Gt @ (cb * dataset.y[rows])
                     sum_G += Gt @ Gt.T
@@ -257,20 +264,26 @@ def compute_moments(dataset: Dataset, weights: np.ndarray) -> MomentPair:
     return MomentPair(A=A, B=B)
 
 
+def _lapack_failed(err: str, flag: int) -> None:
+    raise np.linalg.LinAlgError("LAPACK reported a failed factorization")
+
+
 def _cholesky_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray | None:
-    # The Cholesky factor is the positive-definiteness test: numpy's
-    # cholesky is LAPACK potrf on B's lower triangle, and it raises
-    # LinAlgError exactly where potrf reports info > 0.  Two solves against
-    # the factor would cost more than solve(B, A): 11 and 184 us against 6
-    # and 95 us at d = 10 and 100.  An exactly singular B can pass potrf
-    # on rounding (a pivot near 1e-8) and then fail in LU, so a failed
-    # solve counts as a failed factorization.
+    # potrf on B's lower triangle is the positive-definiteness test; two
+    # solves against its factor would cost more than one LU solve (11 and
+    # 184 us against 6 and 95 us at d = 10 and 100).  An exactly singular B
+    # can pass potrf on rounding and then fail in LU, so that fails too.
+    # These are the gufuncs np.linalg.cholesky/solve call, under the error
+    # state those set, where LAPACK's failure flag calls _lapack_failed; a
+    # fresh one per call, as numpy 1.x's decorator shares one across threads.
     try:
-        np.linalg.cholesky(B)
-        theta = np.linalg.solve(B, A)
+        with np.errstate(call=_lapack_failed, invalid="call", over="ignore",
+                         divide="ignore", under="ignore"):
+            _umath_linalg.cholesky_lo(B, signature="d->d")
+            theta = _umath_linalg.solve1(B, A, signature="dd->d")
     except np.linalg.LinAlgError:
         return None
-    if not np.isfinite(theta).all():
+    if not np.logical_and.reduce(np.isfinite(theta), axis=None):
         raise MomentSolveError(
             f"B theta = A overflows float64: max |A| = {np.abs(A).max():.3g}, "
             f"max |B| = {np.abs(B).max():.3g}"
@@ -282,12 +295,12 @@ def solve_step(A: np.ndarray, B: np.ndarray) -> StepSolution:
     """Solve B theta = A for a symmetric B, with one ridge retry.
 
     A Cholesky factorization decides whether B is positive definite; once
-    it is, theta comes from ``np.linalg.solve(B, A)`` (LU with partial
+    it is, theta is bitwise ``np.linalg.solve(B, A)`` (LU with partial
     pivoting, backward stable on such a B), because numpy has no
-    triangular solve to reuse the factor with.  The check and the solve
-    cost about 4 + 6 us at d=10 and 45 + 92 us at d=100 (2-core host, numpy
-    2.4, OpenBLAS 0.3.31, repeated calls), against 2 and 38 us for LAPACK
-    potrf/potrs.
+    triangular solve to reuse the factor with.  Through numpy's LAPACK
+    gufuncs, without ``np.linalg``'s wrappers, the two cost 3.5 us at d=10
+    (7.6 us wrapped) and 45 + 92 us at d=100 (2-core host, numpy 2.4,
+    OpenBLAS 0.3.31, repeated calls), against 2 and 38 us for potrf/potrs.
 
     If the factorization or the solve fails (B not positive definite,
     e.g. after an unlucky noise draw, or exactly singular but passing the

@@ -108,7 +108,7 @@ def generate(spec: SyntheticSpec) -> SplitDataset:
     max_norm = 0.0
     for start, stop in blocks:
         block = gen.standard_normal((stop - start, d))
-        max_norm = max(max_norm, float(_row_norms(block).max()))
+        max_norm = max(max_norm, float(np.maximum.reduce(_row_norms(block))))
         for rows, block_rows in _overlaps(parts, start, stop):
             rows[...] = block[block_rows]
     if max_norm > 0.0:
@@ -125,7 +125,7 @@ def generate(spec: SyntheticSpec) -> SplitDataset:
         y[start:stop] = buf[: stop - start] @ theta_star
     del block, buf  # before the bounds checks add their own temporaries
     y += math.sqrt(spec.noise_var) * gen.standard_normal(n)
-    max_abs = float(np.abs(y).max())
+    max_abs = float(np.maximum.reduce(np.abs(y)))
     if max_abs > 0.0:
         y /= max_abs
 
@@ -155,7 +155,8 @@ def estimate_residual_variance(dataset: Dataset, theta: np.ndarray) -> float:
     (numerically) perfect.
     """
     res = dataset.y - dataset.X @ _as_theta(theta, dataset.d)
-    return max(VARIANCE_FLOOR, float(np.mean(res * res)))
+    # np.mean's bits (a pairwise sum, then one division) without its wrapper.
+    return max(VARIANCE_FLOOR, float(np.add.reduce(res * res)) / dataset.n)
 
 
 def loglik_per_test_point(test: Dataset, theta: np.ndarray, residual_var: float) -> float:
@@ -170,7 +171,7 @@ def loglik_per_test_point(test: Dataset, theta: np.ndarray, residual_var: float)
     res = test.y - test.X @ _as_theta(theta, test.d)
     return float(
         -0.5 * math.log(2.0 * math.pi * residual_var)
-        - float(np.mean(res * res)) / (2.0 * residual_var)
+        - float(np.add.reduce(res * res)) / test.n / (2.0 * residual_var)
     )
 
 

@@ -90,3 +90,51 @@ def unscaled_synthetic(n, d, noise_var, seed):
     theta = gen.standard_normal(d)
     y = X @ theta + math.sqrt(noise_var) * gen.standard_normal(n)
     return X, y, theta
+
+
+def audit_epsilon(outputs, neighbour_outputs, delta=0.0, alpha=0.05, cuts=200):
+    """Statistical lower bound on the eps of a release, from its scalar
+    outputs on the two datasets of a neighbouring pair.
+
+    Any (eps, delta)-DP release gives every event E probabilities p and q
+    on the two sides with p <= e^eps q + delta, so eps >= log((p - delta) / q).
+    The first half of each sample picks the event: among {z > t} and
+    {z < t} for ``cuts`` thresholds t at quantiles of the pooled first
+    halves, and both orders of the pair, the one whose bound below is
+    largest on those halves.  The second halves, which the choice never
+    saw, give the returned bound: a one-sided Clopper-Pearson lower bound
+    on p and upper bound on q, each at level alpha / 2, so the bound
+    exceeds the release's true eps with probability at most alpha.
+    It returns -inf when the chosen event never fires.  Needs scipy.
+
+    After Ding et al., "Detecting violations of differential privacy"
+    (CCS 2018), and Jagielski, Ullman and Oprea, "Auditing differentially
+    private machine learning" (NeurIPS 2020).
+    """
+    from scipy.stats import beta
+
+    samples = [np.asarray(outputs, dtype=float), np.asarray(neighbour_outputs, dtype=float)]
+    halves = [(s[: len(s) // 2], s[len(s) // 2:]) for s in samples]
+    pooled = np.concatenate([h[0] for h in halves])
+    thresholds = np.quantile(pooled, np.linspace(0.0, 1.0, cuts + 2)[1:-1])
+
+    def event_counts(sample):
+        # Counts of {z > t} and {z < t} for every threshold: shape (2, cuts).
+        s = np.sort(sample)
+        return np.stack([len(s) - np.searchsorted(s, thresholds, side="right"),
+                         np.searchsorted(s, thresholds, side="left")])
+
+    def bounds(part):
+        # Bound for every (order, direction, threshold): shape (2, 2, cuts).
+        a, b = halves[0][part], halves[1][part]
+        ka, kb = event_counts(a), event_counts(b)
+        out = []
+        for (kp, mp), (kq, mq) in (((ka, len(a)), (kb, len(b))), ((kb, len(b)), (ka, len(a)))):
+            p_lo = np.where(kp > 0, beta.ppf(alpha / 2, np.maximum(kp, 1), mp - kp + 1), 0.0)
+            q_hi = np.where(kq < mq, beta.ppf(1 - alpha / 2, kq + 1, np.maximum(mq - kq, 1)), 1.0)
+            with np.errstate(divide="ignore"):
+                out.append(np.log(np.maximum(p_lo - delta, 0.0) / q_hi))
+        return np.stack(out)
+
+    choice = np.unravel_index(np.argmax(bounds(0)), (2, 2, cuts))
+    return float(bounds(1)[choice])

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import math
 import sys
+import threading
 import time
 
 import numpy as np
@@ -117,6 +118,40 @@ def test_mechanisms_share_datasets_and_subsets_reproduce(monkeypatch):
     assert _strip_time(sub) == _strip_time(solo)
 
 
+def _memo_entry():
+    # This thread's entry in the grid's split memo.
+    return getattr(experiment_module._last_split, "entry", None)
+
+
+def test_a_two_worker_grid_builds_each_split_once(monkeypatch):
+    # Each pool task runs one (N, seed) group's labels in order, and each
+    # worker keeps its own last split, so the workers never evict each
+    # other's split at a group boundary.
+    grid = ExperimentGrid(**{**SMALL, "n_seeds": 8})
+    build = experiment_module.synthetic.generate
+    builds, threads = [], set()
+
+    def counted_build(spec):
+        builds.append(spec)
+        threads.add(threading.get_ident())
+        return build(spec)
+
+    monkeypatch.setattr(experiment_module.synthetic, "generate", counted_build)
+    serial = _run_grid(monkeypatch, grid)
+    builds.clear()
+    threads.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = _run_grid(monkeypatch, grid, 2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(builds) == len(set(builds)) == 2 * 8
+    assert threading.get_ident() not in threads
+    assert _strip_time(pooled) == _strip_time(serial)
+    assert _memo_entry() is None
+
+
 def test_labels_share_one_split_per_size_and_seed(monkeypatch):
     grid = ExperimentGrid(**{**SMALL, "n_seeds": 3},
                           mechanisms=("non-private", "cdp-lap", "dp-conventional"))
@@ -129,17 +164,17 @@ def test_labels_share_one_split_per_size_and_seed(monkeypatch):
 
     def counted_build(spec):
         # The previous split is dropped before the next one is built.
-        assert experiment_module._last_split is None
+        assert _memo_entry() is None
         builds.append(spec)
         return build(spec)
 
     monkeypatch.setattr(experiment_module, "generate", counted_memo)
     monkeypatch.setattr(experiment_module.synthetic, "generate", counted_build)
-    monkeypatch.setattr(experiment_module, "_last_split", None)
+    monkeypatch.setattr(experiment_module._last_split, "entry", None, raising=False)
     rows = _run_grid(monkeypatch, grid)
     misses = len(builds)
     assert (misses, len(calls) - misses) == (2 * 3, 2 * 3 * 2)
-    assert experiment_module._last_split is None  # run_grid empties the memo
+    assert _memo_entry() is None  # run_grid empties the memo
     # Label-major order, as the grid ran before the splits were shared:
     # consecutive cells never repeat a (N, seed), so every split is fresh.
     calls.clear()

@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+from _oracles import audit_epsilon
 
 import dpirls.mechanisms as mechanisms
 from dpirls.accountant import PrivacyBudget, plan_for_budget
@@ -24,7 +25,7 @@ from dpirls.mechanisms import (
     wishart_perturb,
     wishart_variance,
 )
-from dpirls.solver import IRLSConfig, run_private_irls
+from dpirls.solver import IRLSConfig, compute_moments, run_private_irls
 
 
 # --- sensitivities -------------------------------------------------------
@@ -400,6 +401,36 @@ def test_wishart_release_falls_outside_a_neighbours_support_at_the_chi2_rate():
     miss = 1.0 - (1.0 - stats.chi2.cdf(2 * eps_prime, 11)) ** 20
     assert miss == pytest.approx(1.15e-5, rel=1e-2)
     assert miss > 1e-5
+
+
+def test_laplace_release_of_A_passes_an_epsilon_audit(monkeypatch):
+    # A worst case for A's L1 sensitivity at d = 1: the pair differs in one
+    # row, x = 1 with y = 1 against y = -1, at the cap's weight, so A moves
+    # by exactly 2 cap sqrt(d) / n.  The event {z > t} then has probability
+    # ratio e^eps' for t beyond both means, so a sound audit comes close to
+    # eps' from below, and the same audit of a release at half the
+    # calibrated scale (truly 2 eps') must exceed eps'.
+    pytest.importorskip("scipy.stats")
+    n, cap, eps, m = 50, 5.0, 1.0, 20_000
+    X, w = np.ones((n, 1)), np.full(n, cap)
+    y = np.zeros(n)
+    y[0] = 1.0
+    A = compute_moments(Dataset(X, y), w).A
+    y[0] = -1.0
+    A_neighbour = compute_moments(Dataset(X, y), w).A
+    assert abs(A - A_neighbour)[0] == pytest.approx(l1_sensitivity_A(1, n, cap), rel=1e-15)
+
+    def audit():
+        draws = [
+            [laplace_perturb(a, eps, cap, n, gen)[0] for _ in range(m)]
+            for a, gen in ((A, _stream(31, 0)), (A_neighbour, _stream(31, 1)))
+        ]
+        return audit_epsilon(*draws)
+
+    assert 0.8 * eps < audit() <= eps
+    calibrated = mechanisms.laplace_scale
+    monkeypatch.setattr(mechanisms, "laplace_scale", lambda *args: calibrated(*args) / 2)
+    assert audit() > eps
 
 
 def test_wishart_empirical_mean():

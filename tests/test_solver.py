@@ -1,6 +1,7 @@
 """IRLS loop, weights, moments, and the guarded linear solve."""
 
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -17,7 +18,7 @@ import dpirls.solver as solver_module
 from dpirls.accountant import PrivacyBudget, Regime, plan_for_budget
 from dpirls.data import DataValidationError, Dataset, normalize_dataset
 from dpirls.mechanisms import _stream, wishart_perturb
-from dpirls.synthetic import SyntheticSpec, generate
+from dpirls.synthetic import SyntheticSpec, evaluate_fit, generate
 from dpirls.solver import (
     IRLSConfig,
     Mechanism,
@@ -497,6 +498,79 @@ def test_solve_step_validation():
         solve_step(np.array([np.nan, 0.0]), np.eye(2))
 
 
+
+@pytest.mark.parametrize("d", [1, 2, 10, 100])
+def test_solve_step_is_np_linalg_solve_bitwise(d):
+    # solve_step calls numpy's LAPACK gufuncs without the np.linalg
+    # wrappers; theta keeps np.linalg.solve's bits, on the ridge path too.
+    rng = np.random.default_rng(d)
+    for _ in range(5):
+        M = rng.normal(size=(d, d + 3))
+        B, A = M @ M.T / d, rng.normal(size=d)
+        assert solve_step(A, B).theta.tobytes() == np.linalg.solve(B, A).tobytes()
+    if d > 1:
+        # Indefinite by 1e-10, far above rounding, and positive definite
+        # once the ridge of about 1e-8 is added.
+        v = rng.normal(size=d)
+        B = np.outer(v, v) - 1e-10 * np.eye(d)
+        lam = 1e-8 * float(np.trace(B)) / d
+        sol = solve_step(A, B)
+        assert sol.used_ridge
+        assert sol.theta.tobytes() == np.linalg.solve(B + lam * np.eye(d), A).tobytes()
+
+
+def test_solve_step_failures_warn_nothing_and_keep_the_callers_error_state():
+    # LAPACK signals a failed factorization through the invalid flag; solve_step
+    # turns it into its ridge retry or MomentSolveError under its own error
+    # state, so no RuntimeWarning escapes, and the caller's state is back
+    # afterwards, also after a raise and while another thread fails too.
+    cases = [
+        (np.ones(2), np.ones((2, 2)), True),  # rank 1: the ridge rescues it
+        (np.ones(2), np.diag([1.0, -1.0]), None),  # indefinite: no ridge helps
+        (np.zeros(2), np.zeros((2, 2)), None),
+    ]
+
+    def run_cases(errors):
+        for A, B, ridge in cases:
+            if ridge is None:
+                with pytest.raises(MomentSolveError):
+                    solve_step(A, B)
+            else:
+                assert solve_step(A, B).used_ridge is ridge
+        with pytest.raises(MomentSolveError, match="overflows"):
+            solve_step(np.array([1e10, 1.0]), np.diag([1e-300, 1.0]))
+        assert np.geterr() == errors
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_cases(np.geterr())
+        with np.errstate(all="raise"):
+            run_cases(np.geterr())
+        # A thread with its own error state beside one with numpy's default.
+        failures = []
+
+        def worker(state):
+            try:
+                with np.errstate(**state):
+                    for _ in range(200):
+                        run_cases(np.geterr())
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(state,))
+                       for state in ({"all": "raise"}, {})]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+
 # --- exact IRLS ----------------------------------------------------------
 
 def test_single_iteration_hand_computed():
@@ -572,6 +646,42 @@ def test_objective_is_mean_absolute_residual():
                 state.weights, weights_from_residuals(residuals(ds, prev), cfg.weight_cap)
             )
             prev = state.theta
+
+
+def _outlier_dataset(seed, n=800, d=5, share=0.3):
+    # Linear data with a share of gross outliers in y, so that at the
+    # weight caps below a fifth or more of the residuals lie beyond 1/cap.
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    y = X @ rng.normal(size=d) + 0.1 * rng.normal(size=n)
+    out = rng.random(n) < share
+    y[out] += rng.uniform(-5.0, 5.0, out.sum())
+    return normalize_dataset(X, y)
+
+
+@pytest.mark.parametrize("cap", [5.0, 20.0])
+def test_exact_fixed_point_is_the_huber_m_estimate(cap):
+    # The weights 1 / max(1/cap, |r|) are psi(r) / r for the Huber loss at
+    # delta = 1/cap, whose psi(r) = clip(r / delta, -1, 1); a fixed point of
+    # the exact loop is where the Huber estimating equation X^T psi(r) = 0
+    # holds.  psi is computed here from its definition, not from the
+    # solver's weights.
+    ds = _outlier_dataset(7)
+    theta, trace = run_exact_irls(ds, IRLSConfig(iterations=60, weight_cap=cap))
+    # A fixed point: bitwise with this BLAS, where the loop stops by iteration
+    # 20; other summation orders may leave a cycle in the last bits.
+    np.testing.assert_allclose(trace[-2].theta, theta, rtol=1e-13, atol=0)
+
+    def score(theta):
+        psi = np.clip(cap * residuals(ds, theta), -1.0, 1.0)
+        return ds.X.T @ psi / ds.n, np.abs(ds.X).T @ np.abs(psi) / ds.n
+
+    g, scale = score(theta)
+    assert np.all(np.abs(g) <= 1e-13 * scale)  # zero to rounding, in every coordinate
+    assert np.mean(np.abs(residuals(ds, theta)) > 1.0 / cap) > 0.2  # not least squares
+    # Least squares does not solve it: its score is far from zero.
+    g_ls, scale_ls = score(np.linalg.lstsq(ds.X, ds.y, rcond=None)[0])
+    assert np.max(np.abs(g_ls) / scale_ls) > 1e-3
 
 
 def test_no_early_stopping():
@@ -819,6 +929,45 @@ def test_a_private_solve_derives_each_calibration_once(monkeypatch):
         run_private_irls(ds, cfg, _budget(), mechanism, _stream(8, 0))
         assert derived == {scale: 1, "wishart_variance": 1}
         assert released == {f"{mechanism.value}_perturb": 5, "wishart_perturb": 5}
+
+
+# numpy's Python-level wrappers (np.linalg, ndarray.all/any/max, np.mean,
+# np.take, count_nonzero, flatnonzero, np.linalg.norm) under numpy 2 and 1
+# names.  At d = 10 each costs more than the compiled kernel it wraps.
+_NUMPY_WRAPPER_FILES = {
+    "linalg/_linalg.py", "linalg/linalg.py",
+    "_core/_methods.py", "core/_methods.py",
+    "_core/fromnumeric.py", "core/fromnumeric.py",
+    "_core/numeric.py", "core/numeric.py",
+}
+
+
+def test_an_irls_solve_enters_none_of_numpys_python_wrappers():
+    root = os.path.dirname(np.__file__)
+    entered = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            rel = os.path.relpath(frame.f_code.co_filename, root).replace(os.sep, "/")
+            if rel in _NUMPY_WRAPPER_FILES:
+                entered[f"{rel}:{frame.f_code.co_name}"] += 1
+
+    cfg = IRLSConfig(iterations=8, weight_cap=5.0)
+    budget = PrivacyBudget(epsilon=0.9)
+    sys.setprofile(profile)
+    try:
+        # A fresh split misses every memo: its bounds checks, X^T X and
+        # first step run here.  Cap 5 takes both moment paths.
+        split = generate(SyntheticSpec(n=2000, d=10, seed=5))
+        run_exact_irls(split.train, cfg)
+        for mechanism in (Mechanism.LAPLACE, Mechanism.GAUSSIAN):
+            theta, _, _ = run_private_irls(
+                split.train, cfg, budget, mechanism, _stream(5, 0), gaussian_failure_prob=1e-5
+            )
+        evaluate_fit(split, theta, "cdp-gau", 0)
+    finally:
+        sys.setprofile(None)
+    assert entered == Counter()
 
 
 def test_private_rejects_unnormalized_data():
