@@ -16,7 +16,9 @@ of its 100 cells (every residual within 1/cap) and nearly so in the rest.
 The private variant releases A and B through calibrated noise once per
 iteration (2 * iterations releases total) and touches the raw data only
 through :func:`residuals` and :func:`compute_moments`; everything after a
-release is post-processing of already-noised statistics.  The private
+release is post-processing of already-noised statistics.  The guarantee
+covers theta, the plan and the release records, not a trace's weights,
+which are computed from the raw data (see :class:`IRLSState`).  The private
 loop has no early stopping: data-dependent stopping would itself leak,
 so it always runs the configured number of iterations.  The exact loop
 stops computing once an iterate repeats the previous one bit for bit,
@@ -117,14 +119,15 @@ class IRLSState(NamedTuple):
     """Snapshot after one iteration.
 
     ``trace[t]`` holds iteration t + 1.  ``weights`` are the clamped
-    weights that built this iteration's moments (computed from the
-    previous iterate); ``objective`` is the mean absolute residual of
-    ``theta`` itself.
+    weights that built this iteration's moments, computed from the
+    previous iterate.  In a private solve they come from the raw data
+    (iteration 1's are 1/max(1/weight_cap, |y_i|), so they hold |y_i| for
+    every row beyond 1/weight_cap) and the privacy guarantee does not
+    cover them; it covers ``theta``, ``used_ridge`` and ``releases``.
     """
 
     theta: np.ndarray
     weights: np.ndarray
-    objective: float
     used_ridge: bool
     releases: tuple[NoiseRelease, ...]
 
@@ -365,7 +368,7 @@ def _run_loop(
     trace: list[IRLSState] = []
     for t in range(config.iterations):
         if t > 0:
-            weights = weights_from_residuals(res, config.weight_cap)
+            weights = weights_from_residuals(residuals(dataset, theta), config.weight_cap)
             moments = compute_moments(dataset, weights)
         if release is None:
             A_out, B_out, rels = moments.A, moments.B, ()
@@ -377,20 +380,10 @@ def _run_loop(
         # this one's weights, so every later state repeats this one.
         stalled = release is None and solution.theta.tobytes() == theta.tobytes()
         theta = solution.theta
-        # One residual pass per iterate: it gives this iterate's objective
-        # and the next iteration's weights.
-        res = residuals(dataset, theta)
         theta.setflags(write=False)
         weights.setflags(write=False)
         trace.append(
-            IRLSState(
-                theta=theta,
-                weights=weights,
-                # np.mean's bits without its Python wrapper.
-                objective=float(np.add.reduce(np.abs(res))) / dataset.n,
-                used_ridge=solution.used_ridge,
-                releases=rels,
-            )
+            IRLSState(theta=theta, weights=weights, used_ridge=solution.used_ridge, releases=rels)
         )
         if stalled:
             trace.extend([trace[-1]] * (config.iterations - len(trace)))
@@ -437,7 +430,10 @@ def run_private_irls(
     passed :func:`validate_dataset` is not checked again).
 
     Returns the final iterate, the trace (each state carrying its two
-    release records), and the resolved :class:`NoisePlan`.
+    release records), and the resolved :class:`NoisePlan`.  The privacy
+    guarantee covers theta, the plan and the release records.  It does not
+    cover the trace's ``weights``, which are computed from the raw data:
+    iteration 1's hold |y_i| for every row beyond 1/weight_cap.
     """
     mechanism = Mechanism(mechanism)
     _check_generator(rng)
