@@ -21,9 +21,9 @@ covers theta, the plan and the release records, not a trace's weights,
 which are computed from the raw data (see :class:`IRLSState`).  The private
 loop has no early stopping: data-dependent stopping would itself leak,
 so it always runs the configured number of iterations.  The exact loop
-stops computing once an iterate repeats the previous one bit for bit,
-since every later state would repeat it too, and fills the rest of its
-trace with that state (see :func:`run_exact_irls`).
+stops computing once an iterate repeats an earlier one bit for bit,
+since every later state would repeat the cycle between them, and fills
+the rest of its trace with that cycle (see :func:`run_exact_irls`).
 """
 
 from __future__ import annotations
@@ -63,6 +63,11 @@ _UPDATE_MAX_RATIO = 64.0
 # rows below the cap (two OpenBLAS threads, whose syrk is slower on short
 # blocks); with 2^19 entries about 3% slower.
 _MOMENT_BLOCK_ELEMENTS = 1 << 19
+
+# Largest d * d * rows at which compute_moments forms a weighted Gram
+# product with one gemm instead of a syrk (see _weighted_gram); measured
+# where the gemm form stops being the faster one (see compute_moments).
+_GEMM_MAX_MULADDS = 100**3
 
 
 class Mechanism(enum.Enum):
@@ -162,14 +167,48 @@ def _row_blocks(rows: int, d: int, step: int):
         yield start, stop, buf[: d * (stop - start)].reshape(d, stop - start)
 
 
+def _gemm_sized(d: int, rows: int) -> bool:
+    return d * d * rows <= _GEMM_MAX_MULADDS
+
+
+def _weighted_gram(Xt, v, y, out):
+    """Return ``(Xt diag(v) y, Xt diag(v) Xt^T)`` for a (d, rows) ``Xt``.
+
+    The first is None when ``y`` is.  A product of at most
+    ``_GEMM_MAX_MULADDS`` multiply-adds takes St = Xt diag(v), St y and the
+    gemm G = St Xt^T, and returns (G + G^T) / 2 as the Gram.  A larger one
+    scales Xt by sqrt(v) into ``out``, a (d, rows) array that may be
+    ``Xt`` itself, and takes ``out (sqrt(v) y)`` and the syrk
+    ``out out^T``.  Either Gram is symmetric bit for bit.
+    """
+    if _gemm_sized(*Xt.shape):
+        St = Xt * v
+        G = St @ Xt.T
+        G = G + G.T
+        G *= 0.5
+        return (None if y is None else St @ y), G
+    c = np.sqrt(v)
+    np.multiply(Xt, c, out=out)
+    return (None if y is None else out @ (c * y)), out @ out.T
+
+
 def compute_moments(dataset: Dataset, weights: np.ndarray) -> MomentPair:
     """Weighted sufficient statistics (1/n) X^T S y and (1/n) X^T S X.
 
-    The direct formula assembles the Gram part as G^T G for
-    G = diag(sqrt(s)) X.  numpy routes ``G.T @ G`` to BLAS ``syrk``, which
-    computes one triangle and mirrors it onto the other, so B is symmetric
-    bit for bit rather than merely up to rounding
-    (``test_moments_gram_exactly_symmetric`` pins this).
+    The direct formula builds both from one scaled copy of the rows.  A
+    product of at most 1e6 multiply-adds (d * d * rows; every call of the
+    README grid, n <= 9000 at d = 10) takes St = X^T S, A = St y / n and
+    the gemm G = St X, and sets B = (G + G^T) / (2n).  A larger one takes
+    G = diag(sqrt(s)) X, whose ``G.T @ G`` numpy routes to BLAS ``syrk``,
+    which computes one triangle and mirrors it onto the other, and
+    A = X^T (s y) / n.  Each form is the faster one on its side of the
+    limit: the gemm form took 0.58-0.84 times the syrk form's time at
+    d = 10 and n = 2000 to 10000 (1.00e6 multiply-adds), but 1.15 times at
+    n = 11000 and 1.3-1.8 times at d = 20 and 30 just past the limit
+    (2-core host, numpy 2.4, OpenBLAS 0.3.31, default thread count).
+    Either way B is symmetric bit for bit rather than merely up to
+    rounding (``test_moments_gram_exactly_symmetric`` pins this): fl(a +
+    b) = fl(b + a), and syrk fills both triangles from one.
 
     The clamp gives every row with |r_i| <= 1/weight_cap the same weight
     b = max(s), and most rows sit there once the fit settles.  Those rows
@@ -189,28 +228,30 @@ def compute_moments(dataset: Dataset, weights: np.ndarray) -> MomentPair:
       of the direct formula (and likewise for A, whose terms are at most
       b / min(s) times sum_i s_i |x_i y_i|).
 
-    Otherwise the direct formula runs.  B stays bitwise symmetric on both
-    paths: each block's product below is a ``syrk``, and the update is
-    b syrk - sum of syrk.  Where the update runs, A and B differ from the
-    direct formula's in the low bits only.
+    Otherwise the direct formula runs.  The sums over the k rows take the
+    same two forms by the same limit: St = X_k^T diag(b - s) with the gemm
+    St X_k, or G = diag(sqrt(b - s)) X_k with its syrk and G^T (sqrt(b - s)
+    y).  Where the update runs, A and B differ from the direct formula's
+    in the low bits only.
 
     Run time therefore depends on how many residuals sit under the cap,
     that is, on the data.  The privacy guarantees of the releases cover
     the released values, not the time taken to compute them.
 
-    Both paths build G one block of rows at a time, in one reused buffer
-    of at most 2^19 entries (4 MiB): the direct path over row slices of
-    X, the update over the k rows below b.  Each block's ``syrk`` (and,
-    on the update path, its ``G^T (c y)``) is added to a running sum; A
-    on the direct path stays the single ``X.T @ (s * y)``.  Block edges
-    are counted in rows from the first, whatever the BLAS thread count.
-    A call's scratch memory is thus one block plus a few vectors of
-    length n, not a copy of X or of its k rows.  A call whose rows fit
-    in one block (n d <= 2^19 on the direct path, k d <= 2^19 on the
-    update) runs the one-product formula itself and returns its bits;
-    every call of the README grid (n <= 9000 at d = 10) is one block.
-    With more blocks the sums are added in another order, which moves A
-    and B in the low bits.
+    Both paths work one block of rows at a time, in one reused buffer of
+    at most 2^19 entries (4 MiB): the direct path over row slices of X,
+    the update over the k rows below b.  Each block's Gram (and, on the
+    update path, its cross term) is added to a running sum; A on the
+    direct path is the single ``X.T @ (s * y)`` unless the call is one
+    gemm-sized block.  Block edges are counted in rows from the first,
+    whatever the BLAS thread count.  A call's scratch memory is thus one
+    block plus a few vectors of length n, not a copy of X or of its k
+    rows (a gemm-sized block is scaled into a fresh array of its own size
+    instead).  A call whose rows fit in one block (n d <= 2^19 on the
+    direct path, k d <= 2^19 on the update) runs the one-product formula
+    itself and returns its bits; every call of the README grid is one
+    block.  With more blocks the sums are added in another order, which
+    moves A and B in the low bits.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.shape[0] != dataset.n:
@@ -221,6 +262,7 @@ def compute_moments(dataset: Dataset, weights: np.ndarray) -> MomentPair:
     if not (lo > 0.0 and hi < np.inf):
         raise ValueError("weights must be finite and strictly positive")
     n, d = dataset.n, dataset.d
+    X, y = dataset.X, dataset.y
     step = max(1, _MOMENT_BLOCK_ELEMENTS // d)
     # Rows that fit one block take the one-product formula itself: the
     # README grid makes thousands of such small calls, and the block loop
@@ -230,39 +272,37 @@ def compute_moments(dataset: Dataset, weights: np.ndarray) -> MomentPair:
         if 2 * np.add.reduce(below, dtype=np.intp) <= n:
             XtX, Xty = dataset._unit_moments
             idx = below.nonzero()[0]
-            c = np.sqrt(hi - w[idx])
             # Gathered along the rows of X.T, which are X's contiguous
             # columns; X[idx] reads each row at a stride of n and was 2.6x
-            # slower at n=36000, d=100.  Gt is G^T for G = diag(c) X[idx].
+            # slower at n=36000, d=100.  Gt is X[idx]^T.
             if idx.shape[0] <= step:
-                Gt = dataset.X.T.take(idx, axis=1)
-                Gt *= c
-                sum_y, sum_G = Gt @ (c * dataset.y[idx]), Gt @ Gt.T
+                Gt = X.T.take(idx, axis=1)
+                sum_y, sum_G = _weighted_gram(Gt, hi - w[idx], y[idx], Gt)
             else:
                 sum_y, sum_G = np.zeros(d), np.zeros((d, d))
                 for start, stop, Gt in _row_blocks(idx.shape[0], d, step):
-                    rows, cb = idx[start:stop], c[start:stop]
+                    rows = idx[start:stop]
                     # Every index is in range; "clip" writes straight into
                     # out= where the default "raise" buffers it.
-                    dataset.X.T.take(rows, axis=1, out=Gt, mode="clip")
-                    Gt *= cb
-                    sum_y += Gt @ (cb * dataset.y[rows])
-                    sum_G += Gt @ Gt.T
+                    X.T.take(rows, axis=1, out=Gt, mode="clip")
+                    cross, gram = _weighted_gram(Gt, hi - w[rows], y[rows], Gt)
+                    sum_y += cross
+                    sum_G += gram
             A = (hi * Xty - sum_y) / n
             B = (hi * XtX - sum_G) / n
             return MomentPair(A=A, B=B)
-    A = dataset.X.T @ (w * dataset.y) / n
+    # One gemm-sized block takes A from the scaled copy that builds B;
+    # otherwise A stays one product over all rows, as in every larger call.
+    if n <= step and _gemm_sized(d, n):
+        A, sum_G = _weighted_gram(X.T, w, y, None)
+        return MomentPair(A=A / n, B=sum_G / n)
+    A = X.T @ (w * y) / n
     if n <= step:
-        Xs = dataset.X * np.sqrt(w)[:, None]
-        sum_G = Xs.T @ Xs
+        sum_G = _weighted_gram(X.T, w, None, np.empty((d, n)))[1]
     else:
-        sqrt_w = np.sqrt(w)
         sum_G = np.zeros((d, d))
         for start, stop, Gt in _row_blocks(n, d, step):
-            # Gt.T is the column-major block X[start:stop] * sqrt(w), and
-            # Gt @ Gt.T is its syrk.
-            np.multiply(dataset.X[start:stop], sqrt_w[start:stop, None], out=Gt.T)
-            sum_G += Gt @ Gt.T
+            sum_G += _weighted_gram(X.T[:, start:stop], w[start:stop], None, Gt)[1]
     B = sum_G / n
     return MomentPair(A=A, B=B)
 
@@ -366,6 +406,10 @@ def _run_loop(
     theta = np.zeros(dataset.d)
     weights, moments = _shared_first_step(dataset, config.weight_cap)
     trace: list[IRLSState] = []
+    # The exact loop's iterates by their bytes, the strictest test (-0.0
+    # and 0.0 differ), mapped to the trace index of the state that holds
+    # them; theta = 0 precedes state 0.
+    seen = {theta.tobytes(): -1} if release is None else None
     for t in range(config.iterations):
         if t > 0:
             weights = weights_from_residuals(residuals(dataset, theta), config.weight_cap)
@@ -375,20 +419,22 @@ def _run_loop(
         else:
             A_out, B_out, rels = release(moments)
         solution = solve_step(A_out, B_out)
-        # Compared as bytes, the strictest test (-0.0 and 0.0 differ): an
-        # iterate with the previous one's bytes gives the next iteration
-        # this one's weights, so every later state repeats this one.
-        stalled = release is None and solution.theta.tobytes() == theta.tobytes()
         theta = solution.theta
         theta.setflags(write=False)
         weights.setflags(write=False)
         trace.append(
             IRLSState(theta=theta, weights=weights, used_ridge=solution.used_ridge, releases=rels)
         )
-        if stalled:
-            trace.extend([trace[-1]] * (config.iterations - len(trace)))
-            break
-    return theta, tuple(trace)
+        if seen is not None:
+            first = seen.setdefault(theta.tobytes(), t)
+            if first != t:
+                # State t + 1 would repeat state first + 1, and so on: the
+                # trace cycles with period t - first from here.
+                period = t - first
+                while len(trace) < config.iterations:
+                    trace.append(trace[-period])
+                break
+    return trace[-1].theta, tuple(trace)
 
 
 def run_exact_irls(dataset: Dataset, config: IRLSConfig) -> tuple[np.ndarray, tuple[IRLSState, ...]]:
@@ -398,12 +444,16 @@ def run_exact_irls(dataset: Dataset, config: IRLSConfig) -> tuple[np.ndarray, tu
     require the privacy norm bounds, since nothing is released.
 
     Each step is a deterministic map theta -> B(theta)^-1 A(theta), so
-    once an iterate equals the previous one byte for byte, every later
-    iteration would rebuild the same weights, moments and iterate.  The
-    loop then stops calling the layers and repeats that state to the
-    end of the trace, which still holds ``config.iterations`` states
-    with the bits the full loop would give.  On the README grid (weight
-    cap 5) the exact solves compute about a third of their iterations.
+    once an iterate equals an earlier one byte for byte (or theta = 0),
+    every later iteration would rebuild the states that followed it.
+    The loop then stops calling the layers and fills the rest of the
+    trace by repeating that cycle; a fixed point is a cycle of period 1.
+    The trace still holds ``config.iterations`` states with the bits the
+    full loop would give.  Iterates that settle to rounding often cycle
+    in their last bits with period 2 or 4 instead of repeating the
+    previous one, which a stop at the fixed point alone would miss.  On
+    the README grid (weight cap 5) the exact solves compute about a
+    third of their iterations.
 
     Like every solve, it starts from the first step memoised on the
     dataset (see ``Dataset._first_step``).

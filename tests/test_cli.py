@@ -122,15 +122,18 @@ def test_output_bytes_stable_across_thread_counts(tmp_path, monkeypatch):
 def test_output_bytes_stable_across_blas_thread_counts(tmp_path):
     # A small grid only: its products stay below the sizes at which OpenBLAS
     # splits work across threads (README, "Command-line harness"); large
-    # products may differ in their low bits between thread counts.  BLAS
-    # reads its thread count at start-up, so each run is its own process.
+    # products may differ in their low bits between thread counts.  N =
+    # 10000 makes the README grid's largest moment products, 9e5
+    # multiply-adds on 9000 training rows, just under the gemm limit of
+    # solver.compute_moments.  BLAS reads its thread count at start-up, so
+    # each run is its own process.
     pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {k: v for k, v in os.environ.items() if k != "DP_IRLS_THREADS"}
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"blas{threads}.csv"
         done = subprocess.run(
-            [sys.executable, "-m", "dpirls.cli", "--d", "10", "--n", "500,5000", "--seeds", "2",
+            [sys.executable, "-m", "dpirls.cli", "--d", "10", "--n", "500,5000,10000", "--seeds", "2",
              "--iters", "10", "--weight-cap", "5", "--delta-f", "1e-5", "--out-csv", str(out)],
             env={**env, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads},
             capture_output=True, text=True, timeout=120,

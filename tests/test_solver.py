@@ -141,20 +141,37 @@ def _rel_frobenius(got, ref):
     return float(np.linalg.norm((got - ref).astype(np.float64)) / np.linalg.norm(ref.astype(np.float64)))
 
 
+def _gemm_sized(d, rows):
+    return d * d * rows <= solver_module._GEMM_MAX_MULADDS
+
+
 def _one_product_moments(ds, w):
     # compute_moments' formulas as one product over all rows: the direct
-    # one, or the capped-weight update where its two conditions hold.
-    n = ds.n
+    # one, or the capped-weight update where its two conditions hold.  Each
+    # weighted product X^T diag(v) [X, y] is the gemm of St = X^T diag(v)
+    # against X, with the average of G and G^T as its Gram, up to
+    # _GEMM_MAX_MULADDS multiply-adds, and the syrk of diag(sqrt(v)) X above.
+    n, d = ds.n, ds.d
     if not _update_path_taken(w):
+        if _gemm_sized(d, n):
+            St = ds.X.T * w
+            G = St @ ds.X
+            return St @ ds.y / n, (G + G.T) * 0.5 / n
         Xs = ds.X * np.sqrt(w)[:, None]
         return ds.X.T @ (w * ds.y) / n, (Xs.T @ Xs) / n
     hi = w.max()
     idx = np.flatnonzero(w < hi)
-    c = np.sqrt(hi - w[idx])
-    Gt = np.take(ds.X.T, idx, axis=1)
-    Gt *= c
+    Xk = np.take(ds.X.T, idx, axis=1)
+    if _gemm_sized(d, idx.shape[0]):
+        St = Xk * (hi - w[idx])
+        G = St @ Xk.T
+        sum_y, sum_G = St @ ds.y[idx], (G + G.T) * 0.5
+    else:
+        c = np.sqrt(hi - w[idx])
+        Gt = Xk * c
+        sum_y, sum_G = Gt @ (c * ds.y[idx]), Gt @ Gt.T
     XtX, Xty = ds.X.T @ ds.X, ds.X.T @ ds.y
-    return (hi * Xty - Gt @ (c * ds.y[idx])) / n, (hi * XtX - Gt @ Gt.T) / n
+    return (hi * Xty - sum_y) / n, (hi * XtX - sum_G) / n
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -196,7 +213,8 @@ def test_moments_property_against_longdouble(n, d, cap, share, ratio, subspace, 
     A_ref, B_ref = _longdouble_moments(ds, w)
     assert _rel_frobenius(m.A, A_ref) <= 1e-12
     assert _rel_frobenius(m.B, B_ref) <= 1e-12
-    # Every draw fits one block (n d <= 90000): the one-product bits.
+    # Every draw fits one block (n d <= 90000): the one-product bits, by
+    # gemm or syrk as d * d * rows (up to 2.7e6) falls.
     assert ("_unit_moments" in vars(ds)) == _update_path_taken(w)
     A_one, B_one = _one_product_moments(ds, w)
     assert np.array_equal(m.A, A_one) and np.array_equal(m.B, B_one)
@@ -291,18 +309,24 @@ def test_update_path_block_edges():
 
 @pytest.mark.parametrize("path", ["direct", "update"])
 def test_one_block_moments_are_the_one_product_formula_bitwise(path):
-    # The README grid's largest training split: every call it makes is one
-    # block, so its bytes are those of the one-product formula.
-    ds = _random_dataset(19, n=9000, d=10)
-    assert ds.n * ds.d <= solver_module._MOMENT_BLOCK_ELEMENTS
-    if path == "direct":
-        w = np.random.default_rng(20).uniform(0.01, 10.0, size=ds.n)
-    else:
-        w = _capped_weights(ds.n, 4000, seed=20)
-    assert _update_path_taken(w) == (path == "update")
-    m, ref = compute_moments(ds, w), _one_product_moments(ds, w)
-    assert np.array_equal(m.A, ref[0])
-    assert np.array_equal(m.B, ref[1])
+    # The README grid's largest training split, whose every call is one
+    # gemm-sized block, and a one-block shape above the gemm limit: their
+    # bytes are those of the one-product formula.
+    for n, d, gemm in ((9000, 10, True), (12000, 20, False)):
+        ds = _random_dataset(19, n=n, d=d)
+        assert ds.n * ds.d <= solver_module._MOMENT_BLOCK_ELEMENTS
+        if path == "direct":
+            w = np.random.default_rng(20).uniform(0.01, 10.0, size=ds.n)
+            rows = ds.n
+        else:
+            rows = 4000
+            w = _capped_weights(ds.n, rows, seed=20)
+        assert _update_path_taken(w) == (path == "update")
+        assert _gemm_sized(d, rows) == gemm
+        m, ref = compute_moments(ds, w), _one_product_moments(ds, w)
+        assert np.array_equal(m.B, m.B.T), (n, d)
+        assert np.array_equal(m.A, ref[0]), (n, d)
+        assert np.array_equal(m.B, ref[1]), (n, d)
 
 
 @pytest.mark.parametrize(
@@ -770,6 +794,50 @@ def test_exact_solve_stops_at_its_bitwise_fixed_point(monkeypatch):
         _assert_trace_is(trace, states)
         assert theta.tobytes() == thetas[-1]
         assert (len(calls) < cfg.iterations) == stalls
+
+
+def _first_repeat(states, d):
+    # (number of states up to the first theta that repeats an earlier one
+    # or theta = 0, its period), or (J, None) if none repeats.
+    seen = {np.zeros(d).tobytes(): -1}
+    for t, (theta, *_) in enumerate(states):
+        first = seen.setdefault(theta.tobytes(), t)
+        if first != t:
+            return t + 1, t - first
+    return len(states), None
+
+
+def test_exact_solve_stops_at_any_repeated_iterate(monkeypatch):
+    # Iterates that settle to rounding can cycle in their last bits instead
+    # of repeating the previous one.  Once theta repeats any earlier
+    # iterate, every later state repeats the cycle between them, so the
+    # loop stops computing there and still returns the full loop's trace,
+    # state by state and bit for bit.
+    calls = _moment_calls(monkeypatch)
+    J, computed, at_fixed_point, periods = 80, 0, 0, []
+    for seed in range(7, 25):
+        ds = _outlier_dataset(seed)
+        for cap in (5.0, 20.0):
+            cfg = IRLSConfig(iterations=J, weight_cap=cap)
+            states = _reference_loop(_fresh_copy(ds), cfg)
+            stop, period = _first_repeat(states, ds.d)
+            calls.clear()
+            theta, trace = run_exact_irls(ds, cfg)
+            _assert_trace_is(trace, states)
+            assert theta.tobytes() == states[-1][0].tobytes()
+            assert len(calls) == stop, (seed, cap)
+            computed += stop
+            periods.append(period)
+            # where a stop at the fixed point alone would have stopped
+            thetas = [state_theta.tobytes() for state_theta, *_ in states]
+            at_fixed_point += next(
+                (t + 1 for t in range(1, J) if thetas[t] == thetas[t - 1]), J
+            )
+    # With OpenBLAS 0.3.31 four of these 36 solves cycle with period 2 to 4
+    # and never reach a fixed point: 752 iterations computed, against 984
+    # for a stop at the fixed point alone.
+    assert any(p is not None and p > 1 for p in periods), periods
+    assert computed < at_fixed_point
 
 
 def test_exact_solver_accepts_unnormalized_data():
