@@ -165,11 +165,12 @@ class Dataset:
     enforce the norm bounds, or :func:`normalize_dataset` to establish
     them.  The stored arrays are read-only, and ``X`` is stored
     column-major (Fortran order) whatever the input's order: every pass
-    the solver makes over X (``X @ theta``, ``X.T @ v``, the row scaling
-    ``X[a:b] * sqrt(w[a:b])[:, None]`` and the row gather of one block in
-    ``compute_moments``, row norms) then streams through each feature
-    column contiguously instead of running a d-element inner loop per
-    row.  ``X^T X`` and ``X^T y`` are memoised per instance on first
+    the solver makes over X (``X @ theta``, ``X.T @ v``, and in
+    ``compute_moments`` the scaling of a block of rows ``X.T[:, a:b]``
+    by their weights or the weights' square roots and the gather of the
+    rows below the weight cap along ``X.T``, row norms) then streams
+    through each feature column contiguously instead of running a
+    d-element inner loop per row.  ``X^T X`` and ``X^T y`` are memoised per instance on first
     use (see ``_unit_moments``), and so are the solver's first IRLS step
     (see ``_first_step``) and a passed bounds check (see
     ``_bounds_checked``); all are sound because the arrays are read-only.

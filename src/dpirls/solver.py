@@ -62,13 +62,14 @@ _RIDGE_FACTOR = 1e-8
 _UPDATE_MAX_RATIO = 64.0
 
 # compute_moments adds up its Gram and cross terms over blocks of rows
-# holding at most this many float64 entries (4 MiB), so a call's scratch
-# memory stays one block plus a few n-vectors whatever n * d is.  With
-# blocks of 2^17 entries (1310 rows at d = 100) a private solve at
-# n = 4e4, d = 100 ran about 10% slower than with one product over all
-# rows below the cap (two OpenBLAS threads, whose syrk is slower on short
-# blocks); with 2^19 entries about 3% slower.
-_MOMENT_BLOCK_ELEMENTS = 1 << 19
+# holding at most this many float64 entries (1 MiB, half of one core's
+# 2 MiB L2 on the 2-core benchmark host), so a call's scratch memory
+# stays one block plus a few vectors of length n whatever n * d is: at
+# n = 36000, d = 100 with about 8000 rows below the cap it peaks at
+# 1.6 MB, against 4.7 MB with blocks of 2^19 entries.  There the 19
+# calls of a private solve took about 2% longer than with 2^19 entries
+# (two OpenBLAS threads, 1310-row blocks against 5242-row ones).
+_MOMENT_BLOCK_ELEMENTS = 1 << 17
 
 # Largest d * d * rows, and largest d, at which compute_moments forms a
 # weighted Gram product with one gemm instead of a syrk (see
@@ -250,18 +251,21 @@ def compute_moments(dataset: Dataset, weights: np.ndarray) -> MomentPair:
     the released values, not the time taken to compute them.
 
     Both paths work one block of rows at a time, in one reused buffer of
-    at most 2^19 entries (4 MiB): the direct path over row slices of X,
+    at most 2^17 entries (1 MiB): the direct path over row slices of X,
     the update over the k rows below b.  Each block's Gram (and, on the
     update path, its cross term) is added to a running sum; A on the
     direct path is the single ``X.T @ (s * y)`` unless the call is one
-    gemm-sized block.  Block edges are counted in rows from the first,
-    whatever the BLAS thread count.  A call's scratch memory is thus one
-    block plus a few vectors of length n, not a copy of X or of its k
-    rows (a gemm-sized block is scaled into a fresh array of its own size
-    instead).  A call whose rows fit in one block (n d <= 2^19 on the
-    direct path, k d <= 2^19 on the update) runs the one-product formula
-    itself and returns its bits; every call of the README grid is one
-    block.  With more blocks the sums are added in another order, which
+    gemm-sized block.  The update forms b - s (in place in the gathered
+    weights) and y over its k rows once per call, not once per block.
+    Block edges are counted in rows from the first, whatever the BLAS
+    thread count.  A call's scratch memory is thus one block plus a few
+    vectors of length n, not a copy of X or of its k rows (a gemm-sized
+    block is scaled into a fresh array of its own size instead).  A call
+    whose rows fit in one block (n d <= 2^17 on the direct path, k d <=
+    2^17 on the update) runs the one-product formula itself and returns
+    its bits.  Every call of the README grid is one block (n d <=
+    90,000), but a direct call at d = 20 and n = 10,000 already takes
+    two.  With more blocks the sums are added in another order, which
     moves A and B in the low bits.
     """
     w = np.asarray(weights, dtype=np.float64)
@@ -297,22 +301,26 @@ def compute_moments(dataset: Dataset, weights: np.ndarray) -> MomentPair:
     # cost each a few microseconds more.
     if 2 * k <= n and hi <= _UPDATE_MAX_RATIO * lo:
         XtX, Xty = dataset._unit_moments
+        v = np.subtract(hi, wk, out=wk)  # b - s
+        yk = y[idx]
         # Gathered along the rows of X.T, which are X's contiguous
         # columns; X[idx] reads each row at a stride of n and was 2.6x
         # slower at n=36000, d=100.  Gt is X[idx]^T.
         if k <= step:
             Gt = X.T.take(idx, axis=1)
-            sum_y, sum_G = _weighted_gram(Gt, hi - wk, y[idx], Gt)
+            sum_y, sum_G = _weighted_gram(Gt, v, yk, Gt)
         else:
             sum_y, sum_G = np.zeros(d), np.zeros((d, d))
             for start, stop, Gt in _row_blocks(k, d, step):
-                rows = idx[start:stop]
                 # Every index is in range; "clip" writes straight into
                 # out= where the default "raise" buffers it.
-                X.T.take(rows, axis=1, out=Gt, mode="clip")
-                cross, gram = _weighted_gram(Gt, hi - wk[start:stop], y[rows], Gt)
+                X.T.take(idx[start:stop], axis=1, out=Gt, mode="clip")
+                cross, gram = _weighted_gram(Gt, v[start:stop], yk[start:stop], Gt)
                 sum_y += cross
                 sum_G += gram
+            # Gt is the last reference to the block buffer: free it before
+            # the temporaries of A and B are made.
+            del Gt, gram
         A = (hi * Xty - sum_y) / n
         B = (hi * XtX - sum_G) / n
         return MomentPair(A=A, B=B)

@@ -262,20 +262,23 @@ def _block_rows(d):
 
 @pytest.mark.parametrize("path", ["direct", "update"])
 def test_multi_block_moments_against_longdouble(path):
-    ds = _random_dataset(16, n=30000, d=40)
-    if path == "direct":
-        w = np.random.default_rng(17).uniform(0.01, 10.0, size=ds.n)
-        rows = ds.n
-    else:
-        rows = 14000
-        w = _capped_weights(ds.n, rows, seed=17)
-    assert _update_path_taken(w) == (path == "update")
-    assert rows > _block_rows(ds.d)  # two blocks or more
-    m = compute_moments(ds, w)
-    assert np.array_equal(m.B, m.B.T)
-    A_ref, B_ref = _longdouble_moments(ds, w)
-    assert _rel_frobenius(m.A, A_ref) <= 1e-12
-    assert _rel_frobenius(m.B, B_ref) <= 1e-12
+    # Full blocks in the syrk form, and at d = 5 in the gemm form.
+    for n, d, below, gemm in ((30000, 40, 14000, False), (60000, 5, 28000, True)):
+        ds = _random_dataset(16, n=n, d=d)
+        if path == "direct":
+            w = np.random.default_rng(17).uniform(0.01, 10.0, size=ds.n)
+            rows = ds.n
+        else:
+            rows = below
+            w = _capped_weights(ds.n, rows, seed=17)
+        assert _update_path_taken(w) == (path == "update")
+        assert rows > _block_rows(ds.d)  # two blocks or more
+        assert solver_module._gemm_sized(d, _block_rows(d)) == gemm
+        m = compute_moments(ds, w)
+        assert np.array_equal(m.B, m.B.T), (n, d)
+        A_ref, B_ref = _longdouble_moments(ds, w)
+        assert _rel_frobenius(m.A, A_ref) <= 1e-12, (n, d)
+        assert _rel_frobenius(m.B, B_ref) <= 1e-12, (n, d)
 
 
 def test_update_path_block_edges():
@@ -308,14 +311,14 @@ def test_one_block_moments_are_the_one_product_formula_bitwise(path):
     # The README grid's largest training split, whose every call is one
     # gemm-sized block, and a one-block shape above the gemm limit: their
     # bytes are those of the one-product formula.
-    for n, d, gemm in ((9000, 10, True), (12000, 20, False)):
+    for n, d, below, gemm in ((9000, 10, 4000, True), (6000, 20, 3000, False)):
         ds = _random_dataset(19, n=n, d=d)
         assert ds.n * ds.d <= solver_module._MOMENT_BLOCK_ELEMENTS
         if path == "direct":
             w = np.random.default_rng(20).uniform(0.01, 10.0, size=ds.n)
             rows = ds.n
         else:
-            rows = 4000
+            rows = below
             w = _capped_weights(ds.n, rows, seed=20)
         assert _update_path_taken(w) == (path == "update")
         assert solver_module._gemm_sized(d, rows) == gemm
@@ -327,12 +330,15 @@ def test_one_block_moments_are_the_one_product_formula_bitwise(path):
 
 @pytest.mark.parametrize(
     "path, n, d, bound",
-    [("direct", 200_000, 10, 0.5), ("update", 100_000, 50, 0.2)],
+    [("direct", 200_000, 10, 0.15), ("update", 100_000, 50, 0.08)],
 )
 def test_moments_scratch_memory_is_a_block_not_a_copy(path, n, d, bound):
-    # The peak is one block of 4 MiB plus a few vectors of length n; one
-    # product over all rows copied X (1.10 times its size on the direct
-    # path) or the half of its rows below the cap (0.53 on the update).
+    # The peak is one block of 1 MiB plus the vectors each path keeps: the
+    # mask of the rows below the cap, then on the direct path s y and one
+    # block's square roots, on the update the indices of those k rows and
+    # b - s and y over them.  One product over all rows copied X (1.10
+    # times its size on the direct path) or the half of its rows below the
+    # cap (0.53 on the update).
     rng = np.random.default_rng(21)
     X = rng.uniform(-1.0, 1.0, size=(n, d)) / math.sqrt(d)
     ds = Dataset(X=X, y=rng.uniform(-1.0, 1.0, size=n))
