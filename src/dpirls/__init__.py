@@ -45,7 +45,6 @@ from .mechanisms import (
 )
 from .solver import (
     IRLSConfig,
-    Mechanism,
     MomentSolveError,
     compute_moments,
     residuals,
@@ -64,7 +63,6 @@ __all__ = [
     "ExperimentGrid",
     "IRLSConfig",
     "MECHANISM_SPECS",
-    "Mechanism",
     "MomentSolveError",
     "NoisePlan",
     "PrivacyBudget",

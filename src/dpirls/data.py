@@ -57,6 +57,14 @@ def _check_positive_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _check_weight_cap(weight_cap: float) -> None:
+    # The clamp's floor 1/weight_cap must be finite too, or every weight
+    # would be 1/inf = 0; every release's calibration refuses such caps too.
+    _check_positive_finite("weight_cap", weight_cap)
+    if math.isinf(1.0 / float(weight_cap)):
+        raise ValueError(f"weight_cap must have a finite reciprocal, got {weight_cap!r}")
+
+
 _INT_BOUNDS = {0: "a non-negative integer", 1: "a positive integer"}
 
 
@@ -128,13 +136,13 @@ def _check_symmetric(name: str, B: np.ndarray) -> None:
 
 
 def _row_norms(X: np.ndarray) -> np.ndarray:
-    # np.linalg.norm(X, axis=1) by its own formula, over blocks of rows.
-    # Each row is reduced on its own, in the same order as in the full
-    # call, so the result is bitwise the same for C- and F-ordered X,
-    # while the n x d squares become one block's worth.  No block is a
-    # single row of a longer X: numpy lays a (1, d) temporary out
-    # C-contiguous and sums it pairwise, where the full call sums an
-    # F-ordered X's rows left to right.
+    # np.linalg.norm(X, axis=1) by its own formula, over blocks of rows:
+    # each row is reduced as the full call on the same layout reduces it,
+    # so the bits are np.linalg.norm's for that X, while the n x d squares
+    # become one block's worth.  C and F order differ from d = 8 on, as
+    # numpy sums a C row pairwise and F rows left to right (at n = 5,000,
+    # about 900 rows at d = 10, by at most 6e-16 relative).  No block is
+    # one row of a longer X: numpy sums a (1, d) block pairwise, as C order.
     n, d = X.shape
     step = max(2, _NORM_BLOCK_ELEMENTS // max(d, 1))
     out = np.empty(n)
@@ -157,7 +165,7 @@ def _first_nonfinite_row(X: np.ndarray) -> int:
     return -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Design matrix ``X`` of shape (n, d) and response vector ``y`` of shape (n,).
 
@@ -174,6 +182,7 @@ class Dataset:
     use (see ``_unit_moments``), and so are the solver's first IRLS step
     (see ``_first_step``) and a passed bounds check (see
     ``_bounds_checked``); all are sound because the arrays are read-only.
+    Datasets compare and hash by identity, as those memos assume.
 
     An input that is already float64, F-contiguous, read-only and owns its
     buffer is adopted as it is, not copied; whoever passes one hands it

@@ -32,7 +32,7 @@ from . import synthetic
 from .accountant import PrivacyBudget, Regime
 from .data import _check_int, _check_probability
 from .mechanisms import _stream
-from .solver import IRLSConfig, Mechanism, run_exact_irls, run_private_irls
+from .solver import IRLSConfig, run_exact_irls, run_private_irls
 from .synthetic import SplitDataset, SyntheticSpec, evaluate_fit
 
 # Per thread: the split generate last returned there, with its spec.
@@ -62,12 +62,12 @@ def generate(spec: SyntheticSpec) -> SplitDataset:
 # (Bun & Steinke 2016, Prop. 1.3): about (7.34, 1e-5)-DP at epsilon = 0.9.
 # dp-conventional spends it as (epsilon, 0)-DP, dp-advanced as
 # (epsilon, delta_f)-DP.
-MECHANISM_SPECS: dict[str, tuple[Regime | None, Mechanism | None]] = {
+MECHANISM_SPECS: dict[str, tuple[Regime | None, str | None]] = {
     "non-private": (None, None),
-    "cdp-lap": (Regime.CDP, Mechanism.LAPLACE),
-    "cdp-gau": (Regime.CDP, Mechanism.GAUSSIAN),
-    "dp-advanced": (Regime.ADVANCED, Mechanism.LAPLACE),
-    "dp-conventional": (Regime.CONVENTIONAL, Mechanism.LAPLACE),
+    "cdp-lap": (Regime.CDP, "laplace"),
+    "cdp-gau": (Regime.CDP, "gaussian"),
+    "dp-advanced": (Regime.ADVANCED, "laplace"),
+    "dp-conventional": (Regime.CONVENTIONAL, "laplace"),
 }
 
 # Fixed codes keep noise streams stable when a run requests fewer labels.
@@ -123,7 +123,7 @@ class ExperimentGrid:
 def _needs_delta(label: str) -> bool:
     # Strong composition and the Gaussian release each take delta_f.
     regime, mechanism = MECHANISM_SPECS[label]
-    return regime is Regime.ADVANCED or mechanism is Mechanism.GAUSSIAN
+    return regime is Regime.ADVANCED or mechanism == "gaussian"
 
 
 class ResultRow(NamedTuple):

@@ -28,6 +28,7 @@ from .data import (
     _check_positive_finite,
     _check_probability,
     _check_symmetric,
+    _check_weight_cap,
 )
 
 
@@ -44,7 +45,7 @@ def _check_generator(rng: np.random.Generator) -> None:
 
 def _check_calibration(n: int, weight_cap: float) -> None:
     _check_int("n", n)
-    _check_positive_finite("weight_cap", weight_cap)
+    _check_weight_cap(weight_cap)
 
 
 def _calibrated(value: float) -> bool:

@@ -28,8 +28,6 @@ the rest of its trace with that cycle (see :func:`run_exact_irls`).
 
 from __future__ import annotations
 
-import enum
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -49,8 +47,8 @@ from .data import (
     _as_theta,
     _as_vector,
     _check_int,
-    _check_positive_finite,
     _check_symmetric,
+    _check_weight_cap,
     validate_dataset,
 )
 from .mechanisms import _check_generator, gaussian_perturb, laplace_perturb, wishart_perturb
@@ -79,13 +77,6 @@ _GEMM_MAX_MULADDS = 100**3
 _GEMM_MAX_D = 30
 
 
-class Mechanism(enum.Enum):
-    """Noise applied to the cross moment A; B always uses the Wishart release."""
-
-    LAPLACE = "laplace"
-    GAUSSIAN = "gaussian"
-
-
 class MomentSolveError(RuntimeError):
     """Raised when B theta = A cannot be solved even with the ridge fallback."""
 
@@ -100,14 +91,6 @@ class MomentPair(NamedTuple):
 class StepSolution(NamedTuple):
     theta: np.ndarray
     used_ridge: bool
-
-
-def _check_weight_cap(weight_cap: float) -> None:
-    # The clamp's floor 1/weight_cap must be finite too, or every weight
-    # would be 1/inf = 0.
-    _check_positive_finite("weight_cap", weight_cap)
-    if math.isinf(1.0 / float(weight_cap)):
-        raise ValueError(f"weight_cap must have a finite reciprocal, got {weight_cap!r}")
 
 
 @dataclass(frozen=True)
@@ -498,7 +481,7 @@ def run_private_irls(
     dataset: Dataset,
     config: IRLSConfig,
     budget: PrivacyBudget,
-    mechanism: Mechanism | str,
+    mechanism: str,
     rng: np.random.Generator,
     *,
     gaussian_failure_prob: float = 1e-6,
@@ -506,7 +489,7 @@ def run_private_irls(
     """IRLS on noisy moment releases under a total privacy budget.
 
     Each iteration spends the plan's eps' twice: once on A through the
-    chosen mechanism (Laplace or Gaussian) and once on B through the
+    mechanism ``"laplace"`` or ``"gaussian"`` and once on B through the
     Wishart release, drawing all noise from ``rng``, a numpy Generator.
     The dataset must satisfy the norm bounds; they are validated here
     because every calibration depends on them (a dataset that already
@@ -518,15 +501,16 @@ def run_private_irls(
     cover the trace's ``weights``, which are computed from the raw data:
     iteration 1's hold |y_i| for every row beyond 1/weight_cap.
     """
-    mechanism = Mechanism(mechanism)
+    if mechanism not in ("laplace", "gaussian"):
+        raise ValueError(f"mechanism must be 'laplace' or 'gaussian', got {mechanism!r}")
     _check_generator(rng)
     validate_dataset(dataset)
     plan = plan_for_budget(budget, config.iterations)
     n, cap, eps_prime = dataset.n, config.weight_cap, plan.eps_prime
-    rels = (NoiseRelease(mechanism.value, eps_prime), NoiseRelease("wishart", eps_prime))
+    rels = (NoiseRelease(mechanism, eps_prime), NoiseRelease("wishart", eps_prime))
 
     def release(moments: MomentPair):
-        if mechanism is Mechanism.LAPLACE:
+        if mechanism == "laplace":
             A_out = laplace_perturb(moments.A, eps_prime, cap, n, rng)
         else:
             A_out = gaussian_perturb(

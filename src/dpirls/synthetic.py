@@ -22,13 +22,13 @@ import numpy as np
 from .data import (
     _NORM_BLOCK_ELEMENTS,
     Dataset,
-    _as_theta,
     _check_int,
     _check_positive_finite,
     _row_norms,
     validate_dataset,
 )
 from .mechanisms import _stream
+from .solver import residuals
 
 VARIANCE_FLOOR = 1e-8
 
@@ -80,8 +80,11 @@ def generate(spec: SyntheticSpec) -> SplitDataset:
     smaller than one block), and a one-row remainder joins the block
     before it.  Each block's row norms are taken, then it is copied
     straight into the column-major train or test array, or both when it
-    straddles the split.  Consecutive draws continue one stream, so X is
-    bitwise the single (n, d) draw of the module's generation order.
+    straddles the split.  The maximum row norm must come from these
+    C-ordered blocks: taken from the F-ordered arrays, whose rows numpy
+    sums in another order, it changes X's bits from d = 8 on.
+    Consecutive draws continue one stream, so X is bitwise the single
+    (n, d) draw of the module's generation order.
     ``X @ theta*`` runs over the same blocks, each gathered back into C
     order.  With every block starting at a multiple of 4 rows, the
     OpenBLAS kernels checked give each row bitwise as the product over
@@ -154,7 +157,7 @@ def estimate_residual_variance(dataset: Dataset, theta: np.ndarray) -> float:
     The floor keeps the plug-in log-likelihood finite when a fit is
     (numerically) perfect.
     """
-    res = dataset.y - dataset.X @ _as_theta(theta, dataset.d)
+    res = residuals(dataset, theta)
     # np.mean's bits (a pairwise sum, then one division) without its wrapper.
     return max(VARIANCE_FLOOR, float(np.add.reduce(res * res)) / dataset.n)
 
@@ -168,7 +171,7 @@ def loglik_per_test_point(test: Dataset, theta: np.ndarray, residual_var: float)
     for a fixed variance.
     """
     _check_positive_finite("residual_var", residual_var)
-    res = test.y - test.X @ _as_theta(theta, test.d)
+    res = residuals(test, theta)
     return float(
         -0.5 * math.log(2.0 * math.pi * residual_var)
         - float(np.add.reduce(res * res)) / test.n / (2.0 * residual_var)

@@ -159,6 +159,14 @@ def test_datasets_never_share_a_validation():
     assert validate_dataset(twin) is twin
 
 
+def test_datasets_compare_and_hash_by_identity():
+    X, y = np.array([[0.6, 0.8], [0.1, 0.0]]), np.array([1.0, -0.5])
+    ds, twin = Dataset(X, y), Dataset(X, y)
+    assert ds == ds and ds != twin
+    assert ds in [twin, ds] and twin not in [ds]
+    assert len({ds, twin, ds}) == 2
+
+
 def test_design_matrix_is_stored_column_major():
     rng = np.random.default_rng(3)
     base = rng.normal(size=(7, 4))

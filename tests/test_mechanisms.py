@@ -62,6 +62,24 @@ def test_sensitivity_argument_validation():
         l2_sensitivity_A(10, math.inf)
 
 
+def test_every_calibration_refuses_a_cap_whose_reciprocal_overflows():
+    # 1/1e-310 is inf: the solver's clamp could not use such a cap, so no
+    # release may be calibrated from it either.
+    message = "weight_cap must have a finite reciprocal, got 1e-310"
+    calls = [
+        lambda: laplace_scale(1, 1, 1.0, 1e-310),
+        lambda: gaussian_std(1, 0.5, 1e-6, 1e-310),
+        lambda: wishart_variance(1, 1.0, 1e-310),
+        lambda: IRLSConfig(iterations=1, weight_cap=1e-310),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+    # The smallest caps with a finite reciprocal still calibrate.
+    assert laplace_scale(1, 1, 1.0, 1e-300) == 2e-300
+
+
 def _single_point_contrib(cap, rng, count, d, sharp_frac=0.2):
     """Sample (s * x, s * x * y) contributions of single rows, bounds respected.
 

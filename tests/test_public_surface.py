@@ -20,6 +20,7 @@ GONE = (
     "estimate_residual_variance",
     "loglik_per_test_point",
     "SeededRng",
+    "Mechanism",
 )
 
 

@@ -16,11 +16,11 @@ from _oracles import grid_l1_minimizer, longdouble_solve, naive_moments
 import dpirls.solver as solver_module
 from dpirls.accountant import PrivacyBudget, Regime, plan_for_budget
 from dpirls.data import DataValidationError, Dataset, normalize_dataset
+from dpirls.experiment import MECHANISM_SPECS
 from dpirls.mechanisms import _stream, wishart_perturb
 from dpirls.synthetic import SyntheticSpec, evaluate_fit, generate
 from dpirls.solver import (
     IRLSConfig,
-    Mechanism,
     MomentSolveError,
     compute_moments,
     residuals,
@@ -745,7 +745,7 @@ def test_weights_come_from_the_previous_iterate():
     for n, private in ((50, False), (1000, False), (50, True), (1000, True)):
         ds = _random_dataset(3, n=n, d=2)
         if private:
-            _, trace, _ = run_private_irls(ds, cfg, _budget(), Mechanism.LAPLACE, _stream(3, 0))
+            _, trace, _ = run_private_irls(ds, cfg, _budget(), "laplace", _stream(3, 0))
         else:
             _, trace = run_exact_irls(ds, cfg)
         prev = np.zeros(ds.d)
@@ -968,19 +968,19 @@ def test_private_run_is_deterministic():
     cfg = IRLSConfig(iterations=3, weight_cap=20.0)
     out = []
     for _ in range(2):
-        theta, trace, plan = run_private_irls(ds, cfg, _budget(), Mechanism.LAPLACE, _stream(17, 0))
+        theta, trace, plan = run_private_irls(ds, cfg, _budget(), "laplace", _stream(17, 0))
         out.append((theta, trace, plan))
     assert np.array_equal(out[0][0], out[1][0])
     for s1, s2 in zip(out[0][1], out[1][1]):
         assert np.array_equal(s1.theta, s2.theta)
-    other, _, _ = run_private_irls(ds, cfg, _budget(), Mechanism.LAPLACE, _stream(18, 0))
+    other, _, _ = run_private_irls(ds, cfg, _budget(), "laplace", _stream(18, 0))
     assert not np.array_equal(out[0][0], other)
 
 
 def test_private_release_accounting():
     ds = _random_dataset(101, n=300, d=4)
     cfg = IRLSConfig(iterations=6, weight_cap=20.0)
-    _, trace, plan = run_private_irls(ds, cfg, _budget(), Mechanism.LAPLACE, _stream(3, 0))
+    _, trace, plan = run_private_irls(ds, cfg, _budget(), "laplace", _stream(3, 0))
     assert len(trace) == 6
     assert sum(len(state.releases) for state in trace) == 2 * cfg.iterations
     for state in trace:
@@ -995,13 +995,13 @@ def test_private_gaussian_path():
     ds = _random_dataset(102, n=300, d=4)
     cfg = IRLSConfig(iterations=4, weight_cap=20.0)
     theta, trace, plan = run_private_irls(
-        ds, cfg, _budget(), Mechanism.GAUSSIAN, _stream(5, 0), gaussian_failure_prob=1e-6
+        ds, cfg, _budget(), "gaussian", _stream(5, 0), gaussian_failure_prob=1e-6
     )
     assert np.isfinite(theta).all()
     assert trace[0].releases[0].mechanism == "gaussian"
     with pytest.raises(ValueError):
         run_private_irls(
-            ds, cfg, _budget(), Mechanism.GAUSSIAN, _stream(5, 0), gaussian_failure_prob=0.0
+            ds, cfg, _budget(), "gaussian", _stream(5, 0), gaussian_failure_prob=0.0
         )
 
 
@@ -1014,7 +1014,7 @@ def test_private_matches_exact_when_noise_vanishes():
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        for mech in (Mechanism.LAPLACE, Mechanism.GAUSSIAN):
+        for mech in ("laplace", "gaussian"):
             theta, _, _ = run_private_irls(ds, cfg, big, mech, _stream(1, 0))
             np.testing.assert_allclose(theta, exact, rtol=0, atol=1e-6)
 
@@ -1036,7 +1036,7 @@ def test_private_solver_touches_data_only_via_releases(monkeypatch):
 
     monkeypatch.setattr(solver_module, "laplace_perturb", fake_laplace)
     monkeypatch.setattr(solver_module, "wishart_perturb", fake_wishart)
-    theta, _, _ = run_private_irls(ds, cfg, _budget(), Mechanism.LAPLACE, _stream(9, 0))
+    theta, _, _ = run_private_irls(ds, cfg, _budget(), "laplace", _stream(9, 0))
     exact, _ = run_exact_irls(ds, cfg)
     assert calls == {"laplace": 5, "wishart": 5}
     np.testing.assert_array_equal(theta, exact)
@@ -1072,17 +1072,17 @@ def test_private_solve_call_structure(monkeypatch):
     ds = _random_dataset(108, n=300, d=4)
     J = 6
     cfg = IRLSConfig(iterations=J, weight_cap=20.0)
-    run_private_irls(ds, cfg, _budget(), Mechanism.LAPLACE, _stream(6, 0))
+    run_private_irls(ds, cfg, _budget(), "laplace", _stream(6, 0))
     assert counts == {
         "residuals": J, "weights_from_residuals": J, "compute_moments": J,
         "solve_step": J, "laplace_perturb": J, "wishart_perturb": J,
     }
-    for mechanism in (Mechanism.GAUSSIAN, Mechanism.LAPLACE):
+    for mechanism in ("gaussian", "laplace"):
         counts.clear()
         run_private_irls(ds, cfg, _budget(), mechanism, _stream(7, 0))
         assert counts == {
             "residuals": J - 1, "weights_from_residuals": J - 1, "compute_moments": J - 1,
-            "solve_step": J, f"{mechanism.value}_perturb": J, "wishart_perturb": J,
+            "solve_step": J, f"{mechanism}_perturb": J, "wishart_perturb": J,
         }
 
 
@@ -1115,7 +1115,7 @@ def test_an_irls_solve_enters_none_of_numpys_python_wrappers():
         # first step run here.  Cap 5 takes both moment paths.
         split = generate(SyntheticSpec(n=2000, d=10, seed=5))
         run_exact_irls(split.train, cfg)
-        for mechanism in (Mechanism.LAPLACE, Mechanism.GAUSSIAN):
+        for mechanism in ("laplace", "gaussian"):
             theta, _, _ = run_private_irls(
                 split.train, cfg, budget, mechanism, _stream(5, 0), gaussian_failure_prob=1e-5
             )
@@ -1130,17 +1130,23 @@ def test_private_rejects_unnormalized_data():
     ds = Dataset(X=rng.normal(size=(100, 3)) * 5.0, y=rng.normal(size=100))
     with pytest.raises(DataValidationError):
         run_private_irls(
-            ds, IRLSConfig(iterations=2, weight_cap=5.0), _budget(), Mechanism.LAPLACE, _stream(0, 0)
+            ds, IRLSConfig(iterations=2, weight_cap=5.0), _budget(), "laplace", _stream(0, 0)
         )
 
 
 def test_private_rejects_mechanism_none():
+    # Every mechanism the grid names runs; any other name is refused with
+    # a message that names both accepted ones.
     ds = _random_dataset(105, n=50, d=2)
-    for label in ("none", "bogus"):
-        with pytest.raises(ValueError):
-            run_private_irls(
-                ds, IRLSConfig(iterations=2, weight_cap=5.0), _budget(), label, _stream(0, 0)
-            )
+    config = IRLSConfig(iterations=2, weight_cap=5.0)
+    named = {m for _, m in MECHANISM_SPECS.values() if m is not None}
+    assert named == {"laplace", "gaussian"}
+    for mechanism in sorted(named):
+        _, trace, _ = run_private_irls(ds, config, _budget(), mechanism, _stream(0, 0))
+        assert [r.mechanism for r in trace[0].releases] == [mechanism, "wishart"]
+    for label in ("none", "bogus", None, "LAPLACE"):
+        with pytest.raises(ValueError, match="'laplace' or 'gaussian'"):
+            run_private_irls(ds, config, _budget(), label, _stream(0, 0))
 
 
 def test_private_ridge_fallback_is_recorded():
@@ -1158,7 +1164,7 @@ def test_all_mechanism_regime_combinations_run():
     ds = _random_dataset(106, n=200, d=3)
     cfg = IRLSConfig(iterations=2, weight_cap=10.0)
     for regime in Regime:
-        for mech in (Mechanism.LAPLACE, Mechanism.GAUSSIAN):
+        for mech in ("laplace", "gaussian"):
             budget = _budget(regime)
             theta, trace, plan = run_private_irls(ds, cfg, budget, mech, _stream(2, 0))
             assert np.isfinite(theta).all()
@@ -1171,9 +1177,9 @@ def test_solves_on_one_dataset_share_their_first_step(monkeypatch):
 
     def solves(data, config):
         return (
-            lambda: run_private_irls(data, config, _budget(), Mechanism.LAPLACE, _stream(4, 0)),
+            lambda: run_private_irls(data, config, _budget(), "laplace", _stream(4, 0)),
             lambda: run_private_irls(
-                data, config, _budget(Regime.ADVANCED), Mechanism.GAUSSIAN, _stream(5, 0),
+                data, config, _budget(Regime.ADVANCED), "gaussian", _stream(5, 0),
                 gaussian_failure_prob=1e-6,
             ),
             lambda: run_exact_irls(data, config),
@@ -1280,7 +1286,7 @@ def test_edge_case_contract(
     delta = 10.0**log_delta if regime is Regime.ADVANCED else 0.0
     budget = PrivacyBudget(10.0**log_eps, delta, regime)
     runs = [lambda: run_exact_irls(ds, config)[0]]
-    for mechanism in Mechanism:
+    for mechanism in ("laplace", "gaussian"):
         runs.append(
             lambda m=mechanism: run_private_irls(ds, config, budget, m, _stream(seed, 0))[0]
         )
