@@ -90,6 +90,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentGrid)}
         grid = ExperimentGrid(**fields)
+        # Refuse an output path that cannot be written before any cell runs.
+        for path in filter(None, (args.out_csv, summary_path_for(args.out_csv), args.out_svg)):
+            parent = os.path.dirname(path)
+            if parent and not os.path.isdir(parent):
+                raise ValueError(f"cannot write {path}: directory {parent} does not exist")
+            if os.path.isdir(path):
+                raise ValueError(f"cannot write {path}: it is a directory")
         # Cells catch their own errors: run_grid raises only for a bad
         # DP_IRLS_THREADS, and does so before the first cell.
         rows = run_grid(grid)
@@ -101,15 +108,13 @@ def main(argv: list[str] | None = None) -> int:
     summary = aggregate(rows)
     emit_csv(summary, summary_path_for(args.out_csv))
     chart = args.out_svg
-    if chart and not any(math.isfinite(s.mean_loglik) for s in summary):
-        print(f"dpirls: no finite mean to plot; {chart} not written", file=sys.stderr)
-        chart = None
     if chart:
-        emit_svg_chart(
-            summary,
-            chart,
-            title=f"L1 regression utility, d={grid.d}, eps={grid.epsilon:g}, J={grid.iterations}",
-        )
+        title = f"L1 regression utility, d={grid.d}, eps={grid.epsilon:g}, J={grid.iterations}"
+        try:
+            emit_svg_chart(summary, chart, title=title)
+        except ValueError as exc:  # every cell failed: no finite mean to plot
+            print(f"dpirls: {exc}; {chart} not written", file=sys.stderr)
+            chart = None
 
     print(f"{'mechanism':<18}{'N':>8}{'mean_loglik':>16}{'stderr':>12}{'seeds':>7}")
     for s in summary:

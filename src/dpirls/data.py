@@ -28,8 +28,8 @@ _RENORM_SKIP = 1e-12
 # larger asymmetry means the caller is not passing a moment matrix.
 _SYMMETRY_TOLERANCE = 1e-10
 
-# _row_norms and _first_nonfinite_row work through X in blocks of about
-# this many entries, so their temporaries stay at 512 KiB whatever n is.
+# _row_spans cuts X into blocks of about this many entries, so the row
+# norms' temporaries stay at 512 KiB whatever n is while d <= 1024.
 _NORM_BLOCK_ELEMENTS = 1 << 16
 
 
@@ -81,10 +81,11 @@ def _check_probability(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
 
 
-# Moment checks for the releases and solve_step.  A non-finite entry is
-# refused before B's symmetry check, which would report NaN as asymmetry
-# and can pass a NaN matrix that is symmetric byte for byte.  Both run on
-# every IRLS step, mostly on d- and d*d-entry arrays, where a ufunc
+# Moment checks for the releases and solve_step, which refuse an empty
+# moment as well as a non-finite one.  A non-finite entry is refused
+# before B's symmetry check, which would report NaN as asymmetry and can
+# pass a NaN matrix that is symmetric byte for byte.  Both run on every
+# IRLS step, mostly on d- and d*d-entry arrays, where a ufunc
 # reduction's set-up costs more than the test: each first scans bytes
 # (0.5 and 0.4 us against 0.9 and 1.5 us at d = 10) and reduces with the
 # ufuncs only where it must.
@@ -98,6 +99,8 @@ def _as_vector(name: str, a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 1:
         raise ValueError(f"{name} must be 1-dimensional, got ndim={a.ndim}")
+    if not a.shape[0]:
+        raise ValueError(f"{name} must not be empty")
     if not _all_finite(a):
         raise ValueError(f"{name} must be finite")
     return a
@@ -107,6 +110,8 @@ def _as_square(name: str, a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
+    if not a.shape[0]:
+        raise ValueError(f"{name} must not be empty")
     if not _all_finite(a):
         raise ValueError(f"{name} must be finite")
     return a
@@ -135,34 +140,57 @@ def _check_symmetric(name: str, B: np.ndarray) -> None:
         raise ValueError(f"{name} must be symmetric; max |{name} - {name}^T| = {asym:.3g}")
 
 
+def _row_spans(n: int, d: int) -> list[tuple[int, int]]:
+    # The row blocks of _row_norms and synthetic.generate, counted from row
+    # 0: a multiple of 64 rows high, and 64 rows (over 2^16 entries) once
+    # d > 1024.  A one-row remainder joins the block before it, as numpy
+    # reduces a (1, d) block along another path, with other rounding.
+    step = max(64, _NORM_BLOCK_ELEMENTS // d // 64 * 64)
+    edges = [*range(0, max(n - 1, 1), step), n]
+    return list(zip(edges, edges[1:]))
+
+
 def _row_norms(X: np.ndarray) -> np.ndarray:
-    # np.linalg.norm(X, axis=1) by its own formula, over blocks of rows:
+    # np.linalg.norm(X, axis=1) by its own formula, over _row_spans' blocks:
     # each row is reduced as the full call on the same layout reduces it,
     # so the bits are np.linalg.norm's for that X, while the n x d squares
     # become one block's worth.  C and F order differ from d = 8 on, as
     # numpy sums a C row pairwise and F rows left to right (at n = 5,000,
-    # about 900 rows at d = 10, by at most 6e-16 relative).  No block is
-    # one row of a longer X: numpy sums a (1, d) block pairwise, as C order.
-    n, d = X.shape
-    step = max(2, _NORM_BLOCK_ELEMENTS // max(d, 1))
-    out = np.empty(n)
-    start = 0
-    while start < n:
-        stop = n if n - start <= step + 1 else start + step
-        np.sqrt(np.add.reduce(np.square(X[start:stop]), axis=1), out=out[start:stop])
-        start = stop
+    # about 900 rows at d = 10, by at most 6e-16 relative).  The norm of a
+    # huge but finite row overflows to inf without a warning.
+    out = np.empty(X.shape[0])
+    with np.errstate(over="ignore"):
+        for start, stop in _row_spans(*X.shape):
+            np.sqrt(np.add.reduce(np.square(X[start:stop]), axis=1), out=out[start:stop])
     return out
 
 
-def _first_nonfinite_row(X: np.ndarray) -> int:
-    # Index of the first row of X holding a NaN or an infinity, or -1.
-    # Checked over blocks of rows, so no n x d mask is allocated.
-    step = max(1, _NORM_BLOCK_ELEMENTS // max(X.shape[1], 1))
-    for start in range(0, X.shape[0], step):
-        finite = np.isfinite(X[start:start + step])
-        if not np.logical_and.reduce(finite, axis=None):
-            return start + int(np.argmin(finite.all(axis=1)))
+def _first_bad_row(X: np.ndarray, norms: np.ndarray) -> int:
+    # Index of the first row of X holding a NaN or an infinity, or -1.  A
+    # finite norm means a finite row, so only rows whose norm is not finite
+    # (a huge finite row's overflows too) are searched, a block at a time.
+    if _all_finite(norms):
+        return -1
+    rows = np.flatnonzero(~np.isfinite(norms))
+    for start, stop in _row_spans(len(rows), X.shape[1]):
+        bad = ~np.logical_and.reduce(np.isfinite(X[rows[start:stop]]), axis=1)
+        if np.logical_or.reduce(bad):
+            return int(rows[start + np.argmax(bad)])
     return -1
+
+
+def _check_shapes(X: np.ndarray, y: np.ndarray) -> None:
+    # Dataset's and normalize_dataset's rule: X (n, d), y (n,), n, d >= 1.
+    if X.ndim != 2:
+        raise DataValidationError(f"X must be 2-dimensional, got ndim={X.ndim}")
+    if y.ndim != 1:
+        raise DataValidationError(f"y must be 1-dimensional, got ndim={y.ndim}")
+    if X.shape[0] != y.shape[0]:
+        raise DataValidationError(f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
+    if X.shape[0] < 1:
+        raise DataValidationError("dataset must contain at least one row")
+    if X.shape[1] < 1:
+        raise DataValidationError("X must have at least one column")
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,18 +225,7 @@ class Dataset:
     def __post_init__(self) -> None:
         X = np.asarray(self.X, dtype=np.float64)
         y = np.asarray(self.y, dtype=np.float64)
-        if X.ndim != 2:
-            raise DataValidationError(f"X must be 2-dimensional, got ndim={X.ndim}")
-        if y.ndim != 1:
-            raise DataValidationError(f"y must be 1-dimensional, got ndim={y.ndim}")
-        if X.shape[0] != y.shape[0]:
-            raise DataValidationError(
-                f"X has {X.shape[0]} rows but y has {y.shape[0]} entries"
-            )
-        if X.shape[0] < 1:
-            raise DataValidationError("dataset must contain at least one row")
-        if X.shape[1] < 1:
-            raise DataValidationError("X must have at least one column")
+        _check_shapes(X, y)
         object.__setattr__(self, "X", _freeze(X))
         object.__setattr__(self, "y", _freeze(y))
 
@@ -292,13 +309,9 @@ def validate_dataset(dataset: Dataset) -> Dataset:
 
 def _check_bounds(dataset: Dataset) -> None:
     norms = _row_norms(dataset.X)
-    # A finite row norm means a finite row, so X is searched for a NaN or
-    # an infinity only when some norm is not finite (the norm of a huge
-    # but finite row overflows too).
-    if not _all_finite(norms):
-        bad = _first_nonfinite_row(dataset.X)
-        if bad >= 0:
-            raise DataValidationError(f"X contains a non-finite value at row {bad}")
+    bad = _first_bad_row(dataset.X, norms)
+    if bad >= 0:
+        raise DataValidationError(f"X contains a non-finite value at row {bad}")
     if not _all_finite(dataset.y):
         bad = int(np.argwhere(~np.isfinite(dataset.y))[0, 0])
         raise DataValidationError(f"y contains a non-finite value at row {bad}")
@@ -342,24 +355,18 @@ def normalize_dataset(X: np.ndarray, y: np.ndarray) -> Dataset:
     # then adopted by the Dataset: never the caller's own arrays.
     X = np.array(X, dtype=np.float64, order="F")
     y = np.array(y, dtype=np.float64)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-        raise DataValidationError(
-            f"expected X (n, d) and y (n,); got X {X.shape} and y {y.shape}"
-        )
-    if _first_nonfinite_row(X) >= 0 or not _all_finite(y):
+    _check_shapes(X, y)
+    norms = _row_norms(X)
+    if _first_bad_row(X, norms) >= 0 or not _all_finite(y):
         raise DataValidationError("cannot normalize non-finite data")
-
-    # A finite row whose norm overflows would make max_norm inf and X all
-    # zeros after the division; it is refused instead, without numpy's
-    # overflow warning.
-    with np.errstate(over="ignore"):
-        norms = _row_norms(X)
     # Below 2^-500 the squares in a norm can underflow (1e-170 reads 0.0).
     # Scaling X by 2^600 is exact and leaves every nonzero square normal.
-    if X.size and norms.max() < 2.0**-500:
+    if norms.max() < 2.0**-500:
         np.ldexp(X, 600, out=X)
         norms = _row_norms(X)
-    max_norm = float(norms.max()) if X.size else 0.0
+    # A finite row whose norm overflows would make max_norm inf and X all
+    # zeros after the division; it is refused instead.
+    max_norm = float(norms.max())
     if math.isinf(max_norm):
         bad = int(np.argmax(np.isinf(norms)))
         raise DataValidationError(
@@ -368,7 +375,7 @@ def normalize_dataset(X: np.ndarray, y: np.ndarray) -> Dataset:
         )
     if max_norm > 0.0 and abs(max_norm - 1.0) > _RENORM_SKIP:
         X /= max_norm
-    max_abs_y = float(np.abs(y).max()) if y.size else 0.0
+    max_abs_y = float(np.abs(y).max())
     if max_abs_y > 0.0 and abs(max_abs_y - 1.0) > _RENORM_SKIP:
         y /= max_abs_y
     X.setflags(write=False)

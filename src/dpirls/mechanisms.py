@@ -11,7 +11,7 @@ replace-one-row neighboring relation these give, for the cross moment A:
 and for the Gram moment B a trace-difference bound of weight_cap / n,
 which bounds the Wishart release's density ratio by exp(eps').  That
 release is still not pure eps'-DP (see :func:`wishart_perturb`).  Each
-perturb function refuses a non-finite moment.
+perturb function refuses an empty or non-finite moment.
 """
 
 from __future__ import annotations
@@ -176,7 +176,6 @@ def wishart_perturb(
     B = _as_square("B", B)
     _check_symmetric("B", B)
     d = B.shape[0]
-    _check_int("d", d)
     variance = wishart_variance(n, eps_prime, weight_cap)
     _check_generator(rng)
     Z = rng.normal(0.0, math.sqrt(variance), (d, d + 1))

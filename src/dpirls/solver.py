@@ -151,9 +151,9 @@ def _row_blocks(rows: int, d: int, step: int):
 
     ``Gt`` is a C-contiguous (d, stop - start) view of one buffer that
     every block reuses, since a fresh array per block can pay for new
-    pages each time.
+    pages each time; the buffer holds no more rows than there are.
     """
-    buf = np.empty(d * step)
+    buf = np.empty(d * min(step, rows))
     for start in range(0, rows, step):
         stop = min(start + step, rows)
         yield start, stop, buf[: d * (stop - start)].reshape(d, stop - start)
@@ -188,13 +188,13 @@ def _weighted_gram(Xt, v, y, out):
 def compute_moments(dataset: Dataset, weights: np.ndarray) -> MomentPair:
     """Weighted sufficient statistics (1/n) X^T S y and (1/n) X^T S X.
 
-    The direct formula builds both from one scaled copy of the rows.  A
-    product of at most 1e6 multiply-adds (d * d * rows) at d <= 30 (every
-    call of the README grid, n <= 9000 at d = 10) takes St = X^T S,
-    A = St y / n and the gemm G = St X, and sets B = (G + G^T) / (2n).
-    Any other takes G = diag(sqrt(s)) X, whose ``G.T @ G`` numpy routes to
-    BLAS ``syrk``, which computes one triangle and mirrors it onto the
-    other, and A = X^T (s y) / n.  Each form is the faster one on its
+    The direct formula scales the rows by their weights one block at a
+    time (see below).  A product of at most 1e6 multiply-adds (d * d *
+    rows) at d <= 30 (every call of the README grid, n <= 9000 at d = 10)
+    takes St = X^T S, A = St y / n and the gemm G = St X, and sets
+    B = (G + G^T) / (2n).  Any other takes G = diag(sqrt(s)) X, whose
+    ``G.T @ G`` numpy routes to BLAS ``syrk``, which computes one
+    triangle and mirrors it onto the other, and A = X^T (s y) / n.  Each form is the faster one on its
     side of the limits: the gemm form took 0.58-0.84 times the syrk
     form's time at d = 10 and n = 2000 to 10000 (1.00e6 multiply-adds),
     but 1.15 times at n = 11000 and 1.3-1.8 times at d = 20 and 30 just
@@ -245,11 +245,12 @@ def compute_moments(dataset: Dataset, weights: np.ndarray) -> MomentPair:
     vectors of length n, not a copy of X or of its k rows (a gemm-sized
     block is scaled into a fresh array of its own size instead).  A call
     whose rows fit in one block (n d <= 2^17 on the direct path, k d <=
-    2^17 on the update) runs the one-product formula itself and returns
-    its bits.  Every call of the README grid is one block (n d <=
-    90,000), but a direct call at d = 20 and n = 10,000 already takes
-    two.  With more blocks the sums are added in another order, which
-    moves A and B in the low bits.
+    2^17 on the update) returns the one-product formula's bits: a sum
+    that starts from zeros and adds one Gram is that Gram, as no BLAS
+    product gives -0.0.  Every call of the README grid is one block
+    (n d <= 90,000), but a direct call at d = 20 and n = 10,000 already
+    takes two.  With more blocks the sums are added in another order,
+    which moves A and B in the low bits.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.shape[0] != dataset.n:
@@ -279,7 +280,8 @@ def compute_moments(dataset: Dataset, weights: np.ndarray) -> MomentPair:
         raise ValueError("weights must be finite and strictly positive")
     X, y = dataset.X, dataset.y
     step = max(1, _MOMENT_BLOCK_ELEMENTS // d)
-    # Rows that fit one block take the one-product formula itself: the
+    # Rows below the cap that fit one block, and a direct call that is one
+    # gemm-sized block, take the one-product formula without the loop: the
     # README grid makes thousands of such small calls, and the block loop
     # cost each a few microseconds more.
     if 2 * k <= n and hi <= _UPDATE_MAX_RATIO * lo:
@@ -313,12 +315,9 @@ def compute_moments(dataset: Dataset, weights: np.ndarray) -> MomentPair:
         A, sum_G = _weighted_gram(X.T, w, y, None)
         return MomentPair(A=A / n, B=sum_G / n)
     A = X.T @ (w * y) / n
-    if n <= step:
-        sum_G = _weighted_gram(X.T, w, None, np.empty((d, n)))[1]
-    else:
-        sum_G = np.zeros((d, d))
-        for start, stop, Gt in _row_blocks(n, d, step):
-            sum_G += _weighted_gram(X.T[:, start:stop], w[start:stop], None, Gt)[1]
+    sum_G = np.zeros((d, d))
+    for start, stop, Gt in _row_blocks(n, d, step):
+        sum_G += _weighted_gram(X.T[:, start:stop], w[start:stop], None, Gt)[1]
     B = sum_G / n
     return MomentPair(A=A, B=B)
 

@@ -20,11 +20,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import (
-    _NORM_BLOCK_ELEMENTS,
     Dataset,
     _check_int,
     _check_positive_finite,
     _row_norms,
+    _row_spans,
     validate_dataset,
 )
 from .mechanisms import _stream
@@ -74,17 +74,18 @@ def generate(spec: SyntheticSpec) -> SplitDataset:
     fixed subset is distributionally a uniform one.  Both splits pass
     :func:`dpirls.data.validate_dataset`, and ``true_theta`` is read-only.
 
-    Block order: X is drawn in row blocks of about 2^16 entries, each a
-    multiple of 64 rows high and counted from the first row of X, not of
-    each split; the last block takes the rows left over (all n when n is
-    smaller than one block), and a one-row remainder joins the block
-    before it.  Each block's row norms are taken, then it is copied
-    straight into the column-major train or test array, or both when it
-    straddles the split.  The maximum row norm must come from these
-    C-ordered blocks: taken from the F-ordered arrays, whose rows numpy
-    sums in another order, it changes X's bits from d = 8 on.
-    Consecutive draws continue one stream, so X is bitwise the single
-    (n, d) draw of the module's generation order.
+    Block order: X is drawn in the row blocks of ``data._row_spans``, of
+    about 2^16 entries, each a multiple of 64 rows high and counted from
+    the first row of X, not of each split; the last block takes the rows
+    left over (all n when n is smaller than one block), and a one-row
+    remainder joins the block before it, since numpy multiplies a (1, d)
+    block by theta* along another path.  Each block's row norms are
+    taken, then it is copied straight into the column-major train or test
+    array, or both when it straddles the split.  The maximum row norm
+    must come from these C-ordered blocks: taken from the F-ordered
+    arrays, whose rows numpy sums in another order, it changes X's bits
+    from d = 8 on.  Consecutive draws continue one stream, so X is
+    bitwise the single (n, d) draw of the module's generation order.
     ``X @ theta*`` runs over the same blocks, each gathered back into C
     order.  With every block starting at a multiple of 4 rows, the
     OpenBLAS kernels checked give each row bitwise as the product over
@@ -101,11 +102,7 @@ def generate(spec: SyntheticSpec) -> SplitDataset:
     X_train = np.empty((train_count, d), order="F")
     X_test = np.empty((test_count, d), order="F")
     parts = ((X_train, 0), (X_test, train_count))
-    step = min(n, max(64, _NORM_BLOCK_ELEMENTS // d // 64 * 64))
-    # A one-row last block joins the block before it: numpy multiplies a
-    # (1, d) block by theta* along another path, with other rounding.
-    edges = [*range(0, n - 1, step), n]
-    blocks = list(zip(edges, edges[1:]))
+    blocks = _row_spans(n, d)
 
     gen = _stream(spec.seed, 0)
     max_norm = 0.0

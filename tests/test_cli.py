@@ -151,6 +151,32 @@ def test_unknown_mechanism_is_an_argparse_error(tmp_path, capsys):
     assert not out_csv.exists()
 
 
+def test_unusable_output_path_rejected_before_any_cell_runs(tmp_path, monkeypatch, capsys):
+    def no_generate(spec, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(experiment_module, "generate", no_generate)
+    missing = tmp_path / "missing"
+    (tmp_path / "d.csv").mkdir()
+    (tmp_path / "s_summary.csv").mkdir()
+    csv_path = str(tmp_path / "r.csv")
+    for flags, reason in (
+        (["--out-csv", str(missing / "r.csv")], f"directory {missing} does not exist"),
+        (["--out-csv", csv_path, "--out-svg", str(missing / "c.svg")],
+         f"directory {missing} does not exist"),
+        (["--out-csv", str(tmp_path / "d.csv")], "it is a directory"),
+        (["--out-csv", csv_path, "--out-svg", str(tmp_path / "d.csv")], "it is a directory"),
+    ):
+        assert main(FAST + flags) == 2
+        assert capsys.readouterr().err == f"dpirls: cannot write {flags[-1]}: {reason}\n"
+        assert not (tmp_path / "r.csv").exists() and not missing.exists()
+    # The summary lands next to the results, so its path is checked too.
+    assert main(FAST + ["--out-csv", str(tmp_path / "s.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"dpirls: cannot write {tmp_path / 's_summary.csv'}: it is a directory\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_invalid_grid_returns_two(tmp_path, capsys):
     code = main(FAST + ["--seeds", "0", "--out-csv", str(tmp_path / "x.csv")])
     assert code == 2

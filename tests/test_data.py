@@ -15,6 +15,7 @@ from dpirls.data import (
     _all_finite,
     _check_symmetric,
     _row_norms,
+    _row_spans,
     normalize_dataset,
     validate_dataset,
 )
@@ -111,6 +112,20 @@ def test_shape_mismatches_rejected():
         Dataset(X=np.zeros((0, 2)), y=np.zeros(0))
     with pytest.raises(DataValidationError, match="at least one column"):
         Dataset(X=np.zeros((2, 0)), y=np.zeros(2))
+
+
+def test_normalize_refuses_what_the_dataset_refuses():
+    # One shape rule for both, checked before any norm is taken.
+    for X, y, match in (
+        (np.zeros((3, 2)), np.zeros(4), "^X has 3 rows but y has 4 entries$"),
+        (np.zeros(3), np.zeros(3), "^X must be 2-dimensional"),
+        (np.zeros((3, 2)), np.zeros((3, 1)), "^y must be 1-dimensional"),
+        (np.zeros((0, 2)), np.zeros(0), "^dataset must contain at least one row$"),
+        (np.zeros((2, 0)), np.zeros(2), "^X must have at least one column$"),
+    ):
+        for build in (Dataset, normalize_dataset):
+            with pytest.raises(DataValidationError, match=match):
+                build(X, y)
 
 
 def test_arrays_are_read_only():
@@ -221,7 +236,7 @@ def test_row_norms_match_the_full_norm_bitwise():
     # summed an F-ordered row pairwise instead of left to right.
     rng = np.random.default_rng(12)
     for d in (1, 3, 10, 100):
-        step = _NORM_BLOCK_ELEMENTS // d
+        step = _row_spans(_NORM_BLOCK_ELEMENTS + 2, d)[0][1]
         for n in (1, 2, step - 1, step, step + 1, 2 * step + 1, 2 * step + 2):
             X = rng.normal(size=(n, d)) * rng.uniform(0.01, 100.0, size=(n, 1))
             for arr in (X, np.asfortranarray(X), X[::2], X[:, ::-1]):
@@ -307,12 +322,11 @@ def test_non_finite_value_in_a_late_block_names_its_row():
             validate_dataset(Dataset(X=X_bad, y=y))
         with pytest.raises(DataValidationError, match="^cannot normalize non-finite data$"):
             normalize_dataset(X_bad, y)
-    # A finite row whose norm overflows is reported by its norm instead.
+    # A finite row whose norm overflows is reported by its norm instead,
+    # without numpy's overflow warning (an error under this suite).
     X_big = X.copy()
     X_big[n - 3] = 1e200
-    with np.errstate(over="ignore"), pytest.raises(
-        DataValidationError, match=f"^row {n - 3} of X has L2 norm inf > 1"
-    ):
+    with pytest.raises(DataValidationError, match=f"^row {n - 3} of X has L2 norm inf > 1"):
         validate_dataset(Dataset(X=X_big, y=y))
 
 

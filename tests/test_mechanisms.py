@@ -25,7 +25,7 @@ from dpirls.mechanisms import (
     wishart_perturb,
     wishart_variance,
 )
-from dpirls.solver import IRLSConfig, compute_moments, run_private_irls
+from dpirls.solver import IRLSConfig, compute_moments, run_private_irls, solve_step
 
 
 # --- sensitivities -------------------------------------------------------
@@ -518,6 +518,26 @@ def test_perturb_shape_checks():
         laplace_perturb(np.zeros((2, 2)), 0.5, 1.0, 10, _stream(0, 0))
     with pytest.raises(ValueError, match="square"):
         wishart_perturb(np.zeros((2, 3)), 0.5, 1.0, 10, _stream(0, 0))
+
+
+_A0, _B0 = np.zeros(0), np.zeros((0, 0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: laplace_perturb(_A0, 0.5, 1.0, 10, _stream(0, 0)),
+        lambda: gaussian_perturb(_A0, 0.5, 1e-6, 1.0, 10, _stream(0, 0)),
+        lambda: wishart_perturb(_B0, 0.5, 1.0, 10, _stream(0, 0)),
+        lambda: solve_step(_A0, np.eye(1)),
+        lambda: solve_step(np.zeros(1), _B0),
+    ],
+    ids=["laplace", "gaussian", "wishart", "solve_step-A", "solve_step-B"],
+)
+def test_every_release_and_solve_step_refuse_an_empty_moment(call):
+    # No release can be calibrated at d = 0, and no step solved.
+    with pytest.raises(ValueError, match="^[AB] must not be empty$"):
+        call()
 
 
 # --- random source ---------------------------------------------------------
