@@ -16,7 +16,12 @@ not sufficient.  The table prints the crossover rather than hiding it.
 import itertools
 import math
 
-from dpirls import advanced_per_release, cdp_per_release, conventional_per_release
+from dpirls import PrivacyBudget, Regime, plan_for_budget
+
+
+def per_release(epsilon, iters, regime, failure_prob=0.0):
+    """The per-release budget eps' of a J-iteration run under one regime."""
+    return plan_for_budget(PrivacyBudget(epsilon, failure_prob, regime), iters).eps_prime
 
 
 def strong_beats_basic(epsilon, failure_prob, k):
@@ -41,15 +46,15 @@ def main():
     print(f"{'J':>4} {'k':>5}  {'basic':>10}  {'strong':>10}  {'concentrated':>13}   winner (basic vs strong)")
     for iters in (2, 5, 10, 12, 13, 20, 50, 100):
         k = 2 * iters
-        conv = conventional_per_release(epsilon, iters)
-        adv = advanced_per_release(epsilon, failure_prob, iters)
-        cdp = cdp_per_release(epsilon, iters)
+        conv = per_release(epsilon, iters, Regime.CONVENTIONAL)
+        adv = per_release(epsilon, iters, Regime.ADVANCED, failure_prob)
+        cdp = per_release(epsilon, iters, Regime.CDP)
         winner = "strong" if adv > conv else "basic"
         marker = "  <- past crossover" if iters >= first_j else ""
         print(f"{iters:>4} {k:>5}  {conv:>10.6f}  {adv:>10.6f}  {cdp:>13.6f}   {winner}{marker}")
 
     iters = 20
-    ratio = cdp_per_release(epsilon, iters) / conventional_per_release(epsilon, iters)
+    ratio = per_release(epsilon, iters, Regime.CDP) / per_release(epsilon, iters, Regime.CONVENTIONAL)
     print(f"\nat J = {iters}, the concentrated accountant allows {ratio:.1f}x the per-release")
     print("budget of basic composition, i.e. noise scales shrink by the same factor.")
 

@@ -16,9 +16,6 @@ from .accountant import (
     NoisePlan,
     PrivacyBudget,
     Regime,
-    advanced_per_release,
-    cdp_per_release,
-    conventional_per_release,
     plan_for_budget,
 )
 from .charts import emit_svg_chart
@@ -30,7 +27,6 @@ from .experiment import (
     SummaryRow,
     aggregate,
     emit_csv,
-    run_cell,
     run_grid,
 )
 from .mechanisms import (
@@ -71,11 +67,8 @@ __all__ = [
     "SplitDataset",
     "SummaryRow",
     "SyntheticSpec",
-    "advanced_per_release",
     "aggregate",
-    "cdp_per_release",
     "compute_moments",
-    "conventional_per_release",
     "emit_csv",
     "emit_svg_chart",
     "evaluate_fit",
@@ -89,7 +82,6 @@ __all__ = [
     "normalize_dataset",
     "plan_for_budget",
     "residuals",
-    "run_cell",
     "run_exact_irls",
     "run_grid",
     "run_private_irls",

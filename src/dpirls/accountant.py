@@ -82,33 +82,6 @@ class NoisePlan(NamedTuple):
     rho: float | None
 
 
-def _check_split_args(epsilon: float, iterations: int) -> int:
-    _check_positive_finite("epsilon", epsilon)
-    _check_int("iterations", iterations)
-    return 2 * iterations
-
-
-def _checked_split(eps_prime: float, epsilon: float, k: int) -> float:
-    if not (eps_prime > 0.0 and math.isfinite(eps_prime)):
-        raise ValueError(f"epsilon={epsilon!r} cannot be split over {k} releases: eps'={eps_prime!r}")
-    return eps_prime
-
-
-def cdp_per_release(epsilon: float, iterations: int) -> float:
-    """eps' = sqrt(2 eps / k) for the k = 2J releases under an eps-zCDP budget.
-
-    Computed as sqrt(eps / J), the same float, so that 2 eps cannot overflow.
-    """
-    k = _check_split_args(epsilon, iterations)
-    return _checked_split(math.sqrt(epsilon / iterations), epsilon, k)
-
-
-def conventional_per_release(epsilon: float, iterations: int) -> float:
-    """Basic composition: eps' = eps / k for the k = 2J releases."""
-    k = _check_split_args(epsilon, iterations)
-    return _checked_split(epsilon / k, epsilon, k)
-
-
 def _advanced_cost(eps_prime: float, k: int, failure_prob: float) -> float:
     # Total (eps, failure_prob)-DP cost of k eps'-DP releases under strong
     # composition.  Guard the exponential: beyond ~700 it overflows float64.
@@ -120,17 +93,8 @@ def _advanced_cost(eps_prime: float, k: int, failure_prob: float) -> float:
     )
 
 
-def advanced_per_release(epsilon: float, failure_prob: float, iterations: int) -> float:
-    """Largest eps' whose k-fold strong composition stays within (eps, failure_prob).
-
-    Solves sqrt(2 k ln(1/failure_prob)) eps' + k eps' (e^eps' - 1) = eps
-    for k = 2J by bisection until the bracket holds two adjacent floats,
-    so the result is the largest float whose cost stays <= eps at every
-    scale of eps; the cost is strictly increasing in eps', so the root is
-    unique.
-    """
-    k = _check_split_args(epsilon, iterations)
-    _check_probability("failure_prob", failure_prob)
+def _advanced_split(epsilon: float, failure_prob: float, k: int) -> float:
+    # Bisect until the bracket holds two adjacent floats; 0.0 if none fits.
     lo, hi = 0.0, 1.0
     while _advanced_cost(hi, k, failure_prob) <= epsilon:
         lo = hi
@@ -138,32 +102,42 @@ def advanced_per_release(epsilon: float, failure_prob: float, iterations: int) -
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
-            break
+            return lo
         if _advanced_cost(mid, k, failure_prob) <= epsilon:
             lo = mid
         else:
             hi = mid
-    if lo == 0.0:
-        raise ValueError(
-            f"epsilon={epsilon!r} is too small for {k} releases under strong composition: "
-            "no positive float eps' fits"
-        )
-    return lo
 
 
 def plan_for_budget(budget: PrivacyBudget, iterations: int) -> NoisePlan:
-    """Resolve a total budget into the per-release plan for one run.
+    """Resolve a total budget into the per-release eps' of a run's k = 2J releases.
 
-    For the CDP regime the plan also records the zCDP receipt ``rho`` of
-    the actual releases, which equals the budget up to rounding.
+    CDP
+        eps' = sqrt(2 eps / k), computed as sqrt(eps / J), the same float,
+        so that 2 eps cannot overflow.  The plan also records the zCDP
+        receipt ``rho = J eps'^2`` (k eps'^2 / 2 without the doubling) of
+        the actual releases, which equals the budget up to rounding.
+    CONVENTIONAL
+        eps' = eps / k.
+    ADVANCED
+        The largest float eps' with sqrt(2 k ln(1/failure_prob)) eps' +
+        k eps' (e^eps' - 1) <= eps, at every scale of eps: bisection runs
+        down to adjacent floats, and the cost is strictly increasing in
+        eps', so the root is unique.
+
+    A split that rounds to 0.0 is refused whatever the regime.
     """
+    _check_int("iterations", iterations)
+    k = 2 * iterations
+    epsilon = budget.epsilon
     rho = None
     if budget.regime is Regime.CDP:
-        eps_prime = cdp_per_release(budget.epsilon, iterations)
-        # k eps'^2 / 2 with k = 2J, without the doubling that overflows.
+        eps_prime = math.sqrt(epsilon / iterations)
         rho = iterations * eps_prime**2
     elif budget.regime is Regime.CONVENTIONAL:
-        eps_prime = conventional_per_release(budget.epsilon, iterations)
+        eps_prime = epsilon / k
     else:
-        eps_prime = advanced_per_release(budget.epsilon, budget.failure_prob, iterations)
+        eps_prime = _advanced_split(epsilon, budget.failure_prob, k)
+    if eps_prime == 0.0:
+        raise ValueError(f"epsilon={epsilon!r} cannot be split over {k} releases: eps'={eps_prime!r}")
     return NoisePlan(eps_prime=eps_prime, rho=rho)

@@ -91,6 +91,9 @@ def main(argv: list[str] | None = None) -> int:
         fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentGrid)}
         grid = ExperimentGrid(**fields)
         # Refuse an output path that cannot be written before any cell runs.
+        # An empty --out-svg means no chart; an empty --out-csv names no file.
+        if not args.out_csv:
+            raise ValueError("--out-csv must name a file, got ''")
         for path in filter(None, (args.out_csv, summary_path_for(args.out_csv), args.out_svg)):
             parent = os.path.dirname(path)
             if parent and not os.path.isdir(parent):

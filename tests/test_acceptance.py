@@ -22,11 +22,8 @@ from dpirls import (
     IRLSConfig,
     PrivacyBudget,
     Regime,
-    advanced_per_release,
     aggregate,
-    cdp_per_release,
     compute_moments,
-    conventional_per_release,
     emit_csv,
     gaussian_perturb,
     gaussian_std,
@@ -34,6 +31,7 @@ from dpirls import (
     l2_sensitivity_A,
     laplace_perturb,
     laplace_scale,
+    plan_for_budget,
     run_exact_irls,
     run_grid,
     run_private_irls,
@@ -238,10 +236,10 @@ def test_acceptance_4_per_release_budget_accounting():
     ordering_failures = []
     for epsilon in (0.1, 0.9, 1.0):
         for iters in (2, 10, 50):
-            cdp = cdp_per_release(epsilon, iters)
+            cdp = plan_for_budget(PrivacyBudget(epsilon), iters).eps_prime
             assert cdp == math.sqrt(epsilon / iters), "concentrated split must be exact"
 
-            adv = advanced_per_release(epsilon, failure_prob, iters)
+            adv = plan_for_budget(PrivacyBudget(epsilon, failure_prob, Regime.ADVANCED), iters).eps_prime
             k = 2 * iters
             residual = abs(
                 math.sqrt(2.0 * k * math.log(1.0 / failure_prob)) * adv
@@ -250,7 +248,7 @@ def test_acceptance_4_per_release_budget_accounting():
             )
             assert residual <= 1e-9, f"strong-composition equation residual {residual:.3e}"
 
-            conv = conventional_per_release(epsilon, iters)
+            conv = plan_for_budget(PrivacyBudget(epsilon, regime=Regime.CONVENTIONAL), iters).eps_prime
             predicate = math.sqrt(2.0 * math.log(1.0 / failure_prob) / k) + math.expm1(epsilon / k)
             budgets = {"conventional": conv, "advanced": adv, "concentrated": cdp}
             if predicate < 1.0:

@@ -1,4 +1,4 @@
-"""Budget-splitting rules and the zCDP receipt.
+"""Budget splits under the three regimes, and the zCDP receipt.
 
 Expected values were frozen from an independent evaluation: closed forms
 for the CDP and basic rules, scipy.optimize.brentq (xtol 1e-15) on the
@@ -10,46 +10,51 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpirls.accountant import (
-    PrivacyBudget,
-    Regime,
-    advanced_per_release,
-    cdp_per_release,
-    conventional_per_release,
-    plan_for_budget,
-)
+from dpirls.accountant import PrivacyBudget, Regime, plan_for_budget
 
 
-# --- per-release rules ---------------------------------------------------
+def cdp_split(epsilon, iterations):
+    return plan_for_budget(PrivacyBudget(epsilon), iterations).eps_prime
+
+
+def conventional_split(epsilon, iterations):
+    return plan_for_budget(PrivacyBudget(epsilon, regime=Regime.CONVENTIONAL), iterations).eps_prime
+
+
+def advanced_split(epsilon, failure_prob, iterations):
+    return plan_for_budget(PrivacyBudget(epsilon, failure_prob, Regime.ADVANCED), iterations).eps_prime
+
+
+# --- per-release splits --------------------------------------------------
 
 def test_cdp_rule_frozen_values():
     # sqrt(2 eps / k) with k = 2 J
-    assert cdp_per_release(0.9, 1) == pytest.approx(0.9486832980505138, rel=1e-15, abs=0)
-    assert cdp_per_release(0.9, 9) == pytest.approx(0.31622776601683794, rel=1e-15, abs=0)
-    assert cdp_per_release(0.9, 10) == pytest.approx(0.3, rel=1e-15, abs=0)
-    assert cdp_per_release(1.0, 1) == pytest.approx(1.0, rel=1e-15, abs=0)
+    assert cdp_split(0.9, 1) == pytest.approx(0.9486832980505138, rel=1e-15, abs=0)
+    assert cdp_split(0.9, 9) == pytest.approx(0.31622776601683794, rel=1e-15, abs=0)
+    assert cdp_split(0.9, 10) == pytest.approx(0.3, rel=1e-15, abs=0)
+    assert cdp_split(1.0, 1) == pytest.approx(1.0, rel=1e-15, abs=0)
 
 
 def test_conventional_rule_frozen_values():
-    assert conventional_per_release(0.9, 9) == pytest.approx(0.05, rel=1e-15, abs=0)
-    assert conventional_per_release(0.9, 10) == pytest.approx(0.045, rel=1e-15, abs=0)
+    assert conventional_split(0.9, 9) == pytest.approx(0.05, rel=1e-15, abs=0)
+    assert conventional_split(0.9, 10) == pytest.approx(0.045, rel=1e-15, abs=0)
 
 
 def test_conventional_rule_recomposes_to_epsilon():
     for eps in (0.1, 0.9, 3.7):
         for j in (1, 7, 50):
-            eps_prime = conventional_per_release(eps, j)
+            eps_prime = conventional_split(eps, j)
             assert 2 * j * eps_prime == pytest.approx(eps, rel=1e-15, abs=0)
 
 
 def test_advanced_rule_frozen_values():
-    assert advanced_per_release(0.9, 1e-6, 9) == pytest.approx(
+    assert advanced_split(0.9, 1e-6, 9) == pytest.approx(
         0.039097743489094526, abs=1e-9
     )
-    assert advanced_per_release(0.1, 1e-6, 2) == pytest.approx(
+    assert advanced_split(0.1, 1e-6, 2) == pytest.approx(
         0.009477653912572557, abs=1e-9
     )
-    assert advanced_per_release(0.9, 1e-6, 50) == pytest.approx(
+    assert advanced_split(0.9, 1e-6, 50) == pytest.approx(
         0.016593409179967045, abs=1e-9
     )
 
@@ -57,7 +62,7 @@ def test_advanced_rule_frozen_values():
 def test_advanced_rule_is_the_largest_feasible_eps():
     eps, df, j = 0.9, 1e-6, 9
     k = 2 * j
-    x = advanced_per_release(eps, df, j)
+    x = advanced_split(eps, df, j)
 
     def cost(v):
         return math.sqrt(2 * k * math.log(1 / df)) * v + k * v * math.expm1(v)
@@ -76,16 +81,15 @@ def test_advanced_rule_spends_tiny_budgets():
         return math.sqrt(2 * k * math.log(1 / df)) * v + k * v * math.expm1(v)
 
     for eps in (1e-300, 1e-11, 1e-10, 0.9):
-        x = advanced_per_release(eps, df, j)
+        x = advanced_split(eps, df, j)
         assert 0.0 < cost(x) <= eps < cost(math.nextafter(x, math.inf)), eps
-        assert plan_for_budget(PrivacyBudget(eps, df, Regime.ADVANCED), j).eps_prime == x
-    with pytest.raises(ValueError, match="too small"):
-        advanced_per_release(5e-324, df, j)
+    with pytest.raises(ValueError, match=r"^epsilon=5e-324 cannot be split over 100 releases: eps'=0\.0$"):
+        advanced_split(5e-324, df, j)
 
 
 def test_advanced_rule_handles_huge_budgets():
     # the e^x term keeps the root finite; frozen from the same brentq oracle
-    assert advanced_per_release(1e12, 1e-6, 10) == pytest.approx(21.564251903126205, abs=1e-6)
+    assert advanced_split(1e12, 1e-6, 10) == pytest.approx(21.564251903126205, abs=1e-6)
 
 
 def test_regime_ordering_depends_on_release_count():
@@ -95,23 +99,19 @@ def test_regime_ordering_depends_on_release_count():
     # crossover basic composition admits the larger per-release budget
     df = 1e-6
     for j, eps in [(2, 0.1), (2, 0.9), (10, 0.9), (10, 0.1)]:
-        adv = advanced_per_release(eps, df, j)
-        conv = conventional_per_release(eps, j)
-        cdp = cdp_per_release(eps, j)
+        adv = advanced_split(eps, df, j)
+        conv = conventional_split(eps, j)
+        cdp = cdp_split(eps, j)
         assert adv < conv < cdp, (j, eps)
     for j, eps in [(50, 0.9), (50, 0.1), (20, 0.9)]:
-        adv = advanced_per_release(eps, df, j)
-        conv = conventional_per_release(eps, j)
-        cdp = cdp_per_release(eps, j)
+        adv = advanced_split(eps, df, j)
+        conv = conventional_split(eps, j)
+        cdp = cdp_split(eps, j)
         assert conv < adv < cdp, (j, eps)
 
 
 def test_rules_monotone_in_budget_and_iterations():
-    for rule in (
-        lambda e, j: cdp_per_release(e, j),
-        lambda e, j: conventional_per_release(e, j),
-        lambda e, j: advanced_per_release(e, 1e-6, j),
-    ):
+    for rule in (cdp_split, conventional_split, lambda e, j: advanced_split(e, 1e-6, j)):
         assert rule(0.9, 5) > rule(0.3, 5)
         assert rule(0.9, 5) > rule(0.9, 20)
 
@@ -125,28 +125,25 @@ def test_split_rules_at_the_float_ends():
         assert plan.rho == pytest.approx(eps, rel=1e-15, abs=0)
         assert plan_for_budget(PrivacyBudget(eps, regime=Regime.CONVENTIONAL), 20).eps_prime == eps / 40
     for eps, j in ((0.9, 7), (1e-300, 3), (8.9e307, 20)):
-        assert cdp_per_release(eps, j) == math.sqrt(2.0 * eps / (2 * j))
+        assert cdp_split(eps, j) == math.sqrt(2.0 * eps / (2 * j))
     # The bottom: a split that rounds to 0.0 names the budget and the
-    # release count, not the per-release value it could not make.
-    for rule in (cdp_per_release, conventional_per_release):
-        with pytest.raises(ValueError, match=r"epsilon=5e-324 cannot be split over 20 releases"):
+    # release count, in every regime.
+    for rule in (cdp_split, conventional_split, lambda e, j: advanced_split(e, 1e-6, j)):
+        with pytest.raises(ValueError, match=r"^epsilon=5e-324 cannot be split over 20 releases"):
             rule(5e-324, 10)
-    for regime in (Regime.CDP, Regime.CONVENTIONAL):
-        with pytest.raises(ValueError, match=r"epsilon=5e-324"):
-            plan_for_budget(PrivacyBudget(5e-324, regime=regime), 10)
-    assert cdp_per_release(5e-324, 1) > 0.0
+    assert cdp_split(5e-324, 1) > 0.0
 
 
 def test_rule_argument_validation():
-    for rule in (cdp_per_release, conventional_per_release):
-        with pytest.raises(ValueError):
+    # The budget checks epsilon and failure_prob, the plan the iterations.
+    for rule in (cdp_split, conventional_split, lambda e, j: advanced_split(e, 1e-6, j)):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
             rule(0.0, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="iterations must be a positive integer"):
             rule(0.9, 0)
-    with pytest.raises(ValueError):
-        advanced_per_release(0.9, 0.0, 5)
-    with pytest.raises(ValueError):
-        advanced_per_release(0.9, 1.0, 5)
+    for failure_prob in (0.0, 1.0):
+        with pytest.raises(ValueError, match="failure_prob must lie in"):
+            advanced_split(0.9, failure_prob, 5)
 
 
 # --- zCDP receipt -------------------------------------------------------
@@ -173,12 +170,12 @@ def test_split_rules_spend_the_budget(epsilon, iterations, failure_prob):
     assert plan.eps_prime == math.sqrt(epsilon / iterations)
     assert plan.rho == pytest.approx(epsilon, rel=1e-15, abs=0)
 
-    assert k * conventional_per_release(epsilon, iterations) == pytest.approx(epsilon)
+    assert k * conventional_split(epsilon, iterations) == pytest.approx(epsilon)
 
     def strong_cost(v):
         return math.sqrt(2 * k * math.log(1 / failure_prob)) * v + k * v * math.expm1(v)
 
-    x = advanced_per_release(epsilon, failure_prob, iterations)
+    x = advanced_split(epsilon, failure_prob, iterations)
     assert strong_cost(x) <= epsilon
     assert strong_cost(x * (1 + 1e-9)) > epsilon
 
@@ -202,10 +199,11 @@ def test_budget_validation():
 
 
 def test_plan_fields_per_regime():
+    # The advanced value is frozen from the brentq oracle.
     for regime, expected in (
-        (Regime.CDP, cdp_per_release(0.9, 7)),
-        (Regime.CONVENTIONAL, conventional_per_release(0.9, 7)),
-        (Regime.ADVANCED, advanced_per_release(0.9, 1e-6, 7)),
+        (Regime.CDP, math.sqrt(0.9 / 7)),
+        (Regime.CONVENTIONAL, 0.9 / 14),
+        (Regime.ADVANCED, 0.04432913943150414),
     ):
         budget = PrivacyBudget(
             0.9,

@@ -175,6 +175,12 @@ def test_unusable_output_path_rejected_before_any_cell_runs(tmp_path, monkeypatc
     err = capsys.readouterr().err
     assert err == f"dpirls: cannot write {tmp_path / 's_summary.csv'}: it is a directory\n"
     assert not (tmp_path / "s.csv").exists()
+    # An empty results path names no file; its summary would have been
+    # _summary.csv in the working directory.
+    monkeypatch.chdir(tmp_path)
+    assert main(FAST + ["--out-csv", ""]) == 2
+    assert capsys.readouterr().err == "dpirls: --out-csv must name a file, got ''\n"
+    assert not (tmp_path / "_summary.csv").exists()
 
 
 def test_invalid_grid_returns_two(tmp_path, capsys):

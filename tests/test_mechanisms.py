@@ -64,18 +64,20 @@ def test_sensitivity_argument_validation():
 
 def test_every_calibration_refuses_a_cap_whose_reciprocal_overflows():
     # 1/1e-310 is inf: the solver's clamp could not use such a cap, so no
-    # release may be calibrated from it either.
-    message = "weight_cap must have a finite reciprocal, got 1e-310"
-    calls = [
-        lambda: laplace_scale(1, 1, 1.0, 1e-310),
-        lambda: gaussian_std(1, 0.5, 1e-6, 1e-310),
-        lambda: wishart_variance(1, 1.0, 1e-310),
-        lambda: IRLSConfig(iterations=1, weight_cap=1e-310),
-    ]
-    for call in calls:
-        with pytest.raises(ValueError) as exc:
-            call()
-        assert str(exc.value) == message
+    # release may be calibrated from it either.  The clamp divides in the
+    # cap's own type, where 1/np.float32(1e-39) is inf though the float64
+    # reciprocal is finite.
+    for cap in (1e-310, np.float32(1e-39)):
+        calls = [
+            lambda: laplace_scale(1, 1, 1.0, cap),
+            lambda: gaussian_std(1, 0.5, 1e-6, cap),
+            lambda: wishart_variance(1, 1.0, cap),
+            lambda: IRLSConfig(iterations=1, weight_cap=cap),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == f"weight_cap must have a finite reciprocal, got {cap!r}"
     # The smallest caps with a finite reciprocal still calibrate.
     assert laplace_scale(1, 1, 1.0, 1e-300) == 2e-300
 
@@ -277,7 +279,7 @@ def test_perturb_determinism():
         assert not np.array_equal(one, other)
 
 
-# --- memoised calibrations ----------------------------------------------
+# --- calibration on every call -------------------------------------------
 
 _RELEASES = [
     (laplace_perturb, np.zeros(2), {}),
@@ -288,8 +290,8 @@ _RELEASES = [
 
 @pytest.mark.parametrize("perturb, value, extra", _RELEASES)
 def test_releases_check_their_calibration_on_every_call(perturb, value, extra):
-    # A valid call fills the memo first; a failure is never kept, so each
-    # bad argument raises on every call, with the error it raised before.
+    # After a valid call, each bad argument raises on every call, with the
+    # error it raised the first time.
     good = dict(eps_prime=0.5, weight_cap=1.0, n=10, **extra)
     perturb(value, rng=_stream(0, 0), **good)
     bad = [
@@ -318,7 +320,7 @@ def test_gaussian_warning_fires_on_every_call():
     assert all("eps_prime=1.5 >= 1" in str(w.message) for w in caught)
 
 
-def test_equal_caps_of_two_types_are_memoised_apart():
+def test_equal_caps_of_two_types_draw_at_their_own_scales():
     # np.float32(20) == 20.0, but a float32 cap keeps the scale in float32,
     # so each type's release must draw at its own.
     A = np.array([0.1, -0.2, 0.3])
@@ -330,7 +332,7 @@ def test_equal_caps_of_two_types_are_memoised_apart():
         assert laplace_perturb(A, 0.5, cap, 100, _stream(1, 0)).tobytes() == expected.tobytes()
 
 
-def test_an_unhashable_argument_takes_the_uncached_call():
+def test_zero_d_array_arguments_calibrate_and_raise_as_the_public_functions_do():
     # With a 0-d array argument the release gives what the public
     # calibration gives it, and raises what it raises, on every call.
     A, B = np.array([0.1, -0.2, 0.3]), np.eye(3) * 0.5

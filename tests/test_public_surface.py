@@ -21,6 +21,10 @@ GONE = (
     "loglik_per_test_point",
     "SeededRng",
     "Mechanism",
+    "cdp_per_release",
+    "conventional_per_release",
+    "advanced_per_release",
+    "run_cell",
 )
 
 
