@@ -72,10 +72,12 @@ def emit_svg_chart(summary: list[SummaryRow], path: str, title: str | None = Non
     if not any(points.values()):
         raise ValueError("summary holds no finite mean to plot")
 
-    xs = [x for pts in points.values() for (x, _, _) in pts]
+    # The x range spans every N in the summary, since each gets a tick,
+    # even one whose cells all failed and which holds no point.
+    seen_n = sorted({row.n for row in summary})
     lo_vals = [y - e for pts in points.values() for (_, y, e) in pts]
     hi_vals = [y + e for pts in points.values() for (_, y, e) in pts]
-    x_min, x_max = min(xs), max(xs)
+    x_min, x_max = math.log10(seen_n[0]), math.log10(seen_n[-1])
     if x_max - x_min < 1e-12:
         x_min, x_max = x_min - 0.5, x_max + 0.5
     y_min, y_max = min(lo_vals), max(hi_vals)
@@ -125,7 +127,6 @@ def emit_svg_chart(summary: list[SummaryRow], path: str, title: str | None = Non
         text(_fmt(_WIDTH / 2), "24", 15, _escape(title))
 
     # x ticks at every distinct N present in the summary
-    seen_n = sorted({row.n for row in summary})
     for n in seen_n:
         x = px(math.log10(n))
         line(x, _MARGIN_TOP, x, _MARGIN_TOP + plot_h, "#dddddd")

@@ -37,14 +37,28 @@ class DataValidationError(ValueError):
     """Raised when a dataset violates the documented bounds."""
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    # Fortran order is what Dataset.X needs; for vectors it is C order too.
-    # An array that is already stored so, read-only and owning its buffer,
-    # is adopted as it is; anything else is copied.
+# Storage order of Dataset.X, by d: the one cut-off that also picks
+# compute_moments' Gram form (see solver._weighted_gram).  Up to this many
+# columns X is column-major, so each pass over it (X @ theta, X^T v, the
+# grid's one-gemm moments) streams through feature columns.  Above it X is
+# row-major: the capped-weight update gathers each row below the cap as
+# one contiguous row, where column-major X made it pick k d single doubles.
+_GEMM_MAX_D = 30
+
+
+def _x_order(d: int) -> str:
+    return "F" if d <= _GEMM_MAX_D else "C"
+
+
+def _freeze(a: np.ndarray, order: str) -> np.ndarray:
+    # An array that is already float64, contiguous in ``order`` (for a
+    # vector C and F order are one), read-only and owning its buffer is
+    # adopted as it is; anything else is copied into that order.
     flags = a.flags
-    if a.dtype == np.float64 and flags.f_contiguous and flags.owndata and not flags.writeable:
+    contiguous = flags.f_contiguous if order == "F" else flags.c_contiguous
+    if a.dtype == np.float64 and contiguous and flags.owndata and not flags.writeable:
         return a
-    out = np.array(a, dtype=np.float64, order="F", copy=True)
+    out = np.array(a, dtype=np.float64, order=order, copy=True)
     out.setflags(write=False)
     return out
 
@@ -207,24 +221,28 @@ class Dataset:
 
     Construction checks shapes only.  Use :func:`validate_dataset` to
     enforce the norm bounds, or :func:`normalize_dataset` to establish
-    them.  The stored arrays are read-only, and ``X`` is stored
-    column-major (Fortran order) whatever the input's order: every pass
-    the solver makes over X (``X @ theta``, ``X.T @ v``, and in
-    ``compute_moments`` the scaling of a block of rows ``X.T[:, a:b]``
-    by their weights or the weights' square roots and the gather of the
-    rows below the weight cap along ``X.T``, row norms) then streams
-    through each feature column contiguously instead of running a
-    d-element inner loop per row.  ``X^T X`` and ``X^T y`` are memoised per instance on first
-    use (see ``_unit_moments``), and so are the solver's first IRLS step
-    (see ``_first_step``) and a passed bounds check (see
+    them.  The stored arrays are read-only, and the storage order of
+    ``X`` follows d, whatever the input's order.  Up to d = 30 ``X`` is
+    column-major (Fortran order): every pass the solver makes over it
+    (``X @ theta``, ``X.T @ v``, and in ``compute_moments`` the scaling of
+    a block of rows ``X.T[:, a:b]`` by their weights and the gather of the
+    rows below the weight cap along ``X.T``) then streams through each
+    feature column contiguously instead of running a d-element inner loop
+    per row.  Above d = 30 ``X`` is row-major (C order), so that the
+    gather of the rows below the weight cap copies whole contiguous rows
+    (d = 30 is also where ``compute_moments`` switches from its one-gemm
+    Gram form to ``syrk``).  ``X^T X`` and ``X^T y`` are memoised per
+    instance on first use (see ``_unit_moments``), and so are the solver's
+    first IRLS step (see ``_first_step``) and a passed bounds check (see
     ``_bounds_checked``); all are sound because the arrays are read-only.
     Datasets compare and hash by identity, as those memos assume.
 
-    An input that is already float64, F-contiguous, read-only and owns its
-    buffer is adopted as it is, not copied; whoever passes one hands it
-    over and must not set it writeable again.  Every other input (a
-    writeable array, a view, C order, another dtype, a list) is copied, so
-    later changes to the caller's array do not reach the dataset.
+    An input that is already float64, contiguous in that order, read-only
+    and owns its buffer is adopted as it is, not copied; whoever passes
+    one hands it over and must not set it writeable again.  Every other
+    input (a writeable array, a view, the other order, another dtype, a
+    list) is copied into that order, so later changes to the caller's
+    array do not reach the dataset.
     """
 
     X: np.ndarray = field(repr=False)
@@ -234,8 +252,8 @@ class Dataset:
         X = np.asarray(self.X, dtype=np.float64)
         y = np.asarray(self.y, dtype=np.float64)
         _check_shapes(X, y)
-        object.__setattr__(self, "X", _freeze(X))
-        object.__setattr__(self, "y", _freeze(y))
+        object.__setattr__(self, "X", _freeze(X, _x_order(X.shape[1])))
+        object.__setattr__(self, "y", _freeze(y, "C"))
 
     @property
     def n(self) -> int:
@@ -359,11 +377,12 @@ def normalize_dataset(X: np.ndarray, y: np.ndarray) -> Dataset:
         Validated dataset with max row norm and max ``|y|`` equal to 1
         (within a few ulp) unless the corresponding input was all zero.
     """
-    # One private column-major copy of each input, scaled in place and
-    # then adopted by the Dataset: never the caller's own arrays.
-    X = np.array(X, dtype=np.float64, order="F")
+    # One private copy of each input, X in the dataset's order, scaled in
+    # place and then adopted by the Dataset: never the caller's own arrays.
+    X = np.asarray(X)
     y = np.array(y, dtype=np.float64)
     _check_shapes(X, y)
+    X = np.array(X, dtype=np.float64, order=_x_order(X.shape[1]))
     norms = _row_norms(X)
     if _first_bad_row(X, norms) >= 0 or not _all_finite(y):
         raise DataValidationError("cannot normalize non-finite data")

@@ -41,6 +41,7 @@ except ImportError:  # numpy 1.x
 
 from .accountant import NoisePlan, PrivacyBudget, plan_for_budget
 from .data import (
+    _GEMM_MAX_D,
     Dataset,
     _all_finite,
     _as_square,
@@ -49,6 +50,7 @@ from .data import (
     _check_int,
     _check_symmetric,
     _check_weight_cap,
+    _x_order,
     validate_dataset,
 )
 from .mechanisms import _check_generator, gaussian_perturb, laplace_perturb, wishart_perturb
@@ -69,12 +71,12 @@ _UPDATE_MAX_RATIO = 64.0
 # (two OpenBLAS threads, 1310-row blocks against 5242-row ones).
 _MOMENT_BLOCK_ELEMENTS = 1 << 17
 
-# Largest d * d * rows, and largest d, at which compute_moments forms a
-# weighted Gram product with one gemm instead of a syrk (see
-# _weighted_gram); measured where the gemm form stops being the faster
-# one (see compute_moments).
+# Largest d * d * rows, and largest d (data._GEMM_MAX_D, which also sets
+# Dataset.X's storage order), at which compute_moments forms a weighted
+# Gram product with one gemm instead of a syrk (see _weighted_gram);
+# measured where the gemm form stops being the faster one (see
+# compute_moments).
 _GEMM_MAX_MULADDS = 100**3
-_GEMM_MAX_D = 30
 
 
 class MomentSolveError(RuntimeError):
@@ -149,14 +151,22 @@ def weights_from_residuals(res: np.ndarray, weight_cap: float) -> np.ndarray:
 def _row_blocks(rows: int, d: int, step: int):
     """Yield ``(start, stop, Gt)`` over ``rows`` rows in blocks of ``step`` counted from row 0.
 
-    ``Gt`` is a C-contiguous (d, stop - start) view of one buffer that
-    every block reuses, since a fresh array per block can pay for new
-    pages each time; the buffer holds no more rows than there are.
+    ``Gt`` is a (d, stop - start) view of one buffer that every block
+    reuses, since a fresh array per block can pay for new pages each
+    time; the buffer holds no more rows than there are.  It is laid out as
+    a dataset's ``X.T`` is at this d: C-contiguous where X is column-major,
+    and the transpose of a C-contiguous (stop - start, d) block where X is
+    row-major.
     """
+    row_major = _x_order(d) == "C"
     buf = np.empty(d * min(step, rows))
     for start in range(0, rows, step):
         stop = min(start + step, rows)
-        yield start, stop, buf[: d * (stop - start)].reshape(d, stop - start)
+        block = buf[: d * (stop - start)]
+        if row_major:
+            yield start, stop, block.reshape(stop - start, d).T
+        else:
+            yield start, stop, block.reshape(d, stop - start)
 
 
 def _gemm_sized(d: int, rows: int) -> bool:
@@ -234,14 +244,21 @@ def compute_moments(dataset: Dataset, weights: np.ndarray) -> MomentPair:
     the released values, not the time taken to compute them.
 
     Both paths work one block of rows at a time, in one reused buffer of
-    at most 2^17 entries (1 MiB): the direct path over row slices of X,
-    the update over the k rows below b.  Each block's Gram (and, on the
-    update path, its cross term) is added to a running sum; A on the
-    direct path is the single ``X.T @ (s * y)`` unless the call is one
-    gemm-sized block.  The update forms b - s (in place in the gathered
-    weights) and y over its k rows once per call, not once per block.
-    Block edges are counted in rows from the first, whatever the BLAS
-    thread count.  A call's scratch memory is thus one block plus a few
+    at most 2^17 entries (1 MiB) laid out as X is (see
+    :class:`dpirls.data.Dataset`: column-major up to d = 30, where the
+    gemm form can run, and row-major above): the direct path over row
+    slices of X, the update over the k rows below b, gathered as whole
+    contiguous rows of row-major X or along the contiguous columns of
+    column-major X.  Each block's Gram (and, on the update path and on
+    row-major X, its cross term) is added to a running sum; A on the
+    direct path over column-major X is the single ``X.T @ (s * y)``
+    unless the call is one gemm-sized block.  On ``wide``'s shape (n =
+    36,000, d = 100, 6,000-14,000 rows below b) row-major X cut the time
+    of the 19 calls of a private solve by about a quarter (2-core host,
+    numpy 2.4, OpenBLAS 0.3.31).  The update forms b - s (in place in
+    the gathered weights) and y over its k rows once per call, not once
+    per block.  Block edges are counted in rows from the first, whatever
+    the BLAS thread count.  A call's scratch memory is thus one block plus a few
     vectors of length n, not a copy of X or of its k rows (a gemm-sized
     block is scaled into a fresh array of its own size instead).  A call
     whose rows fit in one block (n d <= 2^17 on the direct path, k d <=
@@ -279,6 +296,7 @@ def compute_moments(dataset: Dataset, weights: np.ndarray) -> MomentPair:
     if not lo > 0.0:
         raise ValueError("weights must be finite and strictly positive")
     X, y = dataset.X, dataset.y
+    row_major = _x_order(d) == "C"
     step = max(1, _MOMENT_BLOCK_ELEMENTS // d)
     # Rows below the cap that fit one block, and a direct call that is one
     # gemm-sized block, take the one-product formula without the loop: the
@@ -288,18 +306,22 @@ def compute_moments(dataset: Dataset, weights: np.ndarray) -> MomentPair:
         XtX, Xty = dataset._unit_moments
         v = np.subtract(hi, wk, out=wk)  # b - s
         yk = y[idx]
-        # Gathered along the rows of X.T, which are X's contiguous
-        # columns; X[idx] reads each row at a stride of n and was 2.6x
-        # slower at n=36000, d=100.  Gt is X[idx]^T.
+        # Gt is X[idx]^T, gathered as contiguous runs of X: whole rows of
+        # row-major X, or along the rows of X.T (X's columns) when X is
+        # column-major, where X[idx] read each row at a stride of n and was
+        # 2.6x slower at n=36000, d=100.
         if k <= step:
-            Gt = X.T.take(idx, axis=1)
+            Gt = X.take(idx, axis=0).T if row_major else X.T.take(idx, axis=1)
             sum_y, sum_G = _weighted_gram(Gt, v, yk, Gt)
         else:
             sum_y, sum_G = np.zeros(d), np.zeros((d, d))
             for start, stop, Gt in _row_blocks(k, d, step):
                 # Every index is in range; "clip" writes straight into
                 # out= where the default "raise" buffers it.
-                X.T.take(idx[start:stop], axis=1, out=Gt, mode="clip")
+                if row_major:
+                    X.take(idx[start:stop], axis=0, out=Gt.T, mode="clip")
+                else:
+                    X.T.take(idx[start:stop], axis=1, out=Gt, mode="clip")
                 cross, gram = _weighted_gram(Gt, v[start:stop], yk[start:stop], Gt)
                 sum_y += cross
                 sum_G += gram
@@ -309,17 +331,23 @@ def compute_moments(dataset: Dataset, weights: np.ndarray) -> MomentPair:
         A = (hi * Xty - sum_y) / n
         B = (hi * XtX - sum_G) / n
         return MomentPair(A=A, B=B)
-    # One gemm-sized block takes A from the scaled copy that builds B;
-    # otherwise A stays one product over all rows, as in every larger call.
+    # One gemm-sized block takes A from the scaled copy that builds B, and
+    # so does row-major X, block by block as the update does: X.T @ (w * y)
+    # there ran 1.6-1.9x slower than on column-major X at 36000 x 100.  On
+    # column-major X, A stays one product over all rows, taken before the
+    # block buffer exists.
     if n <= step and _gemm_sized(d, n):
         A, sum_G = _weighted_gram(X.T, w, y, None)
         return MomentPair(A=A / n, B=sum_G / n)
-    A = X.T @ (w * y) / n
-    sum_G = np.zeros((d, d))
+    A = None if row_major else X.T @ (w * y) / n
+    sum_y, sum_G = np.zeros(d), np.zeros((d, d))
     for start, stop, Gt in _row_blocks(n, d, step):
-        sum_G += _weighted_gram(X.T[:, start:stop], w[start:stop], None, Gt)[1]
-    B = sum_G / n
-    return MomentPair(A=A, B=B)
+        rows = slice(start, stop)
+        cross, gram = _weighted_gram(X.T[:, rows], w[rows], y[rows] if row_major else None, Gt)
+        if row_major:
+            sum_y += cross
+        sum_G += gram
+    return MomentPair(A=sum_y / n if row_major else A, B=sum_G / n)
 
 
 def _lapack_failed(err: str, flag: int) -> None:

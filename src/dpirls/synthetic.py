@@ -25,6 +25,7 @@ from .data import (
     _check_positive_finite,
     _row_norms,
     _row_spans,
+    _x_order,
     validate_dataset,
 )
 from .mechanisms import _stream
@@ -80,18 +81,20 @@ def generate(spec: SyntheticSpec) -> SplitDataset:
     left over (all n when n is smaller than one block), and a one-row
     remainder joins the block before it, since numpy multiplies a (1, d)
     block by theta* along another path.  Each block's row norms are
-    taken, then it is copied straight into the column-major train or test
-    array, or both when it straddles the split.  The maximum row norm
-    must come from these C-ordered blocks: taken from the F-ordered
-    arrays, whose rows numpy sums in another order, it changes X's bits
-    from d = 8 on.  Consecutive draws continue one stream, so X is
-    bitwise the single (n, d) draw of the module's generation order.
-    ``X @ theta*`` runs over the same blocks, each gathered back into C
-    order.  With every block starting at a multiple of 4 rows, the
-    OpenBLAS kernels checked give each row bitwise as the product over
-    the whole C-ordered X on one thread does, which a block starting at
-    the test split's first row would not.  The split holds the only copy
-    of X: each Dataset adopts its array.
+    taken, then it is copied straight into the train or test array, or
+    both when it straddles the split.  Those arrays are in the storage
+    order of :class:`dpirls.data.Dataset`: column-major up to d = 30,
+    row-major above.  The maximum row norm must come from these C-ordered
+    blocks: taken from F-ordered arrays, whose rows numpy sums in another
+    order, it changes X's bits from d = 8 on.  Consecutive draws continue
+    one stream, so X is bitwise the single (n, d) draw of the module's
+    generation order, in either storage order.  ``X @ theta*`` runs over
+    the same blocks, each gathered back into a C-ordered buffer.  With
+    every block starting at a multiple of 4 rows, the OpenBLAS kernels
+    checked give each row bitwise as the product over the whole C-ordered
+    X on one thread does, which a block starting at the test split's
+    first row would not.  The split holds the only copy of X: each
+    Dataset adopts its array.
 
     Scaling by the data's own maxima is not a row-local map, so a private
     run on the output protects the scaled data, not the raw draws.
@@ -99,8 +102,8 @@ def generate(spec: SyntheticSpec) -> SplitDataset:
     n, d = spec.n, spec.d
     test_count = round(0.1 * n)
     train_count = n - test_count
-    X_train = np.empty((train_count, d), order="F")
-    X_test = np.empty((test_count, d), order="F")
+    X_train = np.empty((train_count, d), order=_x_order(d))
+    X_test = np.empty((test_count, d), order=_x_order(d))
     parts = ((X_train, 0), (X_test, train_count))
     blocks = _row_spans(n, d)
 

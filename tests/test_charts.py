@@ -102,6 +102,27 @@ def test_chart_drops_nan_groups_but_keeps_legend(tmp_path):
     assert "broken" in texts
 
 
+def test_chart_ticks_an_all_failed_size_inside_the_plot_area(tmp_path):
+    # N = 500 has no finite mean, yet gets a tick: the x range must span
+    # it (its tick was drawn at x = -346.91, left of the canvas).
+    summary = [
+        SummaryRow("cdp-lap", 500, math.nan, math.nan, 0),
+        SummaryRow("cdp-lap", 1000, -1.0, 0.2, 5),
+        SummaryRow("cdp-lap", 2000, -0.5, 0.1, 5),
+    ]
+    _, root = _render(tmp_path, summary)
+    rect = next(r for r in root.iter(f"{SVG_NS}rect") if r.get("id") == "plot-area")
+    x0, w = float(rect.get("x")), float(rect.get("width"))
+    labels = {"500", "1000", "2000"}
+    ticks = [t for t in root.iter(f"{SVG_NS}text") if t.text in labels]
+    assert sorted(t.text for t in ticks) == sorted(labels)
+    for t in ticks:
+        assert x0 <= float(t.get("x")) <= x0 + w, t.text
+    for line in root.iter(f"{SVG_NS}line"):
+        if line.get("stroke") == "#dddddd":  # the x grid lines
+            assert x0 <= float(line.get("x1")) <= x0 + w
+
+
 def test_chart_rejects_empty_or_all_nan(tmp_path):
     with pytest.raises(ValueError):
         emit_svg_chart([], str(tmp_path / "no.svg"))

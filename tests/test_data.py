@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import dpirls.data as data_module
 from dpirls.data import (
     _NORM_BLOCK_ELEMENTS,
     NORM_TOLERANCE,
@@ -19,6 +20,7 @@ from dpirls.data import (
     normalize_dataset,
     validate_dataset,
 )
+from dpirls.synthetic import SyntheticSpec, generate
 
 
 def test_boundary_row_norm_is_valid():
@@ -217,6 +219,56 @@ def test_dataset_adopts_only_a_frozen_owning_column_major_float64_array():
     before = ds.X.copy()
     writeable[0, 0] = 9.0
     np.testing.assert_array_equal(ds.X, before)
+
+
+@pytest.mark.parametrize("d, order, other", [(30, "F", "C"), (31, "C", "F")])
+def test_storage_order_of_X_follows_d(d, order, other, monkeypatch):
+    # Column-major up to d = 30, row-major above, for every way a dataset
+    # is made.  At d = 1 both orders are one, so d = 30 and 31 pin the cut.
+    def stored_so(X):
+        return X.flags[f"{order}_CONTIGUOUS"] and not X.flags[f"{other}_CONTIGUOUS"]
+
+    # Whether each Dataset made since the last reset copied its X.
+    copies = []
+    freeze = data_module._freeze
+
+    def recording_freeze(a, *args):
+        out = freeze(a, *args)
+        if a.ndim == 2:
+            copies.append(out is not a)
+        return out
+
+    monkeypatch.setattr(data_module, "_freeze", recording_freeze)
+
+    rng = np.random.default_rng(40 + d)
+    base = rng.normal(size=(50, d))
+    y = rng.normal(size=50)
+    # An array already in the dataset's order is adopted without a copy...
+    own = np.array(base, order=order)
+    own.setflags(write=False)
+    assert Dataset(X=own, y=y).X is own
+    # ...and one in the other order is copied into it.
+    theirs = np.array(base, order=other)
+    theirs.setflags(write=False)
+    for X in (theirs, base.tolist()):
+        ds = Dataset(X=X, y=y)
+        assert not np.shares_memory(ds.X, theirs)
+        assert stored_so(ds.X) and ds.X.flags.owndata and not ds.X.flags.writeable
+        np.testing.assert_array_equal(ds.X, base)
+    # normalize_dataset scales its one private copy in that order, which
+    # the Dataset adopts.
+    copies.clear()
+    for X in (own, theirs, base.tolist()):
+        ds = normalize_dataset(X, y)
+        assert stored_so(ds.X) and ds.X.flags.owndata and not np.shares_memory(ds.X, X)
+    assert copies == [False] * 3
+    # generate fills the train and test arrays in that order, and each
+    # Dataset adopts its array.
+    copies.clear()
+    split = generate(SyntheticSpec(n=300, d=d))
+    for part in (split.train, split.test):
+        assert stored_so(part.X) and part.X.flags.owndata
+    assert copies == [False, False]
 
 
 def test_normalize_never_adopts_the_callers_arrays():

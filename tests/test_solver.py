@@ -262,9 +262,11 @@ def _block_rows(d):
 
 @pytest.mark.parametrize("path", ["direct", "update"])
 def test_multi_block_moments_against_longdouble(path):
-    # Full blocks in the syrk form, and at d = 5 in the gemm form.
+    # Full blocks in the syrk form on row-major X, and at d = 5 in the gemm
+    # form on column-major X.
     for n, d, below, gemm in ((30000, 40, 14000, False), (60000, 5, 28000, True)):
         ds = _random_dataset(16, n=n, d=d)
+        assert ds.X.flags.c_contiguous == (not gemm)
         if path == "direct":
             w = np.random.default_rng(17).uniform(0.01, 10.0, size=ds.n)
             rows = ds.n
@@ -517,21 +519,25 @@ def test_an_overflowing_asymmetry_is_refused_without_a_warning():
 @pytest.mark.parametrize("path", ["direct", "update"])
 def test_gemm_form_stops_above_its_largest_d(path):
     # d = 50 at 200 rows is under the multiply-add limit but above the d
-    # limit: one block that returns the syrk formula's bits.
+    # limit: one block that returns the syrk formula's bits.  X is
+    # row-major there, so the scaled rows are a C-ordered (rows, d) array
+    # whose transpose Gt takes both products, A's included.
     d, n = 50, 200
     assert d * d * n <= solver_module._GEMM_MAX_MULADDS
     assert not solver_module._gemm_sized(d, n)
     assert solver_module._gemm_sized(10, n) and solver_module._gemm_sized(30, n)
     ds = _random_dataset(25, n=n, d=d)
+    assert ds.X.flags.c_contiguous
     if path == "direct":
         w = np.random.default_rng(26).uniform(0.01, 10.0, size=n)
-        Xs = ds.X * np.sqrt(w)[:, None]
-        A_ref, B_ref = ds.X.T @ (w * ds.y) / n, (Xs.T @ Xs) / n
+        c = np.sqrt(w)
+        Gt = (ds.X * c[:, None]).T
+        A_ref, B_ref = Gt @ (c * ds.y) / n, (Gt @ Gt.T) / n
     else:
         w = _capped_weights(n, 60, seed=26)
         hi, idx = w.max(), np.flatnonzero(w < w.max())
         c = np.sqrt(hi - w[idx])
-        Gt = np.take(ds.X.T, idx, axis=1) * c
+        Gt = (np.take(ds.X, idx, axis=0) * c[:, None]).T
         A_ref = (hi * (ds.X.T @ ds.y) - Gt @ (c * ds.y[idx])) / n
         B_ref = (hi * (ds.X.T @ ds.X) - Gt @ Gt.T) / n
     assert _update_path_taken(w) == (path == "update")
