@@ -90,16 +90,25 @@ def main(argv: list[str] | None = None) -> int:
     try:
         fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentGrid)}
         grid = ExperimentGrid(**fields)
-        # Refuse an output path that cannot be written before any cell runs.
-        # An empty --out-svg means no chart; an empty --out-csv names no file.
+        # Refuse an output path that cannot be written, or that names the
+        # file of another output (compared after os.path.abspath), before
+        # any cell runs.  An empty --out-svg means no chart; an empty
+        # --out-csv names no file.
         if not args.out_csv:
             raise ValueError("--out-csv must name a file, got ''")
-        for path in filter(None, (args.out_csv, summary_path_for(args.out_csv), args.out_svg)):
+        roles: dict[str, str] = {}
+        paths = (args.out_csv, summary_path_for(args.out_csv), args.out_svg)
+        for role, path in zip(("results CSV", "summary CSV", "chart"), paths):
+            if not path:
+                continue
             parent = os.path.dirname(path)
             if parent and not os.path.isdir(parent):
                 raise ValueError(f"cannot write {path}: directory {parent} does not exist")
             if os.path.isdir(path):
                 raise ValueError(f"cannot write {path}: it is a directory")
+            other = roles.setdefault(os.path.abspath(path), role)
+            if other != role:
+                raise ValueError(f"cannot write {path}: it is also the {other} path")
         # Cells catch their own errors: run_grid raises only for a bad
         # DP_IRLS_THREADS, and does so before the first cell.
         rows = run_grid(grid)

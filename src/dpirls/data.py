@@ -333,7 +333,9 @@ def validate_dataset(dataset: Dataset) -> Dataset:
     return dataset
 
 
-def _check_bounds(dataset: Dataset) -> None:
+def _check_finite(dataset: Dataset) -> np.ndarray:
+    # Refuse a NaN or an infinity in X, then in y, naming its first row;
+    # return X's row norms, which find it.
     norms = _row_norms(dataset.X)
     bad = _first_bad_row(dataset.X, norms)
     if bad >= 0:
@@ -341,7 +343,11 @@ def _check_bounds(dataset: Dataset) -> None:
     if not _all_finite(dataset.y):
         bad = int(np.argwhere(~np.isfinite(dataset.y))[0, 0])
         raise DataValidationError(f"y contains a non-finite value at row {bad}")
+    return norms
 
+
+def _check_bounds(dataset: Dataset) -> None:
+    norms = _check_finite(dataset)
     over = norms > 1.0 + NORM_TOLERANCE
     if np.logical_or.reduce(over, axis=None):
         bad = int(np.argmax(over))

@@ -47,6 +47,7 @@ from .data import (
     _as_square,
     _as_theta,
     _as_vector,
+    _check_finite,
     _check_int,
     _check_symmetric,
     _check_weight_cap,
@@ -148,39 +149,18 @@ def weights_from_residuals(res: np.ndarray, weight_cap: float) -> np.ndarray:
     return np.divide(1.0, w, out=w)
 
 
-def _row_blocks(rows: int, d: int, step: int):
-    """Yield ``(start, stop, Gt)`` over ``rows`` rows in blocks of ``step`` counted from row 0.
-
-    ``Gt`` is a (d, stop - start) view of one buffer that every block
-    reuses, since a fresh array per block can pay for new pages each
-    time; the buffer holds no more rows than there are.  It is laid out as
-    a dataset's ``X.T`` is at this d: C-contiguous where X is column-major,
-    and the transpose of a C-contiguous (stop - start, d) block where X is
-    row-major.
-    """
-    row_major = _x_order(d) == "C"
-    buf = np.empty(d * min(step, rows))
-    for start in range(0, rows, step):
-        stop = min(start + step, rows)
-        block = buf[: d * (stop - start)]
-        if row_major:
-            yield start, stop, block.reshape(stop - start, d).T
-        else:
-            yield start, stop, block.reshape(d, stop - start)
-
-
 def _gemm_sized(d: int, rows: int) -> bool:
     return d <= _GEMM_MAX_D and d * d * rows <= _GEMM_MAX_MULADDS
 
 
-def _weighted_gram(Xt, v, y, out):
+def _weighted_gram(Xt, v, y, out=None):
     """Return ``(Xt diag(v) y, Xt diag(v) Xt^T)`` for a (d, rows) ``Xt``.
 
-    The first is None when ``y`` is.  A product of at most
-    ``_GEMM_MAX_MULADDS`` multiply-adds at d <= ``_GEMM_MAX_D`` takes
-    St = Xt diag(v), St y and the gemm G = St Xt^T, and returns
-    (G + G^T) / 2 as the Gram.  Any other scales Xt by sqrt(v) into
-    ``out``, a (d, rows) array that may be ``Xt`` itself, and takes
+    A product of at most ``_GEMM_MAX_MULADDS`` multiply-adds at d <=
+    ``_GEMM_MAX_D`` takes St = Xt diag(v), St y and the gemm G = St Xt^T,
+    and returns (G + G^T) / 2 as the Gram.  Any other scales Xt by sqrt(v)
+    into ``out``, a (d, rows) array that may be ``Xt`` itself, or into a
+    fresh array laid out as ``Xt`` where ``out`` is None, and takes
     ``out (sqrt(v) y)`` and the syrk ``out out^T``.  Either Gram is
     symmetric bit for bit.
     """
@@ -189,10 +169,41 @@ def _weighted_gram(Xt, v, y, out):
         G = St @ Xt.T
         G = G + G.T
         G *= 0.5
-        return (None if y is None else St @ y), G
+        return St @ y, G
     c = np.sqrt(v)
-    np.multiply(Xt, c, out=out)
-    return (None if y is None else out @ (c * y)), out @ out.T
+    out = np.multiply(Xt, c, out=out)
+    return out @ (c * y), out @ out.T
+
+
+def _gather_rows(X, idx, out=None):
+    # X[idx]^T as a (d, len(idx)) array, gathered as contiguous runs of X:
+    # whole rows of row-major X, or along the rows of X.T (X's columns) when
+    # X is column-major, where X[idx] read each row at a stride of n and was
+    # 2.6x slower at n=36000, d=100.  Every index is in range; "clip" writes
+    # straight into out= where the default "raise" buffers it.
+    if _x_order(X.shape[1]) == "C":
+        return X.take(idx, axis=0, out=None if out is None else out.T, mode="clip").T
+    return X.T.take(idx, axis=1, out=out, mode="clip")
+
+
+def _block_sums(X, idx, v, y, step):
+    # The sums of _weighted_gram over blocks of ``step`` rows, counted from
+    # the first: row slices of X where idx is None, else the rows X[idx],
+    # gathered block by block.  ``v`` and ``y`` hold one entry per row
+    # summed.  Every block is scaled into one buffer, laid out as X.T is: a
+    # fresh array per block can pay for new pages each time.
+    rows, d = v.shape[0], X.shape[1]
+    buf = np.empty(d * min(step, rows))
+    sum_y, sum_G = np.zeros(d), np.zeros((d, d))
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        block = buf[: d * (stop - start)]
+        Gt = block.reshape(-1, d).T if _x_order(d) == "C" else block.reshape(d, -1)
+        Xt = X.T[:, start:stop] if idx is None else _gather_rows(X, idx[start:stop], Gt)
+        cross, gram = _weighted_gram(Xt, v[start:stop], y[start:stop], Gt)
+        sum_y += cross
+        sum_G += gram
+    return sum_y, sum_G
 
 
 def compute_moments(dataset: Dataset, weights: np.ndarray) -> MomentPair:
@@ -204,13 +215,14 @@ def compute_moments(dataset: Dataset, weights: np.ndarray) -> MomentPair:
     takes St = X^T S, A = St y / n and the gemm G = St X, and sets
     B = (G + G^T) / (2n).  Any other takes G = diag(sqrt(s)) X, whose
     ``G.T @ G`` numpy routes to BLAS ``syrk``, which computes one
-    triangle and mirrors it onto the other, and A = X^T (s y) / n.  Each form is the faster one on its
-    side of the limits: the gemm form took 0.58-0.84 times the syrk
-    form's time at d = 10 and n = 2000 to 10000 (1.00e6 multiply-adds),
-    but 1.15 times at n = 11000 and 1.3-1.8 times at d = 20 and 30 just
-    past the limit; below it, 0.93-1.17 times at d = 30, 1.06-1.35 times
-    at d = 40, 1.3-1.45 times at d = 50 and up to 1.48 times at d = 100
-    (2-core host, numpy 2.4, OpenBLAS 0.3.31, default thread count).
+    triangle and mirrors it onto the other, and A = G^T (sqrt(s) y) / n.
+    Each form is the faster one on its side of the limits: the gemm form
+    took 0.58-0.84 times the syrk form's time at d = 10 and n = 2000 to
+    10000 (1.00e6 multiply-adds), but 1.15 times at n = 11000 and 1.3-1.8
+    times at d = 20 and 30 just past the limit; below it, 0.93-1.17 times
+    at d = 30, 1.06-1.35 times at d = 40, 1.3-1.45 times at d = 50 and up
+    to 1.48 times at d = 100 (2-core host, numpy 2.4, OpenBLAS 0.3.31,
+    default thread count).
     Either way B is symmetric bit for bit rather than merely up to
     rounding (``test_moments_gram_exactly_symmetric`` pins this): fl(a +
     b) = fl(b + a), and syrk fills both triangles from one.
@@ -243,44 +255,40 @@ def compute_moments(dataset: Dataset, weights: np.ndarray) -> MomentPair:
     that is, on the data.  The privacy guarantees of the releases cover
     the released values, not the time taken to compute them.
 
-    Both paths work one block of rows at a time, in one reused buffer of
-    at most 2^17 entries (1 MiB) laid out as X is (see
+    Both paths sum over blocks of rows in one loop, whose one reused
+    buffer of at most 2^17 entries (1 MiB) is laid out as X is (see
     :class:`dpirls.data.Dataset`: column-major up to d = 30, where the
     gemm form can run, and row-major above): the direct path over row
     slices of X, the update over the k rows below b, gathered as whole
     contiguous rows of row-major X or along the contiguous columns of
-    column-major X.  Each block's Gram (and, on the update path and on
-    row-major X, its cross term) is added to a running sum; A on the
-    direct path over column-major X is the single ``X.T @ (s * y)``
-    unless the call is one gemm-sized block.  On ``wide``'s shape (n =
-    36,000, d = 100, 6,000-14,000 rows below b) row-major X cut the time
-    of the 19 calls of a private solve by about a quarter (2-core host,
-    numpy 2.4, OpenBLAS 0.3.31).  The update forms b - s (in place in
-    the gathered weights) and y over its k rows once per call, not once
-    per block.  Block edges are counted in rows from the first, whatever
-    the BLAS thread count.  A call's scratch memory is thus one block plus a few
-    vectors of length n, not a copy of X or of its k rows (a gemm-sized
-    block is scaled into a fresh array of its own size instead).  A call
-    whose rows fit in one block (n d <= 2^17 on the direct path, k d <=
-    2^17 on the update) returns the one-product formula's bits: a sum
-    that starts from zeros and adds one Gram is that Gram, as no BLAS
-    product gives -0.0.  Every call of the README grid is one block
-    (n d <= 90,000), but a direct call at d = 20 and n = 10,000 already
-    takes two.  With more blocks the sums are added in another order,
-    which moves A and B in the low bits.
+    column-major X.  Each block adds its Gram and its cross term to
+    running sums, so A, like B, comes from the scaled rows on either
+    layout.  The update forms b - s (in place in the gathered weights)
+    and y over its k rows once per call, not once per block.  Block edges
+    are counted in rows from the first, whatever the BLAS thread count.
+    A call's scratch memory is thus one block plus a few vectors of
+    length n, not a copy of X or of its k rows (a gemm-sized block is
+    scaled into a fresh array of its own size instead).  A call whose
+    rows fit in one block (n d <= 2^17 on the direct path, k d <= 2^17 on
+    the update) skips the loop and takes the one-product formula, scaling
+    the rows into a fresh array on the direct path and in place in the
+    gathered rows on the update.  Every call of the README grid is one
+    block (n d <= 90,000), but a direct call at d = 20 and n = 10,000
+    already takes two.  With more blocks the sums are added in another
+    order, which moves A and B in the low bits.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.shape[0] != dataset.n:
         raise ValueError(f"weights must have shape ({dataset.n},), got {w.shape}")
     # The check and the choice of path take three passes over w: its
-    # maximum b = hi (a NaN anywhere makes it NaN, which fails the test as
-    # an infinity does), the mask of the k rows below b with its count,
-    # and the minimum.  Every other row equals b, so where the update may
-    # pay (2k <= n) the minimum is that of the k gathered weights, which
-    # the update reuses; otherwise it is min(w).
+    # maximum b = hi, the mask of the k rows below b with its count, and
+    # the minimum.  Every other row equals b, so where the update may pay
+    # (2k <= n) the minimum is that of the k gathered weights, which the
+    # update reuses; otherwise it is min(w).  One test then refuses every
+    # bad weight: a NaN anywhere makes hi NaN, so that no row is below it
+    # and lo = hi is NaN too; an infinity fails hi < inf, and a weight of 0
+    # or below fails 0 < lo.
     hi = float(np.maximum.reduce(w))
-    if not hi < np.inf:
-        raise ValueError("weights must be finite and strictly positive")
     n, d = dataset.n, dataset.d
     below = w < hi
     # numpy's compiled count: np.count_nonzero is a Python wrapper, and an
@@ -293,61 +301,28 @@ def compute_moments(dataset: Dataset, weights: np.ndarray) -> MomentPair:
         lo = float(np.minimum.reduce(wk)) if k else hi
     else:
         lo = float(np.minimum.reduce(w))
-    if not lo > 0.0:
+    if not 0.0 < lo <= hi < np.inf:
         raise ValueError("weights must be finite and strictly positive")
     X, y = dataset.X, dataset.y
-    row_major = _x_order(d) == "C"
     step = max(1, _MOMENT_BLOCK_ELEMENTS // d)
     # Rows below the cap that fit one block, and a direct call that is one
-    # gemm-sized block, take the one-product formula without the loop: the
-    # README grid makes thousands of such small calls, and the block loop
-    # cost each a few microseconds more.
+    # block, take the one-product formula without the loop: the README
+    # grid makes thousands of such small calls, and the block loop cost
+    # each a few microseconds more.
     if 2 * k <= n and hi <= _UPDATE_MAX_RATIO * lo:
         XtX, Xty = dataset._unit_moments
         v = np.subtract(hi, wk, out=wk)  # b - s
-        yk = y[idx]
-        # Gt is X[idx]^T, gathered as contiguous runs of X: whole rows of
-        # row-major X, or along the rows of X.T (X's columns) when X is
-        # column-major, where X[idx] read each row at a stride of n and was
-        # 2.6x slower at n=36000, d=100.
         if k <= step:
-            Gt = X.take(idx, axis=0).T if row_major else X.T.take(idx, axis=1)
-            sum_y, sum_G = _weighted_gram(Gt, v, yk, Gt)
+            Gt = _gather_rows(X, idx)
+            sum_y, sum_G = _weighted_gram(Gt, v, y[idx], Gt)
         else:
-            sum_y, sum_G = np.zeros(d), np.zeros((d, d))
-            for start, stop, Gt in _row_blocks(k, d, step):
-                # Every index is in range; "clip" writes straight into
-                # out= where the default "raise" buffers it.
-                if row_major:
-                    X.take(idx[start:stop], axis=0, out=Gt.T, mode="clip")
-                else:
-                    X.T.take(idx[start:stop], axis=1, out=Gt, mode="clip")
-                cross, gram = _weighted_gram(Gt, v[start:stop], yk[start:stop], Gt)
-                sum_y += cross
-                sum_G += gram
-            # Gt is the last reference to the block buffer: free it before
-            # the temporaries of A and B are made.
-            del Gt, gram
-        A = (hi * Xty - sum_y) / n
-        B = (hi * XtX - sum_G) / n
-        return MomentPair(A=A, B=B)
-    # One gemm-sized block takes A from the scaled copy that builds B, and
-    # so does row-major X, block by block as the update does: X.T @ (w * y)
-    # there ran 1.6-1.9x slower than on column-major X at 36000 x 100.  On
-    # column-major X, A stays one product over all rows, taken before the
-    # block buffer exists.
-    if n <= step and _gemm_sized(d, n):
-        A, sum_G = _weighted_gram(X.T, w, y, None)
-        return MomentPair(A=A / n, B=sum_G / n)
-    A = None if row_major else X.T @ (w * y) / n
-    sum_y, sum_G = np.zeros(d), np.zeros((d, d))
-    for start, stop, Gt in _row_blocks(n, d, step):
-        rows = slice(start, stop)
-        cross, gram = _weighted_gram(X.T[:, rows], w[rows], y[rows] if row_major else None, Gt)
-        if row_major:
-            sum_y += cross
-        sum_G += gram
-    return MomentPair(A=sum_y / n if row_major else A, B=sum_G / n)
+            sum_y, sum_G = _block_sums(X, idx, v, y[idx], step)
+        return MomentPair(A=(hi * Xty - sum_y) / n, B=(hi * XtX - sum_G) / n)
+    if n <= step:
+        sum_y, sum_G = _weighted_gram(X.T, w, y)
+    else:
+        sum_y, sum_G = _block_sums(X, None, w, y, step)
+    return MomentPair(A=sum_y / n, B=sum_G / n)
 
 
 def _lapack_failed(err: str, flag: int) -> None:
@@ -432,7 +407,13 @@ def _shared_first_step(dataset: Dataset, weight_cap: float) -> tuple[np.ndarray,
     entry = slot[0]
     if entry is None or entry[0] != key:
         weights = weights_from_residuals(residuals(dataset, np.zeros(dataset.d)), weight_cap)
-        moments = compute_moments(dataset, weights)
+        try:
+            moments = compute_moments(dataset, weights)
+        except ValueError:
+            # At theta = 0 a weight is NaN or 0 only where X or y holds a
+            # NaN or an infinity: name the first such entry instead.
+            _check_finite(dataset)
+            raise
         for a in (weights, *moments):
             a.setflags(write=False)
         entry = (key, weights, moments)

@@ -166,10 +166,17 @@ def test_unusable_output_path_rejected_before_any_cell_runs(tmp_path, monkeypatc
          f"directory {missing} does not exist"),
         (["--out-csv", str(tmp_path / "d.csv")], "it is a directory"),
         (["--out-csv", csv_path, "--out-svg", str(tmp_path / "d.csv")], "it is a directory"),
+        # Two outputs that name one file, compared as absolute paths.
+        (["--out-csv", csv_path, "--out-svg", csv_path], "it is also the results CSV path"),
+        (["--out-csv", csv_path, "--out-svg", f"{tmp_path}/./r.csv"],
+         "it is also the results CSV path"),
+        (["--out-csv", csv_path, "--out-svg", str(tmp_path / "r_summary.csv")],
+         "it is also the summary CSV path"),
     ):
         assert main(FAST + flags) == 2
         assert capsys.readouterr().err == f"dpirls: cannot write {flags[-1]}: {reason}\n"
         assert not (tmp_path / "r.csv").exists() and not missing.exists()
+        assert not (tmp_path / "r_summary.csv").exists()
     # The summary lands next to the results, so its path is checked too.
     assert main(FAST + ["--out-csv", str(tmp_path / "s.csv")]) == 2
     err = capsys.readouterr().err

@@ -15,7 +15,7 @@ from _oracles import grid_l1_minimizer, longdouble_solve, naive_moments
 
 import dpirls.solver as solver_module
 from dpirls.accountant import PrivacyBudget, Regime, plan_for_budget
-from dpirls.data import DataValidationError, Dataset, normalize_dataset
+from dpirls.data import DataValidationError, Dataset, normalize_dataset, validate_dataset
 from dpirls.experiment import MECHANISM_SPECS
 from dpirls.mechanisms import _stream, wishart_perturb
 from dpirls.synthetic import SyntheticSpec, evaluate_fit, generate
@@ -146,15 +146,17 @@ def _one_product_moments(ds, w):
     # one, or the capped-weight update where its two conditions hold.  Each
     # weighted product X^T diag(v) [X, y] is the gemm of St = X^T diag(v)
     # against X, with the average of G and G^T as its Gram, where
-    # solver._gemm_sized holds, and the syrk of diag(sqrt(v)) X elsewhere.
+    # solver._gemm_sized holds, and the syrk of diag(sqrt(v)) X elsewhere;
+    # either way the cross term comes from the same scaled rows.
     n, d = ds.n, ds.d
     if not _update_path_taken(w):
         if solver_module._gemm_sized(d, n):
             St = ds.X.T * w
             G = St @ ds.X
             return St @ ds.y / n, (G + G.T) * 0.5 / n
-        Xs = ds.X * np.sqrt(w)[:, None]
-        return ds.X.T @ (w * ds.y) / n, (Xs.T @ Xs) / n
+        c = np.sqrt(w)
+        Xs = ds.X * c[:, None]
+        return Xs.T @ (c * ds.y) / n, (Xs.T @ Xs) / n
     hi = w.max()
     idx = np.flatnonzero(w < hi)
     Xk = np.take(ds.X.T, idx, axis=1)
@@ -262,11 +264,14 @@ def _block_rows(d):
 
 @pytest.mark.parametrize("path", ["direct", "update"])
 def test_multi_block_moments_against_longdouble(path):
-    # Full blocks in the syrk form on row-major X, and at d = 5 in the gemm
-    # form on column-major X.
-    for n, d, below, gemm in ((30000, 40, 14000, False), (60000, 5, 28000, True)):
+    # Full blocks in the syrk form on row-major X and, at d = 10 (13,107-row
+    # blocks, as on the tall benchmark), on column-major X, and at d = 5 in
+    # the gemm form on column-major X.
+    for n, d, below, gemm in (
+        (30000, 40, 14000, False), (40000, 10, 18000, False), (60000, 5, 28000, True)
+    ):
         ds = _random_dataset(16, n=n, d=d)
-        assert ds.X.flags.c_contiguous == (not gemm)
+        assert ds.X.flags.c_contiguous == (d > solver_module._GEMM_MAX_D)
         if path == "direct":
             w = np.random.default_rng(17).uniform(0.01, 10.0, size=ds.n)
             rows = ds.n
@@ -336,11 +341,11 @@ def test_one_block_moments_are_the_one_product_formula_bitwise(path):
 )
 def test_moments_scratch_memory_is_a_block_not_a_copy(path, n, d, bound):
     # The peak is one block of 1 MiB plus the vectors each path keeps: the
-    # mask of the rows below the cap, then on the direct path s y and one
-    # block's square roots, on the update the indices of those k rows and
-    # b - s and y over them.  One product over all rows copied X (1.10
-    # times its size on the direct path) or the half of its rows below the
-    # cap (0.53 on the update).
+    # mask of the rows below the cap, then on the direct path one block's
+    # square roots and their products with y, on the update the indices of
+    # those k rows and b - s and y over them.  One product over all rows
+    # copied X (1.10 times its size on the direct path) or the half of its
+    # rows below the cap (0.53 on the update).
     rng = np.random.default_rng(21)
     X = rng.uniform(-1.0, 1.0, size=(n, d)) / math.sqrt(d)
     ds = Dataset(X=X, y=rng.uniform(-1.0, 1.0, size=n))
@@ -521,7 +526,7 @@ def test_gemm_form_stops_above_its_largest_d(path):
     # d = 50 at 200 rows is under the multiply-add limit but above the d
     # limit: one block that returns the syrk formula's bits.  X is
     # row-major there, so the scaled rows are a C-ordered (rows, d) array
-    # whose transpose Gt takes both products, A's included.
+    # whose transpose Gt takes both products, as on column-major X.
     d, n = 50, 200
     assert d * d * n <= solver_module._GEMM_MAX_MULADDS
     assert not solver_module._gemm_sized(d, n)
@@ -691,6 +696,29 @@ def test_solve_step_failures_warn_nothing_and_keep_the_callers_error_state():
         assert failures == []
 
 # --- exact IRLS ----------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "name, row, value", [("X", 7, np.nan), ("y", 4, np.inf), ("y", 5, -np.inf)]
+)
+def test_exact_solve_names_the_non_finite_entry_behind_its_first_weights(name, row, value):
+    # At theta = 0 a NaN in X or an infinity in y makes iteration 1's weight
+    # NaN or 0.  The exact solve, which does not validate its data, reports
+    # the entry as validate_dataset does, not the weight, and memoises no
+    # first step.
+    rng = np.random.default_rng(27)
+    X, y = rng.uniform(-0.3, 0.3, size=(50, 3)), rng.uniform(-1.0, 1.0, size=50)
+    if name == "X":
+        X[row, 1] = value
+    else:
+        y[row] = value
+    ds = Dataset(X, y)
+    message = f"^{name} contains a non-finite value at row {row}$"
+    with pytest.raises(DataValidationError, match=message):
+        run_exact_irls(ds, IRLSConfig(iterations=3, weight_cap=5.0))
+    assert ds._first_step == [None]
+    with pytest.raises(DataValidationError, match=message):
+        validate_dataset(ds)
+
 
 def test_single_iteration_hand_computed():
     # residuals (0.5, 0.25) under theta=0, cap 2 clamps both weights to 2:
