@@ -10,6 +10,10 @@ noise) and the weighted Gram moment B (additive Wishart noise), and the
 parameter update is post-processing of those releases.  A privacy
 accountant splits a total budget across the 2 * iterations releases under
 zero-concentrated DP (zCDP), basic, or advanced composition.
+
+The README's experiment grid, its CSV and SVG output and the ``dpirls``
+command live in :mod:`dpirls.experiment`, :mod:`dpirls.charts` and
+:mod:`dpirls.cli`; importing the package loads none of them.
 """
 
 from .accountant import (
@@ -18,17 +22,7 @@ from .accountant import (
     Regime,
     plan_for_budget,
 )
-from .charts import emit_svg_chart
 from .data import DataValidationError, Dataset, normalize_dataset, validate_dataset
-from .experiment import (
-    MECHANISM_SPECS,
-    ExperimentGrid,
-    ResultRow,
-    SummaryRow,
-    aggregate,
-    emit_csv,
-    run_grid,
-)
 from .mechanisms import (
     gaussian_perturb,
     gaussian_std,
@@ -56,21 +50,14 @@ __version__ = "0.1.0"
 __all__ = [
     "DataValidationError",
     "Dataset",
-    "ExperimentGrid",
     "IRLSConfig",
-    "MECHANISM_SPECS",
     "MomentSolveError",
     "NoisePlan",
     "PrivacyBudget",
     "Regime",
-    "ResultRow",
     "SplitDataset",
-    "SummaryRow",
     "SyntheticSpec",
-    "aggregate",
     "compute_moments",
-    "emit_csv",
-    "emit_svg_chart",
     "evaluate_fit",
     "gaussian_perturb",
     "gaussian_std",
@@ -83,7 +70,6 @@ __all__ = [
     "plan_for_budget",
     "residuals",
     "run_exact_irls",
-    "run_grid",
     "run_private_irls",
     "solve_step",
     "validate_dataset",

@@ -10,8 +10,10 @@ by 5% on every side.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-from .experiment import SummaryRow
+if TYPE_CHECKING:
+    from .experiment import SummaryRow
 
 _WIDTH = 760
 _HEIGHT = 480

@@ -127,6 +127,13 @@ def _needs_delta(label: str) -> bool:
 
 
 class ResultRow(NamedTuple):
+    """One cell's outcome, a row of the results CSV.
+
+    ``wall_time_ms`` depends on the raw data, since the capped-weight
+    update costs O(k d^2) for the k rows below the cap; like every run
+    time, it is not covered by the privacy guarantee.
+    """
+
     mechanism: str
     n: int
     seed: int
@@ -156,7 +163,11 @@ def _noise_generator(base_seed: int, label: str, n: int, seed_idx: int) -> np.ra
 
 
 def run_cell(grid: ExperimentGrid, label: str, n: int, seed_idx: int) -> ResultRow:
-    """Run one (mechanism, size, seed) cell; failures land in the status column."""
+    """Run one (mechanism, size, seed) cell; failures land in the status column.
+
+    The row's ``wall_time_ms`` depends on the raw data and is not covered
+    by the privacy guarantee (see :class:`ResultRow`).
+    """
     start = time.perf_counter()
     loglik = math.nan
     eps_prime = math.nan

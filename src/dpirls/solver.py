@@ -406,7 +406,10 @@ def _shared_first_step(dataset: Dataset, weight_cap: float) -> tuple[np.ndarray,
     slot = dataset._first_step
     entry = slot[0]
     if entry is None or entry[0] != key:
-        weights = weights_from_residuals(residuals(dataset, np.zeros(dataset.d)), weight_cap)
+        # An infinity in X times theta = 0 is NaN, which the matmul flags as
+        # invalid; the refusal below names the entry instead.
+        with np.errstate(invalid="ignore"):
+            weights = weights_from_residuals(residuals(dataset, np.zeros(dataset.d)), weight_cap)
         try:
             moments = compute_moments(dataset, weights)
         except ValueError:

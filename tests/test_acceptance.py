@@ -18,13 +18,10 @@ import pytest
 
 from dpirls import (
     Dataset,
-    ExperimentGrid,
     IRLSConfig,
     PrivacyBudget,
     Regime,
-    aggregate,
     compute_moments,
-    emit_csv,
     gaussian_perturb,
     gaussian_std,
     l1_sensitivity_A,
@@ -33,11 +30,11 @@ from dpirls import (
     laplace_scale,
     plan_for_budget,
     run_exact_irls,
-    run_grid,
     run_private_irls,
     wishart_perturb,
     wishart_variance,
 )
+from dpirls.experiment import ExperimentGrid, aggregate, emit_csv, run_grid
 from dpirls.mechanisms import _stream
 from _oracles import grid_l1_minimizer, unscaled_synthetic
 

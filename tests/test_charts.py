@@ -88,6 +88,14 @@ def test_chart_single_size_still_renders(tmp_path):
     summary = [SummaryRow("cdp-lap", 500, -1.0, 0.1, 3)]
     _, root = _render(tmp_path, summary)
     assert len(root.findall(f".//{SVG_NS}polyline")) == 1
+    # With no error bar the y range is one value: it is padded around the
+    # point, which sits halfway up the plot area.
+    summary = [SummaryRow("cdp-lap", 500, -1.0, 0.0, 3)]
+    _, root = _render(tmp_path, summary)
+    rect = next(r for r in root.iter(f"{SVG_NS}rect") if r.get("id") == "plot-area")
+    (circle,) = root.iter(f"{SVG_NS}circle")
+    mid = float(rect.get("y")) + float(rect.get("height")) / 2
+    assert float(circle.get("cy")) == pytest.approx(mid, abs=0.01)
 
 
 def test_chart_drops_nan_groups_but_keeps_legend(tmp_path):
@@ -130,6 +138,9 @@ def test_chart_rejects_empty_or_all_nan(tmp_path):
         emit_svg_chart(
             [SummaryRow("m", 100, math.nan, math.nan, 0)], str(tmp_path / "no.svg")
         )
+    with pytest.raises(ValueError, match="N must be positive for a log axis, got 0"):
+        emit_svg_chart([SummaryRow("m", 0, -1.0, 0.1, 3)], str(tmp_path / "no.svg"))
+    assert not (tmp_path / "no.svg").exists()
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

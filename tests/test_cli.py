@@ -194,6 +194,12 @@ def test_invalid_grid_returns_two(tmp_path, capsys):
     code = main(FAST + ["--seeds", "0", "--out-csv", str(tmp_path / "x.csv")])
     assert code == 2
     assert "n_seeds" in capsys.readouterr().err
+    # A size list that does not parse is argparse's error, before any grid.
+    with pytest.raises(SystemExit) as exc:
+        main(FAST + ["--n", "5,x", "--out-csv", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "expected comma-separated integers, got '5,x'" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_tiny_n_rejected_before_any_cell_runs(tmp_path, monkeypatch, capsys):

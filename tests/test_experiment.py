@@ -230,6 +230,8 @@ def test_grid_validation():
         ExperimentGrid(n_values=())
     with pytest.raises(ValueError):
         ExperimentGrid(n_values=(100, 100))
+    with pytest.raises(ValueError, match="mechanisms must be non-empty"):
+        ExperimentGrid(n_values=(100,), mechanisms=())
     with pytest.raises(ValueError, match="unknown mechanism"):
         ExperimentGrid(n_values=(100,), mechanisms=("bogus",))
     with pytest.raises(ValueError, match="distinct"):

@@ -1,8 +1,14 @@
 """The names ``dpirls`` exports are exactly the names it binds."""
 
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import dpirls
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Deleted outright, or kept in their modules but no longer exported.
 GONE = (
@@ -25,6 +31,16 @@ GONE = (
     "conventional_per_release",
     "advanced_per_release",
     "run_cell",
+    # The README grid harness: importable from dpirls.experiment and
+    # dpirls.charts, not from the package.
+    "ExperimentGrid",
+    "MECHANISM_SPECS",
+    "ResultRow",
+    "SummaryRow",
+    "run_grid",
+    "aggregate",
+    "emit_csv",
+    "emit_svg_chart",
 )
 
 
@@ -45,3 +61,16 @@ def test_all_equals_the_public_non_module_attributes():
 
 def test_removed_names_are_not_reachable_from_the_package():
     assert [name for name in GONE if hasattr(dpirls, name)] == []
+
+
+def test_import_loads_no_harness_module():
+    # A fresh interpreter, since this one has the harness loaded by other tests.
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    absent = ("dpirls.experiment", "dpirls.charts", "dpirls.cli", "csv")
+    code = f"import sys, dpirls; print([m for m in {absent!r} if m in sys.modules])"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -698,11 +698,12 @@ def test_solve_step_failures_warn_nothing_and_keep_the_callers_error_state():
 # --- exact IRLS ----------------------------------------------------------
 
 @pytest.mark.parametrize(
-    "name, row, value", [("X", 7, np.nan), ("y", 4, np.inf), ("y", 5, -np.inf)]
+    "name, row, value",
+    [("X", 7, np.nan), ("X", 9, np.inf), ("X", 9, -np.inf), ("y", 4, np.inf), ("y", 5, -np.inf)],
 )
 def test_exact_solve_names_the_non_finite_entry_behind_its_first_weights(name, row, value):
-    # At theta = 0 a NaN in X or an infinity in y makes iteration 1's weight
-    # NaN or 0.  The exact solve, which does not validate its data, reports
+    # At theta = 0 a NaN or an infinity in X, or an infinity in y, makes
+    # iteration 1's weight NaN or 0.  The exact solve, which does not validate its data, reports
     # the entry as validate_dataset does, not the weight, and memoises no
     # first step.
     rng = np.random.default_rng(27)
