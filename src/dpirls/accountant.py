@@ -84,13 +84,13 @@ class NoisePlan(NamedTuple):
 
 def _advanced_cost(eps_prime: float, k: int, failure_prob: float) -> float:
     # Total (eps, failure_prob)-DP cost of k eps'-DP releases under strong
-    # composition.  Guard the exponential: beyond ~700 it overflows float64.
-    if eps_prime > 700.0:
+    # composition.  math.expm1 raises OverflowError past about 709.78 where
+    # a float product would read inf; the cost is inf there as well.
+    try:
+        growth = math.expm1(eps_prime)
+    except OverflowError:
         return math.inf
-    return (
-        math.sqrt(2.0 * k * math.log(1.0 / failure_prob)) * eps_prime
-        + k * eps_prime * math.expm1(eps_prime)
-    )
+    return math.sqrt(2.0 * k * math.log(1.0 / failure_prob)) * eps_prime + k * eps_prime * growth
 
 
 def _advanced_split(epsilon: float, failure_prob: float, k: int) -> float:

@@ -91,9 +91,10 @@ def main(argv: list[str] | None = None) -> int:
         fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentGrid)}
         grid = ExperimentGrid(**fields)
         # Refuse an output path that cannot be written, or that names the
-        # file of another output (compared after os.path.abspath), before
-        # any cell runs.  An empty --out-svg means no chart; an empty
-        # --out-csv names no file.
+        # file of another output (compared after os.path.realpath, so a
+        # symbolic link, dangling or not, names its target; a hard link is
+        # not detected), before any cell runs.  An empty --out-svg means no
+        # chart; an empty --out-csv names no file.
         if not args.out_csv:
             raise ValueError("--out-csv must name a file, got ''")
         roles: dict[str, str] = {}
@@ -106,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"cannot write {path}: directory {parent} does not exist")
             if os.path.isdir(path):
                 raise ValueError(f"cannot write {path}: it is a directory")
-            other = roles.setdefault(os.path.abspath(path), role)
+            other = roles.setdefault(os.path.realpath(path), role)
             if other != role:
                 raise ValueError(f"cannot write {path}: it is also the {other} path")
         # Cells catch their own errors: run_grid raises only for a bad

@@ -187,20 +187,6 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _first_bad_row(X: np.ndarray, norms: np.ndarray) -> int:
-    # Index of the first row of X holding a NaN or an infinity, or -1.  A
-    # finite norm means a finite row, so only rows whose norm is not finite
-    # (a huge finite row's overflows too) are searched, a block at a time.
-    if _all_finite(norms):
-        return -1
-    rows = np.flatnonzero(~np.isfinite(norms))
-    for start, stop in _row_spans(len(rows), X.shape[1]):
-        bad = ~np.logical_and.reduce(np.isfinite(X[rows[start:stop]]), axis=1)
-        if np.logical_or.reduce(bad):
-            return int(rows[start + np.argmax(bad)])
-    return -1
-
-
 def _check_shapes(X: np.ndarray, y: np.ndarray) -> None:
     # Dataset's and normalize_dataset's rule: X (n, d), y (n,), n, d >= 1.
     if X.ndim != 2:
@@ -326,28 +312,46 @@ def validate_dataset(dataset: Dataset) -> Dataset:
     Raises
     ------
     DataValidationError
-        If any entry is non-finite or any bound is violated.  The message
-        names the first offending row.
+        For the first of these that holds, naming the first offending row
+        ``r``: a NaN or an infinity in ``X`` ("X contains a non-finite
+        value at row r"), then in ``y`` ("y contains a non-finite value at
+        row r"); a finite row of ``X`` whose L2 norm overflows float64
+        ("row r of X has an L2 norm that overflows float64; scale X down
+        before normalizing"); a row norm above 1, then a ``|y_i|`` above
+        1.  :func:`normalize_dataset` refuses the first three with the
+        same messages.
     """
     dataset._bounds_checked  # runs the check on first access only
     return dataset
 
 
-def _check_finite(dataset: Dataset) -> np.ndarray:
-    # Refuse a NaN or an infinity in X, then in y, naming its first row;
-    # return X's row norms, which find it.
-    norms = _row_norms(dataset.X)
-    bad = _first_bad_row(dataset.X, norms)
-    if bad >= 0:
-        raise DataValidationError(f"X contains a non-finite value at row {bad}")
-    if not _all_finite(dataset.y):
-        bad = int(np.argwhere(~np.isfinite(dataset.y))[0, 0])
+def _check_finite(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # The one gate for raw arrays.  It refuses, naming the first offending
+    # row, a NaN or an infinity in X, then one in y, then a finite row of X
+    # whose L2 norm overflows float64, and otherwise returns X's row norms,
+    # then all finite.  A finite norm means a finite row, so only the rows
+    # whose norm is not finite are searched, a block at a time.
+    norms = _row_norms(X)
+    if _all_finite(norms) and _all_finite(y):
+        return norms
+    rows = np.flatnonzero(~np.isfinite(norms))
+    for start, stop in _row_spans(len(rows), X.shape[1]):
+        bad = ~np.logical_and.reduce(np.isfinite(X[rows[start:stop]]), axis=1)
+        if np.logical_or.reduce(bad):
+            raise DataValidationError(
+                f"X contains a non-finite value at row {rows[start + np.argmax(bad)]}"
+            )
+    if not _all_finite(y):
+        bad = int(np.argwhere(~np.isfinite(y))[0, 0])
         raise DataValidationError(f"y contains a non-finite value at row {bad}")
-    return norms
+    raise DataValidationError(
+        f"row {rows[0]} of X has an L2 norm that overflows float64; "
+        "scale X down before normalizing"
+    )
 
 
 def _check_bounds(dataset: Dataset) -> None:
-    norms = _check_finite(dataset)
+    norms = _check_finite(dataset.X, dataset.y)
     over = norms > 1.0 + NORM_TOLERANCE
     if np.logical_or.reduce(over, axis=None):
         bad = int(np.argmax(over))
@@ -371,8 +375,16 @@ def normalize_dataset(X: np.ndarray, y: np.ndarray) -> Dataset:
     absolute entry, each only when that maximum differs from 1 by more
     than ``1e-12``.  The skip makes the operation bitwise idempotent:
     normalizing an already-normalized dataset returns identical bytes.
-    All-zero inputs are returned unchanged.  Non-finite data, and a row
-    whose L2 norm overflows float64, raise :class:`DataValidationError`.
+    All-zero inputs are returned unchanged.
+
+    After the shape checks :class:`Dataset` makes, the input is refused
+    with :class:`DataValidationError` by the same rules and messages as
+    :func:`validate_dataset`'s first three, naming the first offending
+    row ``r``: a NaN or an infinity in ``X`` ("X contains a non-finite
+    value at row r"), then in ``y`` ("y contains a non-finite value at
+    row r"), then a finite row of ``X`` whose L2 norm overflows float64
+    ("row r of X has an L2 norm that overflows float64; scale X down
+    before normalizing"), which would otherwise scale all of ``X`` to 0.
 
     Scaling by the data's own maxima is not a row-local map, so a private
     run on the result protects the normalized data, not the caller's.
@@ -389,23 +401,13 @@ def normalize_dataset(X: np.ndarray, y: np.ndarray) -> Dataset:
     y = np.array(y, dtype=np.float64)
     _check_shapes(X, y)
     X = np.array(X, dtype=np.float64, order=_x_order(X.shape[1]))
-    norms = _row_norms(X)
-    if _first_bad_row(X, norms) >= 0 or not _all_finite(y):
-        raise DataValidationError("cannot normalize non-finite data")
+    norms = _check_finite(X, y)
     # Below 2^-500 the squares in a norm can underflow (1e-170 reads 0.0).
     # Scaling X by 2^600 is exact and leaves every nonzero square normal.
     if norms.max() < 2.0**-500:
         np.ldexp(X, 600, out=X)
         norms = _row_norms(X)
-    # A finite row whose norm overflows would make max_norm inf and X all
-    # zeros after the division; it is refused instead.
     max_norm = float(norms.max())
-    if math.isinf(max_norm):
-        bad = int(np.argmax(np.isinf(norms)))
-        raise DataValidationError(
-            f"row {bad} of X has an L2 norm that overflows float64; "
-            "scale X down before normalizing"
-        )
     if max_norm > 0.0 and abs(max_norm - 1.0) > _RENORM_SKIP:
         X /= max_norm
     max_abs_y = float(np.abs(y).max())

@@ -415,7 +415,7 @@ def _shared_first_step(dataset: Dataset, weight_cap: float) -> tuple[np.ndarray,
         except ValueError:
             # At theta = 0 a weight is NaN or 0 only where X or y holds a
             # NaN or an infinity: name the first such entry instead.
-            _check_finite(dataset)
+            _check_finite(dataset.X, dataset.y)
             raise
         for a in (weights, *moments):
             a.setflags(write=False)

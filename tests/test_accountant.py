@@ -90,6 +90,23 @@ def test_advanced_rule_spends_tiny_budgets():
 def test_advanced_rule_handles_huge_budgets():
     # the e^x term keeps the root finite; frozen from the same brentq oracle
     assert advanced_split(1e12, 1e-6, 10) == pytest.approx(21.564251903126205, abs=1e-6)
+    # Up to the largest float budget the split is the largest float whose
+    # cost fits, also where it lies above 700.  The oracle reads e^x past
+    # float64's range as an infinite cost.
+    df = 1e-6
+
+    def cost(v, k):
+        try:
+            growth = math.expm1(v)
+        except OverflowError:
+            return math.inf
+        return math.sqrt(2 * k * math.log(1 / df)) * v + k * v * growth
+
+    for eps in (0.9, 1e3, 1e300, 1.7e308, 1.79e308):
+        for j in (1, 20):
+            x = advanced_split(eps, df, j)
+            assert cost(x, 2 * j) <= eps < cost(math.nextafter(x, math.inf), 2 * j), (eps, j)
+    assert advanced_split(1.7e308, df, 1) == 702.4790740996625
 
 
 def test_regime_ordering_depends_on_release_count():

@@ -160,23 +160,35 @@ def test_unusable_output_path_rejected_before_any_cell_runs(tmp_path, monkeypatc
     (tmp_path / "d.csv").mkdir()
     (tmp_path / "s_summary.csv").mkdir()
     csv_path = str(tmp_path / "r.csv")
+    (tmp_path / "a.csv").write_text("kept\n")
+    (tmp_path / "link.csv").symlink_to("a.csv")
+    (tmp_path / "t.csv").symlink_to("r.csv")  # dangling, as is c.svg
+    (tmp_path / "c.svg").symlink_to("r_summary.csv")
     for flags, reason in (
         (["--out-csv", str(missing / "r.csv")], f"directory {missing} does not exist"),
         (["--out-csv", csv_path, "--out-svg", str(missing / "c.svg")],
          f"directory {missing} does not exist"),
         (["--out-csv", str(tmp_path / "d.csv")], "it is a directory"),
         (["--out-csv", csv_path, "--out-svg", str(tmp_path / "d.csv")], "it is a directory"),
-        # Two outputs that name one file, compared as absolute paths.
+        # Two outputs that name one file, compared as resolved paths.
         (["--out-csv", csv_path, "--out-svg", csv_path], "it is also the results CSV path"),
         (["--out-csv", csv_path, "--out-svg", f"{tmp_path}/./r.csv"],
          "it is also the results CSV path"),
         (["--out-csv", csv_path, "--out-svg", str(tmp_path / "r_summary.csv")],
+         "it is also the summary CSV path"),
+        # A symbolic link names its target, whether or not that exists.
+        (["--out-csv", str(tmp_path / "a.csv"), "--out-svg", str(tmp_path / "link.csv")],
+         "it is also the results CSV path"),
+        (["--out-csv", str(tmp_path / "t.csv"), "--out-svg", csv_path],
+         "it is also the results CSV path"),
+        (["--out-csv", csv_path, "--out-svg", str(tmp_path / "c.svg")],
          "it is also the summary CSV path"),
     ):
         assert main(FAST + flags) == 2
         assert capsys.readouterr().err == f"dpirls: cannot write {flags[-1]}: {reason}\n"
         assert not (tmp_path / "r.csv").exists() and not missing.exists()
         assert not (tmp_path / "r_summary.csv").exists()
+        assert (tmp_path / "a.csv").read_text() == "kept\n"
     # The summary lands next to the results, so its path is checked too.
     assert main(FAST + ["--out-csv", str(tmp_path / "s.csv")]) == 2
     err = capsys.readouterr().err

@@ -182,6 +182,8 @@ def test_datasets_compare_and_hash_by_identity():
     assert ds == ds and ds != twin
     assert ds in [twin, ds] and twin not in [ds]
     assert len({ds, twin, ds}) == 2
+    # The arrays stay out of the repr, which gives the shape only.
+    assert repr(ds) == "Dataset(n=2, d=2)"
 
 
 def test_design_matrix_is_stored_column_major():
@@ -372,14 +374,31 @@ def test_non_finite_value_in_a_late_block_names_its_row():
         X_bad[-1, 0] = np.inf  # a later bad row is not the one reported
         with pytest.raises(DataValidationError, match=f"non-finite value at row {row}$"):
             validate_dataset(Dataset(X=X_bad, y=y))
-        with pytest.raises(DataValidationError, match="^cannot normalize non-finite data$"):
+        with pytest.raises(DataValidationError, match=f"^X contains a non-finite value at row {row}$"):
             normalize_dataset(X_bad, y)
-    # A finite row whose norm overflows is reported by its norm instead,
-    # without numpy's overflow warning (an error under this suite).
+    # A finite row whose norm overflows is reported as that overflow, by
+    # both entry points, without numpy's overflow warning (an error under
+    # this suite), and after every non-finite entry of X and of y.
+    overflow = f"^row {n - 3} of X has an L2 norm that overflows float64; scale X down before normalizing$"
     X_big = X.copy()
     X_big[n - 3] = 1e200
-    with pytest.raises(DataValidationError, match=f"^row {n - 3} of X has L2 norm inf > 1"):
-        validate_dataset(Dataset(X=X_big, y=y))
+    X_nan = X_big.copy()
+    X_nan[n - 2, 7] = np.nan
+    y_nan = y.copy()
+    y_nan[17001] = np.nan
+    X_over = X_big.copy()
+    X_over[5] = 2.0  # an ordinary row over the bound, before the overflow
+    for X_case, y_case, match in (
+        (X_big, y, overflow),
+        (X_nan, y, f"^X contains a non-finite value at row {n - 2}$"),
+        (X_nan, y_nan, f"^X contains a non-finite value at row {n - 2}$"),
+        (X_big, y_nan, "^y contains a non-finite value at row 17001$"),
+        (X_over, y, overflow),
+    ):
+        for check in (lambda: validate_dataset(Dataset(X=X_case, y=y_case)),
+                      lambda: normalize_dataset(X_case, y_case)):
+            with pytest.raises(DataValidationError, match=match):
+                check()
 
 
 def test_normalize_known_values():
@@ -430,6 +449,8 @@ def test_normalize_leaves_zero_data_alone():
 def test_normalize_rejects_non_finite():
     with pytest.raises(DataValidationError, match="non-finite"):
         normalize_dataset(np.array([[np.inf, 0.0]]), np.array([1.0]))
+    with pytest.raises(DataValidationError, match="^y contains a non-finite value at row 2$"):
+        normalize_dataset(np.full((4, 2), 0.5), np.array([1.0, -3.0, np.nan, np.inf]))
 
 
 def test_normalize_refuses_a_row_norm_that_overflows():
