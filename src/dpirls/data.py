@@ -318,8 +318,9 @@ def validate_dataset(dataset: Dataset) -> Dataset:
         row r"); a finite row of ``X`` whose L2 norm overflows float64
         ("row r of X has an L2 norm that overflows float64; scale X down
         before normalizing"); a row norm above 1, then a ``|y_i|`` above
-        1.  :func:`normalize_dataset` refuses the first three with the
-        same messages.
+        1.  :func:`normalize_dataset` and
+        :func:`dpirls.solver.run_exact_irls` refuse the first three with
+        the same messages.
     """
     dataset._bounds_checked  # runs the check on first access only
     return dataset

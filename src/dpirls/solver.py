@@ -398,25 +398,18 @@ def _shared_first_step(dataset: Dataset, weight_cap: float) -> tuple[np.ndarray,
     # Iteration 1's clamped weights and exact moments, from the dataset's
     # one-entry memo (``Dataset._first_step``) or, on a miss, computed by
     # the layers every later iteration calls and stored there read-only.
-    # The key holds the cap's type as well as its value: a float32 cap
-    # equals its float64 rounding but clamps at a different 1/weight_cap.
+    # Both solvers pass their data through data._check_finite first, so X
+    # and y are finite here and every row norm is too.  The key holds the
+    # cap's type as well as its value: a float32 cap equals its float64
+    # rounding but clamps at a different 1/weight_cap.
     # The entry is read and replaced whole, so a thread sees a step with
     # its own key; two threads that miss at once both compute it.
     key = (type(weight_cap), weight_cap)
     slot = dataset._first_step
     entry = slot[0]
     if entry is None or entry[0] != key:
-        # An infinity in X times theta = 0 is NaN, which the matmul flags as
-        # invalid; the refusal below names the entry instead.
-        with np.errstate(invalid="ignore"):
-            weights = weights_from_residuals(residuals(dataset, np.zeros(dataset.d)), weight_cap)
-        try:
-            moments = compute_moments(dataset, weights)
-        except ValueError:
-            # At theta = 0 a weight is NaN or 0 only where X or y holds a
-            # NaN or an infinity: name the first such entry instead.
-            _check_finite(dataset.X, dataset.y)
-            raise
+        weights = weights_from_residuals(residuals(dataset, np.zeros(dataset.d)), weight_cap)
+        moments = compute_moments(dataset, weights)
         for a in (weights, *moments):
             a.setflags(write=False)
         entry = (key, weights, moments)
@@ -468,7 +461,13 @@ def run_exact_irls(dataset: Dataset, config: IRLSConfig) -> tuple[np.ndarray, tu
     """Noise-free IRLS on the exact moments.
 
     Returns the final iterate and the per-iteration trace.  Does not
-    require the privacy norm bounds, since nothing is released.
+    require the privacy norm bounds, since nothing is released.  Before
+    any iteration it refuses, with :class:`dpirls.data.DataValidationError`,
+    what :func:`dpirls.data.normalize_dataset` refuses, with the same
+    messages: a NaN or an infinity in X, then in y, then a finite row of
+    X whose L2 norm overflows float64.  That last holds even where the
+    weighted moments would stay finite (a huge |y_i| shrinks the row's
+    weight), so such a row is refused rather than solved.
 
     Each step is a deterministic map theta -> B(theta)^-1 A(theta), so
     once an iterate equals an earlier one byte for byte (or theta = 0),
@@ -485,6 +484,7 @@ def run_exact_irls(dataset: Dataset, config: IRLSConfig) -> tuple[np.ndarray, tu
     Like every solve, it starts from the first step memoised on the
     dataset (see ``Dataset._first_step``).
     """
+    _check_finite(dataset.X, dataset.y)
     return _run_loop(dataset, config, release=None)
 
 

@@ -1,4 +1,9 @@
-"""The demos run to completion against the current package."""
+"""The demos run to completion against the current package, warning-clean.
+
+Each demo runs with ``python -W error``: pytest's warning filter does not
+reach a subprocess, so a warning there would otherwise go to stderr and
+the test would still pass.
+"""
 
 import os
 import subprocess
@@ -14,7 +19,7 @@ def _run(script: Path) -> subprocess.CompletedProcess:
     src = str(ROOT / "src")
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, "-W", "error", str(script)],
         cwd=ROOT,
         env={**os.environ, "PYTHONPATH": pythonpath},
         capture_output=True,

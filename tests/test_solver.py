@@ -697,23 +697,44 @@ def test_solve_step_failures_warn_nothing_and_keep_the_callers_error_state():
 
 # --- exact IRLS ----------------------------------------------------------
 
-@pytest.mark.parametrize(
-    "name, row, value",
-    [("X", 7, np.nan), ("X", 9, np.inf), ("X", 9, -np.inf), ("y", 4, np.inf), ("y", 5, -np.inf)],
+_ROW_3_OVERFLOWS = (
+    "^row 3 of X has an L2 norm that overflows float64; scale X down before normalizing$"
 )
-def test_exact_solve_names_the_non_finite_entry_behind_its_first_weights(name, row, value):
-    # At theta = 0 a NaN or an infinity in X, or an infinity in y, makes
-    # iteration 1's weight NaN or 0.  The exact solve, which does not validate its data, reports
-    # the entry as validate_dataset does, not the weight, and memoises no
-    # first step.
+
+
+@pytest.mark.parametrize(
+    "x_entries, y_entries, message",
+    [
+        pytest.param({(7, 1): np.nan}, {}, "^X contains a non-finite value at row 7$", id="X-7-nan"),
+        pytest.param({(9, 1): np.inf}, {}, "^X contains a non-finite value at row 9$", id="X-9-inf"),
+        pytest.param({(9, 1): -np.inf}, {}, "^X contains a non-finite value at row 9$",
+                     id="X-9--inf"),
+        pytest.param({}, {4: np.inf}, "^y contains a non-finite value at row 4$", id="y-4-inf"),
+        pytest.param({}, {5: -np.inf}, "^y contains a non-finite value at row 5$", id="y-5--inf"),
+        pytest.param({(3, 0): 1e200, (3, 1): 1.0}, {}, _ROW_3_OVERFLOWS, id="X-3-norm-overflows"),
+        pytest.param({(3, 0): 1e154, (3, 1): 1e154}, {}, _ROW_3_OVERFLOWS,
+                     id="X-3-squares-overflow"),
+        # A weight of 1e-300 keeps this row's moments finite, so only the
+        # gate at the solver's entry refuses it.
+        pytest.param({(3, 0): 1e154, (3, 1): 1e154}, {3: 1e300}, _ROW_3_OVERFLOWS,
+                     id="X-3-norm-overflows-under-huge-y"),
+    ],
+)
+def test_exact_solve_names_the_non_finite_entry_behind_its_first_weights(
+    x_entries, y_entries, message
+):
+    # The exact solve, which needs no norm bounds, refuses before its first
+    # step what normalize_dataset refuses: a NaN or an infinity in X or y,
+    # which would make iteration 1's weight NaN or 0, or a row whose L2
+    # norm overflows, which would overflow B or pass a huge |y_i|.  It
+    # reports the entry as validate_dataset does and memoises no first step.
     rng = np.random.default_rng(27)
     X, y = rng.uniform(-0.3, 0.3, size=(50, 3)), rng.uniform(-1.0, 1.0, size=50)
-    if name == "X":
-        X[row, 1] = value
-    else:
-        y[row] = value
+    for (i, j), value in x_entries.items():
+        X[i, j] = value
+    for i, value in y_entries.items():
+        y[i] = value
     ds = Dataset(X, y)
-    message = f"^{name} contains a non-finite value at row {row}$"
     with pytest.raises(DataValidationError, match=message):
         run_exact_irls(ds, IRLSConfig(iterations=3, weight_cap=5.0))
     assert ds._first_step == [None]

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from dpirls.data import validate_dataset
-from dpirls.mechanisms import _stream
 from dpirls.solver import IRLSConfig, run_exact_irls
 from dpirls.synthetic import (
     SyntheticSpec,
@@ -60,21 +59,6 @@ def test_generated_features_match_pinned_digest():
     assert digest.hexdigest() == "161cfd066cd4a0efa3e042883dedcd446a53f289cae287dfcb766389e9676f70"
 
 
-def test_generate_matches_the_documented_recipe_bitwise():
-    for n, d, noise_var, seed in PINNED_SPECS:
-        gen = _stream(seed, 0)
-        X = gen.standard_normal((n, d))
-        X = X / np.linalg.norm(X, axis=1).max()
-        theta = gen.standard_normal(d)
-        y = X @ theta + math.sqrt(noise_var) * gen.standard_normal(n)
-        y = y / np.abs(y).max()
-        split = generate(SyntheticSpec(n, d, noise_var, seed))
-        m = n - round(0.1 * n)
-        for got, want in ((split.train.X, X[:m]), (split.test.X, X[m:]), (split.train.y, y[:m]),
-                          (split.test.y, y[m:]), (split.true_theta, theta)):
-            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
-
-
 # (n, d, noise_var, seed) that put generate's row blocks (64-row
 # multiples of about 2^16 entries) where the pinned specs do not.
 BLOCK_EDGE_SPECS = [
@@ -85,19 +69,23 @@ BLOCK_EDGE_SPECS = [
 ]
 
 
-def test_generate_matches_the_recipe_bitwise_at_block_edges():
-    for n, d, noise_var, seed in BLOCK_EDGE_SPECS:
-        gen = _stream(seed, 0)
-        X = gen.standard_normal((n, d))
-        X = X / np.linalg.norm(X, axis=1).max()
-        theta = gen.standard_normal(d)
-        y = X @ theta + math.sqrt(noise_var) * gen.standard_normal(n)
+def _assert_generate_matches_the_recipe(specs):
+    for spec in specs:
+        X, y, theta = unscaled_synthetic(*spec)
         y = y / np.abs(y).max()
-        split = generate(SyntheticSpec(n, d, noise_var, seed))
-        m = n - round(0.1 * n)
+        split = generate(SyntheticSpec(*spec))
+        m = spec[0] - round(0.1 * spec[0])
         for got, want in ((split.train.X, X[:m]), (split.test.X, X[m:]), (split.train.y, y[:m]),
                           (split.test.y, y[m:]), (split.true_theta, theta)):
-            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes(), n
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes(), spec
+
+
+def test_generate_matches_the_documented_recipe_bitwise():
+    _assert_generate_matches_the_recipe(PINNED_SPECS)
+
+
+def test_generate_matches_the_recipe_bitwise_at_block_edges():
+    _assert_generate_matches_the_recipe(BLOCK_EDGE_SPECS)
 
 
 def test_generate_peak_memory_stays_near_one_copy():
