@@ -3,7 +3,8 @@
 Writes the per-cell results CSV, a per-(mechanism, N) summary CSV next to
 it, and optionally an SVG chart.  Exit status is 0 only when every cell
 succeeded; failed cells are reported on stderr and kept in the CSV with
-their error in the status column.
+their error in the status column.  If a grid worker process dies, the
+command exits 1 and writes no output.
 """
 
 from __future__ import annotations
@@ -110,12 +111,15 @@ def main(argv: list[str] | None = None) -> int:
             other = roles.setdefault(os.path.realpath(path), role)
             if other != role:
                 raise ValueError(f"cannot write {path}: it is also the {other} path")
-        # Cells catch their own errors: run_grid raises only for a bad
-        # DP_IRLS_THREADS, and does so before the first cell.
+        # Cells catch their own errors: run_grid raises ValueError only for
+        # a bad DP_IRLS_THREADS, and does so before the first cell.
         rows = run_grid(grid)
     except ValueError as exc:
         print(f"dpirls: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # a worker process died: no rows to write
+        print(f"dpirls: {exc}", file=sys.stderr)
+        return 1
 
     emit_csv(rows, args.out_csv)
     summary = aggregate(rows)

@@ -8,10 +8,33 @@ streams are derived per label so cells are independent and the whole
 table is reproducible bit for bit regardless of worker count or which
 subset of labels is requested.
 
-Cells run one after another unless the DP_IRLS_THREADS environment
-variable asks for a thread pool.  Serial is the default because on a
-2-core host two workers ran the grid slower than one: the solves lose
-more throughput to each other than the pool wins back.
+By default the cells run on one process per usable core.  Each (N, seed)
+group's labels run back to back in one process, and the groups are dealt
+out in interleaved shares, ``groups[i::w]`` for w = min(usable cores,
+groups), so each share gets every w-th seed of every N.  run_grid runs
+share 0 itself; os.fork() starts a child for each other share, which
+sends its rows back pickled through a pipe.  Processes, not threads: a
+cell is many small numpy calls, each holding the GIL, so on a 2-core host
+a pool of two threads ran the grid slower than one thread, while two
+processes each run at their solo speed (BLAS never splits a d = 10
+product across threads, so one process uses one core).  On a 2-core host
+(numpy 2.4.6, OpenBLAS 0.3.31) the benchmark's 100-cell grid command took
+0.19 s instead of 0.30 s (BENCH_34.json).  With one usable core, or
+where os.sched_getaffinity does not exist (macOS, Windows), the cells
+run one after another in the calling process and nothing forks.  The
+DP_IRLS_THREADS environment variable overrides the default: 1 runs the
+cells serially, N >= 2 on a pool of N threads.
+
+A child runs only the package's cells (Python, numpy and BLAS) and
+always leaves through os._exit, so it never returns into the caller,
+flushes no inherited stdio buffer and runs no atexit hook.  OpenBLAS
+stops its thread pool in a pthread_atfork handler before the fork.
+Python 3.12 and later emit a DeprecationWarning at os.fork() when the
+process has other threads, as OpenBLAS's pool makes it; the warning is
+left to the caller's filters.  Each cell's wall_time_ms is timed in the
+process that ran it, and a child's memory is not counted in the
+parent's resident set size.
+
 A failing cell is recorded in its row's status column instead of
 aborting the grid.
 """
@@ -21,10 +44,11 @@ from __future__ import annotations
 import csv
 import math
 import os
+import pickle
 import threading
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -45,7 +69,8 @@ def generate(spec: SyntheticSpec) -> SplitDataset:
     run_grid runs the labels at one (N, seed) back to back on one thread,
     so each split, with its bounds check and X^T X memos, is built once.
     The previous split is dropped before the next is built; run_grid
-    empties the entry when it returns, and a pool worker's dies with it.
+    empties the entry when it returns, and a pool thread's or a worker
+    process's dies with it.
     A failing build leaves it empty, so each cell of its group fails alone.
     """
     last = getattr(_last_split, "entry", None)
@@ -209,37 +234,112 @@ def run_grid(grid: ExperimentGrid) -> list[ResultRow]:
     """Run every cell of the grid and return rows in canonical order.
 
     Canonical order is (mechanism, N, seed); the output is independent of
-    the worker count and of the order labels were requested in.  A
-    DP_IRLS_THREADS value that is not a positive integer raises
-    ValueError before any cell runs.
+    the worker count, of the kind of worker and of the order labels were
+    requested in.  A DP_IRLS_THREADS value that is not a positive integer
+    raises ValueError before any cell runs.  A worker process that dies
+    or sends back a truncated result raises RuntimeError; no worker
+    process outlives the call.
     """
-    env = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {env!r}")
+    env = os.environ.get(THREADS_ENV_VAR)
+    threads = None
+    if env is not None:
+        try:
+            threads = int(env)
+        except ValueError:
+            threads = 0
+        if threads < 1:
+            raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {env!r}")
     # One group per (N, seed), its labels in order, so each group's split
-    # is built once, by the thread that runs the group.
+    # is built once, by the worker that runs the group.
     groups = [[(label, n, s) for label in grid.mechanisms]
               for n in grid.n_values for s in range(grid.n_seeds)]
-    workers = min(workers, len(groups))
     try:
-        if workers == 1:
-            rows = [run_cell(grid, *cell) for group in groups for cell in group]
+        if threads is None:
+            rows = _run_forked(grid, groups)
+        elif min(threads, len(groups)) == 1:
+            rows = _run_share(grid, groups)
         else:
             # Imported here: the pool is opt-in, and concurrent.futures costs
-            # every serial run its import time.
+            # every other run its import time.
             from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                done = pool.map(lambda g: [run_cell(grid, *cell) for cell in g], groups)
+            with ThreadPoolExecutor(max_workers=min(threads, len(groups))) as pool:
+                done = pool.map(lambda g: _run_share(grid, [g]), groups)
                 rows = [row for group in done for row in group]
     finally:
         _last_split.entry = None
     rows.sort(key=lambda r: (r.mechanism, r.n, r.seed))
     return rows
+
+
+def _run_share(grid: ExperimentGrid, groups) -> list[ResultRow]:
+    return [run_cell(grid, *cell) for group in groups for cell in group]
+
+
+def _run_forked(grid: ExperimentGrid, groups) -> list[ResultRow]:
+    """Run the groups in interleaved shares, one process per usable core.
+
+    Share i is ``groups[i::w]`` with w = min(usable cores, groups), which
+    gives each share every w-th seed of every N.  This process runs share
+    0; each other share runs in a child made by os.fork(), which writes
+    its pickled rows to its own pipe and always leaves through os._exit.
+    The parent reads each pipe to its end, then reaps the child.  Without
+    os.sched_getaffinity, or with one usable core, the groups run here and
+    nothing forks.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(len(affinity(0)), len(groups)) if affinity else 1
+    if workers == 1:
+        return _run_share(grid, groups)
+    pids, pipes = [], []
+    try:
+        for i in range(1, workers):
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve_share(grid, groups[i::workers], write_end)
+            finally:
+                os.close(write_end)  # in the parent; the child never gets here
+            pids.append(pid)
+        rows = _run_share(grid, groups[0::workers])
+        for pid, pipe in zip(list(pids), pipes):
+            payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            pids.remove(pid)
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0:
+                how = f"exited with status {code}" if code > 0 else f"was killed by signal {-code}"
+                raise RuntimeError(f"grid worker process {pid} {how}")
+            try:
+                rows += pickle.loads(payload)
+            except (pickle.UnpicklingError, EOFError):
+                raise RuntimeError(
+                    f"grid worker process {pid} sent a truncated result ({len(payload)} bytes)"
+                ) from None
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        if pids:
+            import signal  # only an interrupted or failed run gets here
+
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return rows
+
+
+def _serve_share(grid: ExperimentGrid, share, write_end: int) -> NoReturn:
+    # A forked child: exit status 0 only once every row is in the pipe.
+    status = 1
+    try:
+        payload = pickle.dumps(_run_share(grid, share))
+        with open(write_end, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def aggregate(rows: list[ResultRow]) -> list[SummaryRow]:

@@ -119,6 +119,59 @@ def test_output_bytes_stable_across_thread_counts(tmp_path, monkeypatch):
     assert Path(s0).read_bytes() == Path(s1).read_bytes()
 
 
+@pytest.mark.parametrize("sizes, seeds", [("100", 1), ("100,300", 1), ("100", 3), ("100", 5)])
+def test_forked_default_writes_the_serial_bytes(tmp_path, monkeypatch, sizes, seeds):
+    # 1, 2, 3 and 5 (N, seed) groups on three usable cores: no fork for one
+    # group, then shares of 1+1, 1+1+1 and 2+2+1 groups.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    forks, real_fork = [], os.fork
+
+    def counted_fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    flags = ["--d", "3", "--n", sizes, "--iters", "3", "--seeds", str(seeds),
+             "--mechanisms", "non-private,cdp-lap"]
+    outputs = []
+    for name, threads in (("serial", "1"), ("forked", None)):
+        if threads is None:
+            monkeypatch.delenv("DP_IRLS_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("DP_IRLS_THREADS", threads)
+        out = tmp_path / f"{name}.csv"
+        assert main(flags + ["--out-csv", str(out), "--out-svg", str(tmp_path / f"{name}.svg")]) == 0
+        outputs.append((_mask_wall_time(out), Path(summary_path_for(str(out))).read_bytes(),
+                        (tmp_path / f"{name}.svg").read_bytes()))
+    assert outputs[0] == outputs[1]
+    groups = len(sizes.split(",")) * seeds
+    assert len(forks) == min(3, groups) - 1
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_dying_worker_process_exits_one_without_output(tmp_path, monkeypatch, capsys):
+    parent, real_cell = os.getpid(), experiment_module.run_cell
+
+    def cell(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real_cell(*args)
+
+    monkeypatch.setattr(experiment_module, "run_cell", cell)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.delenv("DP_IRLS_THREADS", raising=False)
+    out_csv = tmp_path / "dead.csv"
+    assert main(FAST + ["--out-csv", str(out_csv), "--out-svg", str(tmp_path / "dead.svg")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("dpirls: grid worker process ")
+    assert captured.err.endswith(" exited with status 3\n")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_output_bytes_stable_across_blas_thread_counts(tmp_path):
     # A small grid only: its products stay below the sizes at which OpenBLAS
     # splits work across threads (README, "Command-line harness"); large

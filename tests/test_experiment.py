@@ -5,6 +5,9 @@ import csv
 import dataclasses
 import hashlib
 import math
+import os
+import pickle
+import signal
 import sys
 import threading
 import time
@@ -29,7 +32,11 @@ SMALL = dict(n_values=(100, 300), d=3, iterations=3, n_seeds=2, weight_cap=20.0)
 
 
 def _strip_time(rows):
-    return [r._replace(wall_time_ms=0) for r in rows]
+    # Each row as the results CSV writes it, wall time zeroed: the CSV text
+    # is what a rerun must reproduce.  Comparing ResultRows with == would
+    # also ask that a NaN be the same object, which rows unpickled from a
+    # worker process never are.
+    return [tuple(map(experiment_module._format_value, r._replace(wall_time_ms=0))) for r in rows]
 
 
 def _run_grid(monkeypatch, grid, workers=1):
@@ -86,7 +93,7 @@ def test_threads_env_var_caps_workers(monkeypatch):
     assert _strip_time(rows_env) == _strip_time(rows_serial)
 
 
-def test_grid_runs_serially_by_default(monkeypatch):
+def test_default_grid_starts_no_thread_pool(monkeypatch):
     monkeypatch.delenv("DP_IRLS_THREADS", raising=False)
 
     def no_pool(*args, **kwargs):
@@ -96,6 +103,94 @@ def test_grid_runs_serially_by_default(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     grid = ExperimentGrid(**SMALL, mechanisms=("non-private", "cdp-lap"))
     assert all(r.status == "ok" for r in run_grid(grid))
+
+
+def _usable_cores(monkeypatch, cores):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+
+
+def _forbid_fork(monkeypatch):
+    def no_fork():
+        raise AssertionError("the grid forked a worker process")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+
+
+@pytest.mark.parametrize("cores", [1, None])
+def test_default_grid_runs_serially_on_one_core_or_without_affinity(monkeypatch, cores):
+    grid = ExperimentGrid(**SMALL, mechanisms=("non-private", "cdp-lap"))
+    serial = _run_grid(monkeypatch, grid)
+    monkeypatch.delenv("DP_IRLS_THREADS")
+    if cores is None:  # as on macOS and Windows
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        _usable_cores(monkeypatch, cores)
+    _forbid_fork(monkeypatch)
+    assert _strip_time(run_grid(grid)) == _strip_time(serial)
+    assert _memo_entry() is None
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("death, message", [
+    (lambda: os._exit(3), "exited with status 3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+])
+def test_a_dying_worker_process_fails_the_grid_and_is_reaped(monkeypatch, death, message):
+    grid = ExperimentGrid(**SMALL, mechanisms=("non-private",))
+    parent, real_cell = os.getpid(), experiment_module.run_cell
+
+    def cell(*args):
+        if os.getpid() != parent:
+            death()
+        return real_cell(*args)
+
+    monkeypatch.setattr(experiment_module, "run_cell", cell)
+    monkeypatch.delenv("DP_IRLS_THREADS", raising=False)
+    _usable_cores(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=rf"grid worker process \d+ {message}$"):
+        run_grid(grid)
+    _no_child_left()
+    assert _memo_entry() is None
+
+
+def test_a_truncated_worker_result_fails_the_grid(monkeypatch):
+    grid = ExperimentGrid(**SMALL, mechanisms=("non-private",))
+    parent, real_dumps = os.getpid(), pickle.dumps
+
+    def dumps(obj, *args, **kwargs):
+        payload = real_dumps(obj, *args, **kwargs)
+        return payload[:-3] if os.getpid() != parent else payload
+
+    monkeypatch.setattr(pickle, "dumps", dumps)
+    monkeypatch.delenv("DP_IRLS_THREADS", raising=False)
+    _usable_cores(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=r"grid worker process \d+ sent a truncated result"):
+        run_grid(grid)
+    _no_child_left()
+
+
+def test_an_error_in_the_callers_share_kills_the_worker_processes(monkeypatch):
+    grid = ExperimentGrid(**SMALL, mechanisms=("non-private",))
+    parent = os.getpid()
+
+    def cell(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+            os._exit(0)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(experiment_module, "run_cell", cell)
+    monkeypatch.delenv("DP_IRLS_THREADS", raising=False)
+    _usable_cores(monkeypatch, 4)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_grid(grid)
+    assert time.perf_counter() - start < 30
+    _no_child_left()
 
 
 def test_rows_are_canonically_sorted(monkeypatch):
