@@ -104,13 +104,11 @@ def _check_probability(name: str, value: float) -> None:
 
 
 # Moment checks for the releases and solve_step, which refuse an empty
-# moment as well as a non-finite one.  A non-finite entry is refused
-# before B's symmetry check, which would report NaN as asymmetry and can
-# pass a NaN matrix that is symmetric byte for byte.  Both run on every
-# IRLS step, mostly on d- and d*d-entry arrays, where a ufunc
-# reduction's set-up costs more than the test: each first scans bytes
-# (0.5 and 0.4 us against 0.9 and 1.5 us at d = 10) and reduces with the
-# ufuncs only where it must.
+# moment as well as a non-finite one: _as_vector for A, _as_symmetric for
+# B.  Both run on every IRLS step, mostly on d- and d*d-entry arrays,
+# where a ufunc reduction's set-up costs more than the test: each first
+# scans bytes (0.5 and 0.4 us against 0.9 and 1.5 us at d = 10) and
+# reduces with the ufuncs only where it must.
 
 def _all_finite(a: np.ndarray) -> bool:
     # isfinite's bool bytes are 0 or 1, and bytes.__contains__ is a memchr.
@@ -128,17 +126,6 @@ def _as_vector(name: str, a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _as_square(name: str, a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
-    if not a.shape[0]:
-        raise ValueError(f"{name} must not be empty")
-    if not _all_finite(a):
-        raise ValueError(f"{name} must be finite")
-    return a
-
-
 def _as_theta(theta: np.ndarray, d: int) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim != 1 or theta.shape[0] != d:
@@ -146,20 +133,27 @@ def _as_theta(theta: np.ndarray, d: int) -> np.ndarray:
     return theta
 
 
-def _check_symmetric(name: str, B: np.ndarray) -> None:
-    # B equal to B^T byte for byte is the common case (every moment
-    # product and the Wishart noise are symmetric bit for bit).  The bytes
-    # of a NaN can match too, so every caller refuses a non-finite B
-    # before this.  Otherwise the tolerance test decides, which also
-    # passes a +0/-0 mismatch; an asymmetry too large for float64 reads
-    # inf there and is refused without an overflow warning.
-    if B.tobytes() == B.T.tobytes():
-        return
-    with np.errstate(over="ignore"):
-        asym = float(np.maximum.reduce(np.abs(B - B.T), axis=None))
-    # "not <=" so that a NaN asymmetry fails too.
-    if not asym <= _SYMMETRY_TOLERANCE:
-        raise ValueError(f"{name} must be symmetric; max |{name} - {name}^T| = {asym:.3g}")
+def _as_symmetric(name: str, B: np.ndarray) -> np.ndarray:
+    # A square, non-empty, finite B, then symmetric to _SYMMETRY_TOLERANCE.
+    # Finiteness comes first: the bytes of a NaN B can equal its
+    # transpose's.  B equal to B^T byte for byte is the common case (every
+    # moment product and the Wishart noise are symmetric bit for bit).
+    # Otherwise the tolerance test decides, which also passes a +0/-0
+    # mismatch; an asymmetry too large for float64 reads inf there and is
+    # refused without an overflow warning.
+    B = np.asarray(B, dtype=np.float64)
+    if B.ndim != 2 or B.shape[0] != B.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {B.shape}")
+    if not B.shape[0]:
+        raise ValueError(f"{name} must not be empty")
+    if not _all_finite(B):
+        raise ValueError(f"{name} must be finite")
+    if B.tobytes() != B.T.tobytes():
+        with np.errstate(over="ignore"):
+            asym = float(np.maximum.reduce(np.abs(B - B.T), axis=None))
+        if asym > _SYMMETRY_TOLERANCE:
+            raise ValueError(f"{name} must be symmetric; max |{name} - {name}^T| = {asym:.3g}")
+    return B
 
 
 def _row_spans(n: int, d: int) -> list[tuple[int, int]]:

@@ -22,12 +22,11 @@ import warnings
 import numpy as np
 
 from .data import (
-    _as_square,
+    _as_symmetric,
     _as_vector,
     _check_int,
     _check_positive_finite,
     _check_probability,
-    _check_symmetric,
     _check_weight_cap,
 )
 
@@ -173,8 +172,7 @@ def wishart_perturb(
     where a neighbour's support differs: delta >= P[chi2_{d+1} < 2 eps']
     (test_wishart_release_falls_outside_a_neighbours_support_at_the_chi2_rate).
     """
-    B = _as_square("B", B)
-    _check_symmetric("B", B)
+    B = _as_symmetric("B", B)
     d = B.shape[0]
     variance = wishart_variance(n, eps_prime, weight_cap)
     _check_generator(rng)

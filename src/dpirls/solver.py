@@ -42,14 +42,14 @@ except ImportError:  # numpy 1.x
 from .accountant import NoisePlan, PrivacyBudget, plan_for_budget
 from .data import (
     _GEMM_MAX_D,
+    DataValidationError,
     Dataset,
     _all_finite,
-    _as_square,
+    _as_symmetric,
     _as_theta,
     _as_vector,
     _check_finite,
     _check_int,
-    _check_symmetric,
     _check_weight_cap,
     _x_order,
     validate_dataset,
@@ -186,14 +186,23 @@ def _gather_rows(X, idx, out=None):
     return X.T.take(idx, axis=1, out=out, mode="clip")
 
 
-def _block_sums(X, idx, v, y, step):
-    # The sums of _weighted_gram over blocks of ``step`` rows, counted from
-    # the first: row slices of X where idx is None, else the rows X[idx],
-    # gathered block by block.  ``v`` and ``y`` hold one entry per row
-    # summed.  Every block is scaled into one buffer, laid out as X.T is: a
-    # fresh array per block can pay for new pages each time.
+def _block_sums(X, idx, v, y):
+    # The sums of _weighted_gram over blocks of at most
+    # _MOMENT_BLOCK_ELEMENTS entries, counted in rows from the first: row
+    # slices of X where idx is None, else the rows X[idx], gathered block
+    # by block.  ``v`` and ``y`` hold one entry per row summed.  Rows that
+    # fit one block take the one-product formula before any buffer is
+    # allocated, scaled into a fresh array on the direct path and in place
+    # in the gathered rows on the update: the README grid makes thousands
+    # of such small calls, and the loop cost each a few microseconds more.
+    # Every block of a longer call is scaled into one buffer, laid out as
+    # X.T is: a fresh array per block can pay for new pages each time.
     rows, d = v.shape[0], X.shape[1]
-    buf = np.empty(d * min(step, rows))
+    step = max(1, _MOMENT_BLOCK_ELEMENTS // d)
+    if rows <= step:
+        Xt = X.T if idx is None else _gather_rows(X, idx)
+        return _weighted_gram(Xt, v, y, None if idx is None else Xt)
+    buf = np.empty(d * step)
     sum_y, sum_G = np.zeros(d), np.zeros((d, d))
     for start in range(0, rows, step):
         stop = min(start + step, rows)
@@ -270,9 +279,10 @@ def compute_moments(dataset: Dataset, weights: np.ndarray) -> MomentPair:
     length n, not a copy of X or of its k rows (a gemm-sized block is
     scaled into a fresh array of its own size instead).  A call whose
     rows fit in one block (n d <= 2^17 on the direct path, k d <= 2^17 on
-    the update) skips the loop and takes the one-product formula, scaling
-    the rows into a fresh array on the direct path and in place in the
-    gathered rows on the update.  Every call of the README grid is one
+    the update) takes the one-product formula before the loop allocates
+    its buffer, scaling the rows into a fresh array on the direct path
+    and in place in the gathered rows on the update, with the numpy calls
+    of that formula alone.  Every call of the README grid is one
     block (n d <= 90,000), but a direct call at d = 20 and n = 10,000
     already takes two.  With more blocks the sums are added in another
     order, which moves A and B in the low bits.
@@ -289,7 +299,7 @@ def compute_moments(dataset: Dataset, weights: np.ndarray) -> MomentPair:
     # and lo = hi is NaN too; an infinity fails hi < inf, and a weight of 0
     # or below fails 0 < lo.
     hi = float(np.maximum.reduce(w))
-    n, d = dataset.n, dataset.d
+    n = dataset.n
     below = w < hi
     # numpy's compiled count: np.count_nonzero is a Python wrapper, and an
     # add.reduce over the mask took 0.9-3.4 us against 0.05-0.4 us at
@@ -304,29 +314,13 @@ def compute_moments(dataset: Dataset, weights: np.ndarray) -> MomentPair:
     if not 0.0 < lo <= hi < np.inf:
         raise ValueError("weights must be finite and strictly positive")
     X, y = dataset.X, dataset.y
-    step = max(1, _MOMENT_BLOCK_ELEMENTS // d)
-    # Rows below the cap that fit one block, and a direct call that is one
-    # block, take the one-product formula without the loop: the README
-    # grid makes thousands of such small calls, and the block loop cost
-    # each a few microseconds more.
     if 2 * k <= n and hi <= _UPDATE_MAX_RATIO * lo:
         XtX, Xty = dataset._unit_moments
         v = np.subtract(hi, wk, out=wk)  # b - s
-        if k <= step:
-            Gt = _gather_rows(X, idx)
-            sum_y, sum_G = _weighted_gram(Gt, v, y[idx], Gt)
-        else:
-            sum_y, sum_G = _block_sums(X, idx, v, y[idx], step)
+        sum_y, sum_G = _block_sums(X, idx, v, y[idx])
         return MomentPair(A=(hi * Xty - sum_y) / n, B=(hi * XtX - sum_G) / n)
-    if n <= step:
-        sum_y, sum_G = _weighted_gram(X.T, w, y)
-    else:
-        sum_y, sum_G = _block_sums(X, None, w, y, step)
+    sum_y, sum_G = _block_sums(X, None, w, y)
     return MomentPair(A=sum_y / n, B=sum_G / n)
-
-
-def _lapack_failed(err: str, flag: int) -> None:
-    raise np.linalg.LinAlgError("LAPACK reported a failed factorization")
 
 
 def _cholesky_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray | None:
@@ -334,15 +328,15 @@ def _cholesky_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray | None:
     # solves against its factor would cost more than one LU solve (11 and
     # 184 us against 6 and 95 us at d = 10 and 100).  An exactly singular B
     # can pass potrf on rounding and then fail in LU, so that fails too.
-    # These are the gufuncs np.linalg.cholesky/solve call, under the error
-    # state those set, where LAPACK's failure flag calls _lapack_failed; a
-    # fresh one per call, as numpy 1.x's decorator shares one across threads.
+    # These are the gufuncs np.linalg.cholesky/solve call.  Both report a
+    # failed factorization through the invalid flag, which the error state
+    # here turns into the one FloatingPointError caught; it is a fresh state
+    # per call, as numpy 1.x's decorator shares one across threads.
     try:
-        with np.errstate(call=_lapack_failed, invalid="call", over="ignore",
-                         divide="ignore", under="ignore"):
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
             _umath_linalg.cholesky_lo(B, signature="d->d")
             theta = _umath_linalg.solve1(B, A, signature="dd->d")
-    except np.linalg.LinAlgError:
+    except FloatingPointError:
         return None
     if not _all_finite(theta):
         raise MomentSolveError(
@@ -375,10 +369,9 @@ def solve_step(A: np.ndarray, B: np.ndarray) -> StepSolution:
     reads only B's lower triangle, the solve all of it.
     """
     A = _as_vector("A", A)
-    B = _as_square("B", B)
+    B = _as_symmetric("B", B)
     if B.shape[0] != A.shape[0]:
         raise ValueError(f"shape mismatch: A {A.shape}, B {B.shape}")
-    _check_symmetric("B", B)
     theta = _cholesky_solve(A, B)
     if theta is not None:
         return StepSolution(theta=theta, used_ridge=False)
@@ -467,7 +460,13 @@ def run_exact_irls(dataset: Dataset, config: IRLSConfig) -> tuple[np.ndarray, tu
     messages: a NaN or an infinity in X, then in y, then a finite row of
     X whose L2 norm overflows float64.  That last holds even where the
     weighted moments would stay finite (a huge |y_i| shrinks the row's
-    weight), so such a row is refused rather than solved.
+    weight), so such a row is refused rather than solved.  Then it
+    refuses, by the same error with a message naming the cap, data whose
+    weighted moments could overflow float64: where 2 * weight_cap * sum_i
+    ||x_i|| (||x_i|| + |y_i|) is not finite.  Every weight lies in (0, weight_cap],
+    so that bound covers every entry of A, of B and of the sums that build
+    them on either path of :func:`compute_moments`.  It is taken from the
+    row norms of the first check, without another pass over X.
 
     Each step is a deterministic map theta -> B(theta)^-1 A(theta), so
     once an iterate equals an earlier one byte for byte (or theta = 0),
@@ -484,7 +483,16 @@ def run_exact_irls(dataset: Dataset, config: IRLSConfig) -> tuple[np.ndarray, tu
     Like every solve, it starts from the first step memoised on the
     dataset (see ``Dataset._first_step``).
     """
-    _check_finite(dataset.X, dataset.y)
+    norms = _check_finite(dataset.X, dataset.y)
+    with np.errstate(over="ignore"):
+        bound = float(np.add.reduce(norms * (norms + np.abs(dataset.y))))
+    # In Python floats, where an overflow is inf without a warning whatever
+    # the cap's type.
+    if not 2.0 * float(config.weight_cap) * bound < np.inf:
+        raise DataValidationError(
+            "the weighted moments of X and y may overflow float64 at "
+            f"weight_cap={config.weight_cap!r}; scale X and y down"
+        )
     return _run_loop(dataset, config, release=None)
 
 

@@ -14,12 +14,14 @@ from dpirls.data import (
     DataValidationError,
     Dataset,
     _all_finite,
-    _check_symmetric,
+    _as_symmetric,
     _row_norms,
     _row_spans,
     normalize_dataset,
     validate_dataset,
 )
+from dpirls.mechanisms import wishart_perturb
+from dpirls.solver import MomentSolveError, solve_step
 from dpirls.synthetic import SyntheticSpec, generate
 
 
@@ -81,7 +83,10 @@ def test_all_finite_is_isfinite_all(bad):
 
 @pytest.mark.parametrize("layout", ["C", "F", "transposed", "strided"])
 def test_symmetry_check_matches_the_tolerance_test(layout):
-    def check(B):
+    # The one guard for B, called directly and through both of its callers,
+    # the Wishart release and the solve.  A B that passes it may still be
+    # indefinite, which the solve refuses with its own error.
+    def guarded(B):
         B = np.asarray(B, dtype=np.float64)
         B = {
             "C": B,
@@ -89,7 +94,25 @@ def test_symmetry_check_matches_the_tolerance_test(layout):
             "transposed": B.T,
             "strided": np.repeat(np.repeat(B, 2, axis=0), 3, axis=1)[::2, ::3],
         }[layout]
-        _check_symmetric("B", B)
+        return (
+            lambda: _as_symmetric("B", B),
+            lambda: wishart_perturb(B, 0.5, 5.0, 100, np.random.default_rng(0)),
+            lambda: solve_step(np.ones(B.shape[0]), B),
+        )
+
+    def check(B):
+        helper, release, solve = guarded(B)
+        helper()
+        release()
+        try:
+            solve()
+        except MomentSolveError:
+            pass
+
+    def refused(B, message):
+        for call in guarded(B):
+            with pytest.raises(ValueError, match=message):
+                call()
 
     rng = np.random.default_rng(4)
     S = rng.normal(size=(5, 5))
@@ -101,8 +124,12 @@ def test_symmetry_check_matches_the_tolerance_test(layout):
     check([[2.0, 0.0], [-1e-10, 2.0]])
     message = r"^B must be symmetric; max \|B - B\^T\| = 1e-09$"
     for B in ([[2.0, 1e-9], [0.0, 2.0]], [[2.0, 0.0], [1e-9, 2.0]]):
-        with pytest.raises(ValueError, match=message):
-            check(B)
+        refused(B, message)
+    # A NaN B equals its transpose byte for byte, so it is refused as
+    # non-finite before the symmetry test could pass it.
+    B = np.array([[1.0, np.nan], [np.nan, 1.0]])
+    assert B.tobytes() == B.T.tobytes()
+    refused(B, "^B must be finite$")
 
 
 def test_shape_mismatches_rejected():

@@ -700,6 +700,10 @@ def test_solve_step_failures_warn_nothing_and_keep_the_callers_error_state():
 _ROW_3_OVERFLOWS = (
     "^row 3 of X has an L2 norm that overflows float64; scale X down before normalizing$"
 )
+_MOMENTS_OVERFLOW = (
+    r"^the weighted moments of X and y may overflow float64 at weight_cap=5\.0; "
+    "scale X and y down$"
+)
 
 
 @pytest.mark.parametrize(
@@ -718,6 +722,10 @@ _ROW_3_OVERFLOWS = (
         # gate at the solver's entry refuses it.
         pytest.param({(3, 0): 1e154, (3, 1): 1e154}, {3: 1e300}, _ROW_3_OVERFLOWS,
                      id="X-3-norm-overflows-under-huge-y"),
+        # Finite row norms whose weighted Gram overflows: two rows of norm
+        # 1e154 at weight 1 put 2e308 in B's first entry.
+        pytest.param({(3, 0): 1e154, (4, 0): 1e154}, {3: 1.0, 4: 1.0}, _MOMENTS_OVERFLOW,
+                     id="X-3-4-moments-overflow"),
     ],
 )
 def test_exact_solve_names_the_non_finite_entry_behind_its_first_weights(
@@ -728,6 +736,8 @@ def test_exact_solve_names_the_non_finite_entry_behind_its_first_weights(
     # which would make iteration 1's weight NaN or 0, or a row whose L2
     # norm overflows, which would overflow B or pass a huge |y_i|.  It
     # reports the entry as validate_dataset does and memoises no first step.
+    # Then it refuses data whose weighted moments could overflow, which
+    # validate_dataset refuses by the norm bound.
     rng = np.random.default_rng(27)
     X, y = rng.uniform(-0.3, 0.3, size=(50, 3)), rng.uniform(-1.0, 1.0, size=50)
     for (i, j), value in x_entries.items():
@@ -738,6 +748,8 @@ def test_exact_solve_names_the_non_finite_entry_behind_its_first_weights(
     with pytest.raises(DataValidationError, match=message):
         run_exact_irls(ds, IRLSConfig(iterations=3, weight_cap=5.0))
     assert ds._first_step == [None]
+    if message == _MOMENTS_OVERFLOW:
+        message = r"^row 3 of X has L2 norm 1e\+154 > 1; "
     with pytest.raises(DataValidationError, match=message):
         validate_dataset(ds)
 
