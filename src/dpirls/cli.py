@@ -92,10 +92,11 @@ def main(argv: list[str] | None = None) -> int:
         fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentGrid)}
         grid = ExperimentGrid(**fields)
         # Refuse an output path that cannot be written, or that names the
-        # file of another output (compared after os.path.realpath, so a
-        # symbolic link, dangling or not, names its target; a hard link is
-        # not detected), before any cell runs.  An empty --out-svg means no
-        # chart; an empty --out-csv names no file.
+        # file of another output, before any cell runs: an existing file is
+        # known by its device and inode, so a hard or symbolic link names
+        # it, and any other path, a dangling symbolic link too, by its
+        # os.path.realpath.  An empty --out-svg means no chart; an empty
+        # --out-csv names no file.
         if not args.out_csv:
             raise ValueError("--out-csv must name a file, got ''")
         roles: dict[str, str] = {}
@@ -108,7 +109,12 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"cannot write {path}: directory {parent} does not exist")
             if os.path.isdir(path):
                 raise ValueError(f"cannot write {path}: it is a directory")
-            other = roles.setdefault(os.path.realpath(path), role)
+            try:
+                st = os.stat(path)
+                key = (st.st_dev, st.st_ino)
+            except OSError:
+                key = os.path.realpath(path)
+            other = roles.setdefault(key, role)
             if other != role:
                 raise ValueError(f"cannot write {path}: it is also the {other} path")
         # Cells catch their own errors: run_grid raises ValueError only for

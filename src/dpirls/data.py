@@ -74,8 +74,9 @@ def _check_positive_finite(name: str, value: float) -> None:
 def _check_weight_cap(weight_cap: float) -> None:
     # The clamp's floor 1/weight_cap must be finite too, or every weight
     # would be 1/inf = 0; every release's calibration refuses such caps too.
-    # The reciprocal is taken in the cap's own type, as the clamp takes it
-    # (1/np.float32(1e-39) is inf).  Only a numpy scalar's division warns,
+    # The reciprocal is taken in the cap's own type (1/np.float32(1e-39) is
+    # inf), so such a cap is refused although the clamp, which takes its
+    # floor in float64, could use it.  Only a numpy scalar's division warns,
     # and the errstate costs about 2 us on a check every IRLS step makes.
     _check_positive_finite("weight_cap", weight_cap)
     if type(weight_cap) is float:

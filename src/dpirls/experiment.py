@@ -8,22 +8,23 @@ streams are derived per label so cells are independent and the whole
 table is reproducible bit for bit regardless of worker count or which
 subset of labels is requested.
 
-By default the cells run on one process per usable core.  Each (N, seed)
-group's labels run back to back in one process, and the groups are dealt
-out in interleaved shares, ``groups[i::w]`` for w = min(usable cores,
-groups), so each share gets every w-th seed of every N.  run_grid runs
-share 0 itself; os.fork() starts a child for each other share, which
-sends its rows back pickled through a pipe.  Processes, not threads: a
+run_grid deals the (N, seed) groups into interleaved shares
+``groups[i::w]``, one per worker, so each share gets every w-th seed of
+every N; a worker runs its share's groups in order, each group's labels
+back to back.  w = min(workers, groups).  By default the workers are
+processes, one per usable core (one where os.sched_getaffinity does not
+exist, as on macOS and Windows): run_grid runs share 0 itself, and
+os.fork() starts a child for each other share, which sends its rows back
+pickled through a pipe, so a single share is the serial run and nothing
+forks.  Processes, not threads: a
 cell is many small numpy calls, each holding the GIL, so on a 2-core host
 a pool of two threads ran the grid slower than one thread, while two
 processes each run at their solo speed (BLAS never splits a d = 10
 product across threads, so one process uses one core).  On a 2-core host
 (numpy 2.4.6, OpenBLAS 0.3.31) the benchmark's 100-cell grid command took
-0.19 s instead of 0.30 s (BENCH_34.json).  With one usable core, or
-where os.sched_getaffinity does not exist (macOS, Windows), the cells
-run one after another in the calling process and nothing forks.  The
-DP_IRLS_THREADS environment variable overrides the default: 1 runs the
-cells serially, N >= 2 on a pool of N threads.
+0.19 s instead of 0.30 s (BENCH_34.json).  The DP_IRLS_THREADS
+environment variable sets the number of workers instead: 1 runs the
+cells serially, N >= 2 runs the same shares on a pool of N threads.
 
 A child runs only the package's cells (Python, numpy and BLAS) and
 always leaves through os._exit, so it never returns into the caller,
@@ -48,7 +49,7 @@ import pickle
 import threading
 import time
 from dataclasses import dataclass
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,7 +67,8 @@ _last_split = threading.local()
 def generate(spec: SyntheticSpec) -> SplitDataset:
     """``synthetic.generate`` through a one-entry memo per thread, keyed by the frozen spec.
 
-    run_grid runs the labels at one (N, seed) back to back on one thread,
+    Each of run_grid's workers, a thread or a process, runs its share's
+    groups one after another, the labels at one (N, seed) back to back,
     so each split, with its bounds check and X^T X memos, is built once.
     The previous split is dropped before the next is built; run_grid
     empties the entry when it returns, and a pool thread's or a worker
@@ -250,22 +252,24 @@ def run_grid(grid: ExperimentGrid) -> list[ResultRow]:
         if threads < 1:
             raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {env!r}")
     # One group per (N, seed), its labels in order, so each group's split
-    # is built once, by the worker that runs the group.
+    # is built once, by the worker that runs the group; each worker runs
+    # one interleaved share of the groups.
     groups = [[(label, n, s) for label in grid.mechanisms]
               for n in grid.n_values for s in range(grid.n_seeds)]
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(threads or (len(affinity(0)) if affinity else 1), len(groups))
+    shares = [groups[i::workers] for i in range(workers)]
     try:
-        if threads is None:
-            rows = _run_forked(grid, groups)
-        elif min(threads, len(groups)) == 1:
-            rows = _run_share(grid, groups)
-        else:
+        if threads and workers > 1:
             # Imported here: the pool is opt-in, and concurrent.futures costs
             # every other run its import time.
             from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(max_workers=min(threads, len(groups))) as pool:
-                done = pool.map(lambda g: _run_share(grid, [g]), groups)
-                rows = [row for group in done for row in group]
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                done = pool.map(lambda share: _run_share(grid, share), shares)
+                rows = [row for share in done for row in share]
+        else:
+            rows = _run_forked(grid, shares)
     finally:
         _last_split.entry = None
     rows.sort(key=lambda r: (r.mechanism, r.n, r.seed))
@@ -276,34 +280,32 @@ def _run_share(grid: ExperimentGrid, groups) -> list[ResultRow]:
     return [run_cell(grid, *cell) for group in groups for cell in group]
 
 
-def _run_forked(grid: ExperimentGrid, groups) -> list[ResultRow]:
-    """Run the groups in interleaved shares, one process per usable core.
+def _run_forked(grid: ExperimentGrid, shares) -> list[ResultRow]:
+    """Run share 0 in this process and each other share in a forked child.
 
-    Share i is ``groups[i::w]`` with w = min(usable cores, groups), which
-    gives each share every w-th seed of every N.  This process runs share
-    0; each other share runs in a child made by os.fork(), which writes
-    its pickled rows to its own pipe and always leaves through os._exit.
-    The parent reads each pipe to its end, then reaps the child.  Without
-    os.sched_getaffinity, or with one usable core, the groups run here and
-    nothing forks.
+    Each child, made by os.fork(), writes its pickled rows to its own pipe
+    and always leaves through os._exit.  The parent reads each pipe to its
+    end, then reaps the child.  A single share runs here and nothing forks.
     """
-    affinity = getattr(os, "sched_getaffinity", None)
-    workers = min(len(affinity(0)), len(groups)) if affinity else 1
-    if workers == 1:
-        return _run_share(grid, groups)
     pids, pipes = [], []
     try:
-        for i in range(1, workers):
+        for share in shares[1:]:
             read_end, write_end = os.pipe()
             pipes.append(open(read_end, "rb"))
             try:
                 pid = os.fork()
-                if pid == 0:
-                    _serve_share(grid, groups[i::workers], write_end)
+                if pid == 0:  # the child: exit status 0 only once every row is in the pipe
+                    status = 1
+                    try:
+                        with open(write_end, "wb") as pipe:
+                            pipe.write(pickle.dumps(_run_share(grid, share)))
+                        status = 0
+                    finally:
+                        os._exit(status)
             finally:
                 os.close(write_end)  # in the parent; the child never gets here
             pids.append(pid)
-        rows = _run_share(grid, groups[0::workers])
+        rows = _run_share(grid, shares[0])
         for pid, pipe in zip(list(pids), pipes):
             payload = pipe.read()
             _, status = os.waitpid(pid, 0)
@@ -328,18 +330,6 @@ def _run_forked(grid: ExperimentGrid, groups) -> list[ResultRow]:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
     return rows
-
-
-def _serve_share(grid: ExperimentGrid, share, write_end: int) -> NoReturn:
-    # A forked child: exit status 0 only once every row is in the pipe.
-    status = 1
-    try:
-        payload = pickle.dumps(_run_share(grid, share))
-        with open(write_end, "wb") as pipe:
-            pipe.write(payload)
-        status = 0
-    finally:
-        os._exit(status)
 
 
 def aggregate(rows: list[ResultRow]) -> list[SummaryRow]:

@@ -28,6 +28,7 @@ the rest of its trace with that cycle (see :func:`run_exact_irls`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -141,11 +142,17 @@ def weights_from_residuals(res: np.ndarray, weight_cap: float) -> np.ndarray:
     """Clamped inverse-residual weights s_i = 1 / max(1/weight_cap, |r_i|).
 
     Every output lies in (0, weight_cap]; the cap binds exactly when
-    |r_i| <= 1/weight_cap.  Built in one n-length buffer.
+    |r_i| <= 1/weight_cap.  The floor is the float64 reciprocal of the
+    cap, raised by one ulp at a time while its own reciprocal rounds above
+    the cap (1/(1/49) is 49.00000000000001).  Built in one n-length buffer.
     """
     _check_weight_cap(weight_cap)
+    cap = float(weight_cap)  # a numpy float32 would compare in float32
+    floor = 1.0 / cap
+    while 1.0 / floor > cap:
+        floor = math.nextafter(floor, math.inf)
     w = np.abs(np.asarray(res, dtype=np.float64))
-    np.maximum(w, 1.0 / weight_cap, out=w)
+    np.maximum(w, floor, out=w)
     return np.divide(1.0, w, out=w)
 
 
@@ -393,8 +400,9 @@ def _shared_first_step(dataset: Dataset, weight_cap: float) -> tuple[np.ndarray,
     # the layers every later iteration calls and stored there read-only.
     # Both solvers pass their data through data._check_finite first, so X
     # and y are finite here and every row norm is too.  The key holds the
-    # cap's type as well as its value: a float32 cap equals its float64
-    # rounding but clamps at a different 1/weight_cap.
+    # cap's type as well as its value, though the clamp takes its floor
+    # from float(weight_cap), so a float32 cap and the float64 it equals
+    # give the same step.
     # The entry is read and replaced whole, so a thread sees a step with
     # its own key; two threads that miss at once both compute it.
     key = (type(weight_cap), weight_cap)

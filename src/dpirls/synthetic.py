@@ -32,15 +32,16 @@ from .mechanisms import _stream
 from .solver import residuals
 
 VARIANCE_FLOOR = 1e-8
+# Variance of the Gaussian observation noise added to X theta*.
+_NOISE_VAR = 0.01
 
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Size, dimension, observation noise, and seed of one problem."""
+    """Size, dimension and seed of one problem."""
 
     n: int
     d: int
-    noise_var: float = 0.01
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -48,7 +49,6 @@ class SyntheticSpec:
         if round(0.1 * self.n) < 1:
             raise ValueError(f"n={self.n} leaves no test rows; need round(0.1*n) >= 1")
         _check_int("d", self.d)
-        _check_positive_finite("noise_var", self.noise_var)
         _check_int("seed", self.seed, 0)
 
 
@@ -127,7 +127,7 @@ def generate(spec: SyntheticSpec) -> SplitDataset:
             buf[block_rows] = rows
         y[start:stop] = buf[: stop - start] @ theta_star
     del block, buf  # before the bounds checks add their own temporaries
-    y += math.sqrt(spec.noise_var) * gen.standard_normal(n)
+    y += math.sqrt(_NOISE_VAR) * gen.standard_normal(n)
     max_abs = float(np.maximum.reduce(np.abs(y)))
     if max_abs > 0.0:
         y /= max_abs

@@ -217,6 +217,7 @@ def test_unusable_output_path_rejected_before_any_cell_runs(tmp_path, monkeypatc
     (tmp_path / "link.csv").symlink_to("a.csv")
     (tmp_path / "t.csv").symlink_to("r.csv")  # dangling, as is c.svg
     (tmp_path / "c.svg").symlink_to("r_summary.csv")
+    os.link(tmp_path / "a.csv", tmp_path / "h.svg")
     for flags, reason in (
         (["--out-csv", str(missing / "r.csv")], f"directory {missing} does not exist"),
         (["--out-csv", csv_path, "--out-svg", str(missing / "c.svg")],
@@ -236,12 +237,16 @@ def test_unusable_output_path_rejected_before_any_cell_runs(tmp_path, monkeypatc
          "it is also the results CSV path"),
         (["--out-csv", csv_path, "--out-svg", str(tmp_path / "c.svg")],
          "it is also the summary CSV path"),
+        # A hard link names the file it shares an inode with.
+        (["--out-csv", str(tmp_path / "a.csv"), "--out-svg", str(tmp_path / "h.svg")],
+         "it is also the results CSV path"),
     ):
         assert main(FAST + flags) == 2
         assert capsys.readouterr().err == f"dpirls: cannot write {flags[-1]}: {reason}\n"
         assert not (tmp_path / "r.csv").exists() and not missing.exists()
         assert not (tmp_path / "r_summary.csv").exists()
         assert (tmp_path / "a.csv").read_text() == "kept\n"
+        assert not (tmp_path / "a_summary.csv").exists()
     # The summary lands next to the results, so its path is checked too.
     assert main(FAST + ["--out-csv", str(tmp_path / "s.csv")]) == 2
     err = capsys.readouterr().err

@@ -93,16 +93,48 @@ def test_threads_env_var_caps_workers(monkeypatch):
     assert _strip_time(rows_env) == _strip_time(rows_serial)
 
 
-def test_default_grid_starts_no_thread_pool(monkeypatch):
-    monkeypatch.delenv("DP_IRLS_THREADS", raising=False)
-
+def _forbid_pool(monkeypatch):
     def no_pool(*args, **kwargs):
-        raise AssertionError("the default grid started a thread pool")
+        raise AssertionError("the grid started a thread pool")
 
     # run_grid imports the pool class from concurrent.futures when it needs one.
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+
+
+def test_default_grid_starts_no_thread_pool(monkeypatch):
+    monkeypatch.delenv("DP_IRLS_THREADS", raising=False)
+    _forbid_pool(monkeypatch)
     grid = ExperimentGrid(**SMALL, mechanisms=("non-private", "cdp-lap"))
     assert all(r.status == "ok" for r in run_grid(grid))
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_each_pool_thread_runs_one_interleaved_share_in_order(monkeypatch, workers):
+    # The groups are dealt once into the shares groups[i::w], and each pool
+    # thread runs one share, its groups in order.  Each thread's first cell
+    # waits until all w threads have started, so no thread can finish a
+    # share before the pool has started the next; the second group is slow,
+    # so a pool that hands each thread its next group as it frees up would
+    # give the others groups of the slow thread's share.
+    grid = ExperimentGrid(**{**SMALL, "n_seeds": 3}, mechanisms=("non-private", "cdp-lap"))
+    groups = [(n, s) for n in grid.n_values for s in range(grid.n_seeds)]
+    real_cell, ran, started = experiment_module.run_cell, {}, threading.Barrier(workers)
+
+    def cell(grid, label, n, seed_idx):
+        order = ran.setdefault(threading.get_ident(), [])
+        if not order:
+            started.wait(timeout=30)
+        if not order or order[-1] != (n, seed_idx):
+            order.append((n, seed_idx))
+        if (n, seed_idx) == groups[1]:
+            time.sleep(0.02)
+        return real_cell(grid, label, n, seed_idx)
+
+    monkeypatch.setattr(experiment_module, "run_cell", cell)
+    rows = _run_grid(monkeypatch, grid, workers)
+    assert all(r.status == "ok" for r in rows)
+    assert threading.get_ident() not in ran
+    assert sorted(ran.values()) == sorted(groups[i::workers] for i in range(workers))
 
 
 def _usable_cores(monkeypatch, cores):
@@ -116,8 +148,9 @@ def _forbid_fork(monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
 
 
-@pytest.mark.parametrize("cores", [1, None])
-def test_default_grid_runs_serially_on_one_core_or_without_affinity(monkeypatch, cores):
+@pytest.mark.parametrize("cores, threads", [(1, None), (None, None), (3, "1")],
+                         ids=["1", "None", "3-threads1"])
+def test_default_grid_runs_serially_on_one_core_or_without_affinity(monkeypatch, cores, threads):
     grid = ExperimentGrid(**SMALL, mechanisms=("non-private", "cdp-lap"))
     serial = _run_grid(monkeypatch, grid)
     monkeypatch.delenv("DP_IRLS_THREADS")
@@ -125,7 +158,10 @@ def test_default_grid_runs_serially_on_one_core_or_without_affinity(monkeypatch,
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
         _usable_cores(monkeypatch, cores)
+    if threads is not None:  # one worker asked for, whatever the cores
+        monkeypatch.setenv("DP_IRLS_THREADS", threads)
     _forbid_fork(monkeypatch)
+    _forbid_pool(monkeypatch)
     assert _strip_time(run_grid(grid)) == _strip_time(serial)
     assert _memo_entry() is None
 
@@ -219,9 +255,9 @@ def _memo_entry():
 
 
 def test_a_two_worker_grid_builds_each_split_once(monkeypatch):
-    # Each pool task runs one (N, seed) group's labels in order, and each
-    # worker keeps its own last split, so the workers never evict each
-    # other's split at a group boundary.
+    # Each pool thread runs one share of (N, seed) groups, each group's
+    # labels in order, and keeps its own last split, so the workers never
+    # evict each other's split at a group boundary.
     grid = ExperimentGrid(**{**SMALL, "n_seeds": 8})
     build = experiment_module.synthetic.generate
     builds, threads = [], set()

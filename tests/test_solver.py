@@ -58,6 +58,11 @@ def test_weights_always_in_range():
         w = weights_from_residuals(rng.normal(size=1000) * 10.0, cap)
         assert (w > 0.0).all()
         assert (w <= cap).all()
+    # 1/(1/cap) rounds above the cap at 140 of these integer caps, 49 first,
+    # and at the float32 49; a zero residual takes the clamp's floor.
+    for cap in (*range(1, 2001), np.float32(49)):
+        w = weights_from_residuals(np.array([0.0, 1.0 / cap, 1e-300]), cap)
+        assert (w > 0.0).all() and (w <= cap).all(), cap
 
 
 def test_weights_validation():
