@@ -12,7 +12,9 @@ CDP
     kept exact (eps' == sqrt(eps / J)) rather than clamped, so the float
     receipt can land an ulp or two on either side of eps.
 CONVENTIONAL
-    Basic sequential composition: eps' = eps / k.
+    Basic sequential composition: the largest float eps' with k eps' <= eps
+    exactly, which is eps / k or, where that quotient rounds up, the float
+    below it.
 ADVANCED
     Strong composition with slack failure_prob: the largest eps'
     satisfying sqrt(2 k ln(1/failure_prob)) eps' + k eps' (e^eps' - 1)
@@ -28,6 +30,13 @@ otherwise CONVENTIONAL's eps' is at least as large.  k > 2 ln(1/failure_prob)
 (about 27.6 releases at failure_prob = 1e-6) is necessary for that but not
 sufficient: at eps = 0.9 and failure_prob = 1e-6 basic composition still
 wins at k = 28 and 29, and strong composition first wins at k = 30.
+
+:class:`PrivacyBudget` stores its epsilon and failure_prob as the Python
+floats its checks return, and :func:`plan_for_budget` reads iterations
+as a Python int, so every split computes in float64 (and the basic
+split's exact check in unbounded ints) whatever scalar type the caller
+passed (numpy 2 would keep a float32's arithmetic
+in float32, numpy 1 would not).
 """
 
 from __future__ import annotations
@@ -51,7 +60,8 @@ class PrivacyBudget:
 
     ``failure_prob`` is the composition slack of the ADVANCED regime and
     must be 0 in the other two; it is unrelated to the failure probability
-    of a Gaussian release, which is a mechanism parameter.
+    of a Gaussian release, which is a mechanism parameter.  ``epsilon`` and
+    an ADVANCED ``failure_prob`` are stored as Python floats.
     """
 
     epsilon: float
@@ -59,11 +69,12 @@ class PrivacyBudget:
     regime: Regime = Regime.CDP
 
     def __post_init__(self) -> None:
-        _check_positive_finite("epsilon", self.epsilon)
+        object.__setattr__(self, "epsilon", _check_positive_finite("epsilon", self.epsilon))
         if not isinstance(self.regime, Regime):
             raise ValueError(f"regime must be a Regime, got {self.regime!r}")
         if self.regime is Regime.ADVANCED:
-            _check_probability("failure_prob", self.failure_prob)
+            failure_prob = _check_probability("failure_prob", self.failure_prob)
+            object.__setattr__(self, "failure_prob", failure_prob)
         elif self.failure_prob != 0.0:
             raise ValueError(
                 f"failure_prob must be 0 in regime {self.regime.value}, "
@@ -118,7 +129,10 @@ def plan_for_budget(budget: PrivacyBudget, iterations: int) -> NoisePlan:
         receipt ``rho = J eps'^2`` (k eps'^2 / 2 without the doubling) of
         the actual releases, which equals the budget up to rounding.
     CONVENTIONAL
-        eps' = eps / k.
+        The largest float eps' with k eps' <= eps, compared exactly: eps / k,
+        stepped one float down where the quotient rounds up (the float
+        2.0 / 100 lies above 1/50, and 6 * (0.007 / 6) > 0.007 even in
+        floats).
     ADVANCED
         The largest float eps' with sqrt(2 k ln(1/failure_prob)) eps' +
         k eps' (e^eps' - 1) <= eps, at every scale of eps: bisection runs
@@ -127,7 +141,7 @@ def plan_for_budget(budget: PrivacyBudget, iterations: int) -> NoisePlan:
 
     A split that rounds to 0.0 is refused whatever the regime.
     """
-    _check_int("iterations", iterations)
+    iterations = _check_int("iterations", iterations)
     k = 2 * iterations
     epsilon = budget.epsilon
     rho = None
@@ -136,6 +150,12 @@ def plan_for_budget(budget: PrivacyBudget, iterations: int) -> NoisePlan:
         rho = iterations * eps_prime**2
     elif budget.regime is Regime.CONVENTIONAL:
         eps_prime = epsilon / k
+        # k eps' > eps, decided exactly on the floats' integer ratios, means
+        # the quotient rounded up; the float below it then lies below eps / k.
+        a, b = eps_prime.as_integer_ratio()
+        p, q = epsilon.as_integer_ratio()
+        if k * a * q > p * b:
+            eps_prime = math.nextafter(eps_prime, 0.0)
     else:
         eps_prime = _advanced_split(epsilon, budget.failure_prob, k)
     if eps_prime == 0.0:

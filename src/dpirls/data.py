@@ -66,42 +66,44 @@ def _freeze(a: np.ndarray, order: str) -> np.ndarray:
 # Argument checks shared by every module, so each rule and its message
 # is stated once.
 
-def _check_positive_finite(name: str, value: float) -> None:
-    if not (value > 0.0 and math.isfinite(value)):
+def _check_positive_finite(name: str, value: float) -> float:
+    # Returns the Python float it checked, so that no sensitivity, noise
+    # scale or split follows a numpy scalar's own arithmetic (numpy 2 keeps
+    # np.float32(x) * 2.0 in float32).  Comparing value first refuses a
+    # str, which float() would parse.
+    if not (value > 0.0 and 0.0 < (x := float(value)) < math.inf):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return x
 
 
-def _check_weight_cap(weight_cap: float) -> None:
+def _check_weight_cap(weight_cap: float) -> float:
     # The clamp's floor 1/weight_cap must be finite too, or every weight
     # would be 1/inf = 0; every release's calibration refuses such caps too.
-    # The reciprocal is taken in the cap's own type (1/np.float32(1e-39) is
-    # inf), so such a cap is refused although the clamp, which takes its
-    # floor in float64, could use it.  Only a numpy scalar's division warns,
-    # and the errstate costs about 2 us on a check every IRLS step makes.
-    _check_positive_finite("weight_cap", weight_cap)
-    if type(weight_cap) is float:
-        reciprocal = 1.0 / weight_cap
-    else:
-        with np.errstate(over="ignore"):
-            reciprocal = 1.0 / weight_cap
-    if math.isinf(reciprocal):
+    cap = _check_positive_finite("weight_cap", weight_cap)
+    if math.isinf(1.0 / cap):
         raise ValueError(f"weight_cap must have a finite reciprocal, got {weight_cap!r}")
+    return cap
 
 
 _INT_BOUNDS = {0: "a non-negative integer", 1: "a positive integer"}
 
 
-def _check_int(name: str, value: int, low: int = 1) -> None:
+def _check_int(name: str, value: int, low: int = 1) -> int:
+    # Returns the Python int it checked, so that a numpy integer's count
+    # neither overflows int64 nor turns a split or scale into a numpy float.
     if type(value) is int and value >= low:
-        return
+        return value
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
         bound = _INT_BOUNDS.get(low, f"an integer >= {low}")
         raise ValueError(f"{name} must be {bound}, got {value!r}")
+    return int(value)
 
 
-def _check_probability(name: str, value: float) -> None:
-    if not (0.0 < value < 1.0):
+def _check_probability(name: str, value: float) -> float:
+    # The Python float it checked, as in _check_positive_finite.
+    if not (0.0 < value and 0.0 < (x := float(value)) < 1.0):
         raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+    return x
 
 
 # Moment checks for the releases and solve_step, which refuse an empty
@@ -266,7 +268,7 @@ class Dataset:
         Every solve starts at theta = 0, where the clamped weights
         1 / max(1/weight_cap, |y_i|) and the exact moments A and B depend
         on X, y and the cap alone.  The first solve that misses this memo
-        computes them and stores ``(cap key, weights, MomentPair)`` in the
+        computes them and stores ``(weight_cap, weights, MomentPair)`` in the
         slot with read-only arrays, replacing the entry for any other cap;
         every later solve at that cap, exact or private, starts from it (a
         private one still adds its own noise to these moments).  It cannot

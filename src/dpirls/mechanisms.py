@@ -12,6 +12,12 @@ and for the Gram moment B a trace-difference bound of weight_cap / n,
 which bounds the Wishart release's density ratio by exp(eps').  That
 release is still not pure eps'-DP (see :func:`wishart_perturb`).  Each
 perturb function refuses an empty or non-finite moment.
+
+Every calibration reads its scalar arguments (weight_cap, eps', the
+failure probability) as the Python floats their checks return, and n and
+d as Python ints, so a numpy float32 or float64, a 0-d array and a float
+of one value give the same float64 sensitivity and noise scale under
+numpy 1 and numpy 2 alike.
 """
 
 from __future__ import annotations
@@ -42,9 +48,8 @@ def _check_generator(rng: np.random.Generator) -> None:
         raise TypeError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
 
 
-def _check_calibration(n: int, weight_cap: float) -> None:
-    _check_int("n", n)
-    _check_weight_cap(weight_cap)
+def _check_calibration(n: int, weight_cap: float) -> tuple[int, float]:
+    return _check_int("n", n), _check_weight_cap(weight_cap)
 
 
 def _calibrated(value: float) -> bool:
@@ -65,20 +70,20 @@ def l1_sensitivity_A(d: int, n: int, weight_cap: float) -> float:
     Replacing one row changes (1/n) X^T S y by at most
     2 * weight_cap * sqrt(d) / n in L1 norm.
     """
-    _check_int("d", d)
-    _check_calibration(n, weight_cap)
-    return 2.0 * weight_cap * math.sqrt(d) / n
+    d = _check_int("d", d)
+    n, cap = _check_calibration(n, weight_cap)
+    return 2.0 * cap * math.sqrt(d) / n
 
 
 def l2_sensitivity_A(n: int, weight_cap: float) -> float:
     """Worst-case L2 change of A over neighboring datasets: 2 * weight_cap / n."""
-    _check_calibration(n, weight_cap)
-    return 2.0 * weight_cap / n
+    n, cap = _check_calibration(n, weight_cap)
+    return 2.0 * cap / n
 
 
 def laplace_scale(d: int, n: int, eps_prime: float, weight_cap: float) -> float:
     """Per-coordinate Laplace scale Delta_1 / eps' for one release of A."""
-    _check_positive_finite("eps_prime", eps_prime)
+    eps_prime = _check_positive_finite("eps_prime", eps_prime)
     scale = l1_sensitivity_A(d, n, weight_cap) / eps_prime
     if not _calibrated(scale):
         raise _uncalibrated("scale", scale, eps_prime=eps_prime, weight_cap=weight_cap, n=n, d=d)
@@ -91,8 +96,8 @@ def gaussian_std(n: int, eps_prime: float, failure_prob: float, weight_cap: floa
     sqrt(2 ln(1.25 / failure_prob)) * Delta_2 / eps'.  Emits a UserWarning
     when eps' >= 1, where that multiplier is not proven.
     """
-    _check_positive_finite("eps_prime", eps_prime)
-    _check_probability("failure_prob", failure_prob)
+    eps_prime = _check_positive_finite("eps_prime", eps_prime)
+    failure_prob = _check_probability("failure_prob", failure_prob)
     if eps_prime >= 1.0:
         # The closed-form multiplier is only proven for eps' < 1.
         warnings.warn(
@@ -110,9 +115,9 @@ def gaussian_std(n: int, eps_prime: float, failure_prob: float, weight_cap: floa
 
 def wishart_variance(n: int, eps_prime: float, weight_cap: float) -> float:
     """Entry variance weight_cap / (2 eps' n) of Z in one Wishart release Z Z^T of B."""
-    _check_calibration(n, weight_cap)
-    _check_positive_finite("eps_prime", eps_prime)
-    variance = weight_cap / (2.0 * eps_prime * n)
+    n, cap = _check_calibration(n, weight_cap)
+    eps_prime = _check_positive_finite("eps_prime", eps_prime)
+    variance = cap / (2.0 * eps_prime * n)
     if not _calibrated(variance):
         raise _uncalibrated("variance", variance, eps_prime=eps_prime, weight_cap=weight_cap, n=n)
     return variance

@@ -99,14 +99,18 @@ class StepSolution(NamedTuple):
 
 @dataclass(frozen=True)
 class IRLSConfig:
-    """Loop parameters shared by the exact and private solvers."""
+    """Loop parameters shared by the exact and private solvers.
+
+    ``iterations`` and ``weight_cap`` are kept as the Python int and float
+    their checks return.
+    """
 
     iterations: int
     weight_cap: float
 
     def __post_init__(self) -> None:
-        _check_int("iterations", self.iterations)
-        _check_weight_cap(self.weight_cap)
+        object.__setattr__(self, "iterations", _check_int("iterations", self.iterations))
+        object.__setattr__(self, "weight_cap", _check_weight_cap(self.weight_cap))
 
 
 class NoiseRelease(NamedTuple):
@@ -146,8 +150,7 @@ def weights_from_residuals(res: np.ndarray, weight_cap: float) -> np.ndarray:
     cap, raised by one ulp at a time while its own reciprocal rounds above
     the cap (1/(1/49) is 49.00000000000001).  Built in one n-length buffer.
     """
-    _check_weight_cap(weight_cap)
-    cap = float(weight_cap)  # a numpy float32 would compare in float32
+    cap = _check_weight_cap(weight_cap)
     floor = 1.0 / cap
     while 1.0 / floor > cap:
         floor = math.nextafter(floor, math.inf)
@@ -399,21 +402,18 @@ def _shared_first_step(dataset: Dataset, weight_cap: float) -> tuple[np.ndarray,
     # one-entry memo (``Dataset._first_step``) or, on a miss, computed by
     # the layers every later iteration calls and stored there read-only.
     # Both solvers pass their data through data._check_finite first, so X
-    # and y are finite here and every row norm is too.  The key holds the
-    # cap's type as well as its value, though the clamp takes its floor
-    # from float(weight_cap), so a float32 cap and the float64 it equals
-    # give the same step.
-    # The entry is read and replaced whole, so a thread sees a step with
-    # its own key; two threads that miss at once both compute it.
-    key = (type(weight_cap), weight_cap)
+    # and y are finite here and every row norm is too.  The entry is keyed
+    # by the cap, a Python float (see IRLSConfig), and read and replaced
+    # whole, so a thread sees a step with its own cap; two threads that
+    # miss at once both compute it.
     slot = dataset._first_step
     entry = slot[0]
-    if entry is None or entry[0] != key:
+    if entry is None or entry[0] != weight_cap:
         weights = weights_from_residuals(residuals(dataset, np.zeros(dataset.d)), weight_cap)
         moments = compute_moments(dataset, weights)
         for a in (weights, *moments):
             a.setflags(write=False)
-        entry = (key, weights, moments)
+        entry = (weight_cap, weights, moments)
         slot[0] = entry
     return entry[1], entry[2]
 
@@ -494,9 +494,7 @@ def run_exact_irls(dataset: Dataset, config: IRLSConfig) -> tuple[np.ndarray, tu
     norms = _check_finite(dataset.X, dataset.y)
     with np.errstate(over="ignore"):
         bound = float(np.add.reduce(norms * (norms + np.abs(dataset.y))))
-    # In Python floats, where an overflow is inf without a warning whatever
-    # the cap's type.
-    if not 2.0 * float(config.weight_cap) * bound < np.inf:
+    if not 2.0 * config.weight_cap * bound < np.inf:
         raise DataValidationError(
             "the weighted moments of X and y may overflow float64 at "
             f"weight_cap={config.weight_cap!r}; scale X and y down"

@@ -170,12 +170,10 @@ def loglik_per_test_point(test: Dataset, theta: np.ndarray, residual_var: float)
     row order and strictly decreasing in the total squared test residual
     for a fixed variance.
     """
-    _check_positive_finite("residual_var", residual_var)
+    residual_var = _check_positive_finite("residual_var", residual_var)
     res = residuals(test, theta)
-    return float(
-        -0.5 * math.log(2.0 * math.pi * residual_var)
-        - float(np.add.reduce(res * res)) / test.n / (2.0 * residual_var)
-    )
+    rss = float(np.add.reduce(res * res))
+    return -0.5 * math.log(2.0 * math.pi * residual_var) - rss / test.n / (2.0 * residual_var)
 
 
 def evaluate_fit(

@@ -6,7 +6,9 @@ strong-composition cost for the advanced rule.
 """
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -45,6 +47,21 @@ def test_conventional_rule_recomposes_to_epsilon():
         for j in (1, 7, 50):
             eps_prime = conventional_split(eps, j)
             assert 2 * j * eps_prime == pytest.approx(eps, rel=1e-15, abs=0)
+
+
+def test_conventional_rule_never_overspends():
+    # k eps' <= eps exactly, as rationals, and eps' is the largest float
+    # that satisfies it.  eps / k alone rounds up past the budget in 4,911
+    # of these pairs, 2.0 over 100 releases among them (the float 0.02 lies
+    # above 1/50), and in 868 of them k * (eps / k) > eps even in floats.
+    for i in range(1, 2001):
+        eps = i / 1000
+        for j in (1, 3, 5, 7, 10, 20, 50):
+            eps_prime = conventional_split(eps, j)
+            k = 2 * j
+            assert k * Fraction(eps_prime) <= Fraction(eps), (eps, j)
+            assert k * Fraction(math.nextafter(eps_prime, math.inf)) > Fraction(eps), (eps, j)
+    assert conventional_split(2.0, 50) == math.nextafter(0.02, 0.0)
 
 
 def test_advanced_rule_frozen_values():
@@ -140,7 +157,10 @@ def test_split_rules_at_the_float_ends():
         plan = plan_for_budget(PrivacyBudget(eps), 20)
         assert plan.eps_prime == math.sqrt(eps / 20)
         assert plan.rho == pytest.approx(eps, rel=1e-15, abs=0)
-        assert plan_for_budget(PrivacyBudget(eps, regime=Regime.CONVENTIONAL), 20).eps_prime == eps / 40
+        # The basic split is the largest float with 40 eps' <= eps, one
+        # float below eps / 40 where that quotient rounds up.
+        conv = plan_for_budget(PrivacyBudget(eps, regime=Regime.CONVENTIONAL), 20).eps_prime
+        assert 40 * Fraction(conv) <= Fraction(eps) < 40 * Fraction(math.nextafter(conv, math.inf))
     for eps, j in ((0.9, 7), (1e-300, 3), (8.9e307, 20)):
         assert cdp_split(eps, j) == math.sqrt(2.0 * eps / (2 * j))
     # The bottom: a split that rounds to 0.0 names the budget and the
@@ -161,6 +181,12 @@ def test_rule_argument_validation():
     for failure_prob in (0.0, 1.0):
         with pytest.raises(ValueError, match="failure_prob must lie in"):
             advanced_split(0.9, failure_prob, 5)
+    # A long double within the bounds whose float lies outside them is
+    # refused too, as every split computes from the float.
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        cdp_split(np.longdouble(2) ** -1100, 5)
+    with pytest.raises(ValueError, match="failure_prob must lie in"):
+        advanced_split(0.9, 1 - np.longdouble(2) ** -60, 5)
 
 
 # --- zCDP receipt -------------------------------------------------------

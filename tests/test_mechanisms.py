@@ -12,7 +12,7 @@ import pytest
 from _oracles import audit_epsilon
 
 import dpirls.mechanisms as mechanisms
-from dpirls.accountant import PrivacyBudget, plan_for_budget
+from dpirls.accountant import PrivacyBudget, Regime, _advanced_cost, plan_for_budget
 from dpirls.data import Dataset
 from dpirls.mechanisms import (
     _stream,
@@ -64,10 +64,10 @@ def test_sensitivity_argument_validation():
 
 def test_every_calibration_refuses_a_cap_whose_reciprocal_overflows():
     # 1/1e-310 is inf: the solver's clamp could not use such a cap, so no
-    # release may be calibrated from it either.  The clamp divides in the
-    # cap's own type, where 1/np.float32(1e-39) is inf though the float64
-    # reciprocal is finite.
-    for cap in (1e-310, np.float32(1e-39)):
+    # release may be calibrated from it either.  The reciprocal is taken
+    # of the cap's Python float, whatever its type, so np.float32(1e-39),
+    # whose float64 reciprocal is finite, is accepted.
+    for cap in (1e-310, np.float64(1e-310)):
         calls = [
             lambda: laplace_scale(1, 1, 1.0, cap),
             lambda: gaussian_std(1, 0.5, 1e-6, cap),
@@ -80,6 +80,10 @@ def test_every_calibration_refuses_a_cap_whose_reciprocal_overflows():
             assert str(exc.value) == f"weight_cap must have a finite reciprocal, got {cap!r}"
     # The smallest caps with a finite reciprocal still calibrate.
     assert laplace_scale(1, 1, 1.0, 1e-300) == 2e-300
+    tiny = np.float32(1e-39)
+    assert laplace_scale(1, 1, 1.0, tiny) == 2.0 * float(tiny)
+    assert wishart_variance(1, 1.0, tiny) == float(tiny) / 2.0
+    assert IRLSConfig(iterations=1, weight_cap=tiny).weight_cap == float(tiny)
 
 
 def _single_point_contrib(cap, rng, count, d, sharp_frac=0.2):
@@ -320,16 +324,62 @@ def test_gaussian_warning_fires_on_every_call():
     assert all("eps_prime=1.5 >= 1" in str(w.message) for w in caught)
 
 
-def test_equal_caps_of_two_types_draw_at_their_own_scales():
-    # np.float32(20) == 20.0, but a float32 cap keeps the scale in float32,
-    # so each type's release must draw at its own.
+def test_equal_caps_of_two_types_draw_at_one_scale():
+    # np.float32(20) == 20.0, and each calibration reads the cap as that
+    # Python float, so both releases draw the same noise.
     A = np.array([0.1, -0.2, 0.3])
-    caps = (np.float32(20.0), 20.0)
-    scales = [laplace_scale(3, 100, 0.5, cap) for cap in caps]
-    assert float(scales[0]) != scales[1]
-    for cap, scale in list(zip(caps, scales)) * 2:
-        expected = A + _stream(1, 0).laplace(loc=0.0, scale=scale, size=3)
+    expected = A + _stream(1, 0).laplace(loc=0.0, scale=laplace_scale(3, 100, 0.5, 20.0), size=3)
+    for cap in (np.float32(20.0), 20.0) * 2:
         assert laplace_perturb(A, 0.5, cap, 100, _stream(1, 0)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    ("as_type", "as_int"),
+    [(float, int), (np.float64, np.int64), (np.float32, np.int32), (np.array, np.int64)],
+    ids=["float", "float64", "float32", "array"],
+)
+def test_every_calibration_and_split_reads_its_scalars_as_python_floats(as_type, as_int):
+    # One value in four types: each calibration and each regime's split
+    # must return the Python float it returns for the float value of its
+    # inputs and the int value of its counts, so that no numpy promotion
+    # rule picks the precision.  numpy 2 kept float32 arithmetic in
+    # float32, where the Gaussian std of 882 of these caps fell below the
+    # float64 one, and an np.int64 J overflowed the exact basic split.
+    def same(result, expected):
+        assert type(result) is float and result == expected, (result, expected)
+
+    eps, fp = as_type(0.212), as_type(1e-5)
+    eps_f, fp_f = float(eps), float(fp)
+    n, d = as_int(450), as_int(10)
+    for c in range(1, 2001):
+        cap, cap_f = as_type(c), float(c)
+        same(l1_sensitivity_A(d, n, cap), l1_sensitivity_A(10, 450, cap_f))
+        same(l2_sensitivity_A(n, cap), l2_sensitivity_A(450, cap_f))
+        same(laplace_scale(d, n, eps, cap), laplace_scale(10, 450, eps_f, cap_f))
+        same(gaussian_std(n, eps, fp, cap), gaussian_std(450, eps_f, fp_f, cap_f))
+        same(wishart_variance(n, eps, cap), wishart_variance(450, eps_f, cap_f))
+    config = IRLSConfig(iterations=as_int(3), weight_cap=as_type(5.0))
+    same(config.weight_cap, 5.0)
+    assert type(config.iterations) is int and config.iterations == 3
+    for total in (1e-5, 0.1, 0.9, 2.0):
+        budget, budget_f = as_type(total), float(as_type(total))
+        for j in (1, 10, 20, 50):
+            for regime in (Regime.CDP, Regime.CONVENTIONAL):
+                plan = plan_for_budget(PrivacyBudget(budget, regime=regime), as_int(j))
+                expected = plan_for_budget(PrivacyBudget(budget_f, regime=regime), j)
+                same(plan.eps_prime, expected.eps_prime)
+                assert type(plan.rho) is type(expected.rho) and plan.rho == expected.rho
+            for failure_prob in (as_type(1e-5), as_type(1e-6), as_type(1e-8)):
+                prob_f = float(failure_prob)
+                advanced = PrivacyBudget(budget, failure_prob, Regime.ADVANCED)
+                same(advanced.epsilon, budget_f)
+                same(advanced.failure_prob, prob_f)
+                plan = plan_for_budget(advanced, as_int(j))
+                expected = plan_for_budget(PrivacyBudget(budget_f, prob_f, Regime.ADVANCED), j)
+                same(plan.eps_prime, expected.eps_prime)
+                # The split's strong-composition cost at the failure_prob
+                # the caller passed stays within the budget.
+                assert _advanced_cost(plan.eps_prime, 2 * j, prob_f) <= budget_f
 
 
 def test_zero_d_array_arguments_calibrate_and_raise_as_the_public_functions_do():

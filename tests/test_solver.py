@@ -1276,14 +1276,16 @@ def test_solves_on_one_dataset_share_their_first_step(monkeypatch):
     _, weights, moments = vars(ds)["_first_step"][0]
     assert not any(a.flags.writeable for a in (weights, *moments))
 
-    # Another cap, or a float32 cap equal in value but not in its clamp,
-    # builds its own first step, which replaces the entry.
-    for cap in (10.0, np.float32(20.0), 20.0):
+    # Another cap builds its own first step, which replaces the entry.  The
+    # entry is keyed by the cap's Python float, so a cap equal in value,
+    # whatever its type, reuses it.
+    for cap, builds in ((10.0, 1), (np.float32(20.0), 1), (20.0, 0), (np.float32(20.0), 0)):
         other = IRLSConfig(iterations=4, weight_cap=cap)
         expected = outputs(run_exact_irls(_fresh_copy(ds), other))
         calls.clear()
         assert outputs(run_exact_irls(ds, other)) == expected
-        assert first_step_calls(cap) == 1
+        assert first_step_calls(cap) == builds
+    assert vars(ds)["_first_step"][0][0] == 20.0
 
 
 def test_threads_sharing_a_dataset_get_the_steps_they_would_get_alone():
@@ -1316,7 +1318,7 @@ def test_threads_sharing_a_dataset_get_the_steps_they_would_get_alone():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == [] and len(results) == 4 * 30 and all(results)
-    assert vars(ds)["_first_step"][0][0] in {(float, cfg.weight_cap) for cfg in configs}
+    assert vars(ds)["_first_step"][0][0] in {cfg.weight_cap for cfg in configs}
 
 
 # --- edge-case contract --------------------------------------------------
