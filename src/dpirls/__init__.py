@@ -22,7 +22,7 @@ from .accountant import (
     Regime,
     plan_for_budget,
 )
-from .data import DataValidationError, Dataset, normalize_dataset, validate_dataset
+from .data import DataValidationError, Dataset, clip_dataset, validate_dataset
 from .mechanisms import (
     gaussian_perturb,
     gaussian_std,
@@ -57,6 +57,7 @@ __all__ = [
     "Regime",
     "SplitDataset",
     "SyntheticSpec",
+    "clip_dataset",
     "compute_moments",
     "evaluate_fit",
     "gaussian_perturb",
@@ -66,7 +67,6 @@ __all__ = [
     "l2_sensitivity_A",
     "laplace_perturb",
     "laplace_scale",
-    "normalize_dataset",
     "plan_for_budget",
     "residuals",
     "run_exact_irls",

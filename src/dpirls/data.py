@@ -1,9 +1,11 @@
-"""Dataset container, bound checks, and normalization.
+"""Dataset container, bound checks, and clipping.
 
 Every sensitivity bound in :mod:`dpirls.mechanisms` assumes the row norms
-of the design matrix are at most 1 and the responses lie in [-1, 1].  The
-helpers here establish and verify those bounds, and the private solver
-calls :func:`validate_dataset` before calibrating any noise.  The check
+of the design matrix are at most 1 and the responses lie in [-1, 1].
+:func:`clip_dataset` establishes those bounds one row at a time, so a
+change to one raw row changes one clipped row, as the sensitivities
+assume.  The private solver calls :func:`validate_dataset` to verify
+them before calibrating any noise.  The check
 runs once per :class:`Dataset`; later calls on the same instance reuse
 its result.
 """
@@ -17,12 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # Slack for the norm bounds: rounding in a row norm of a legitimately
-# normalized dataset is a few ulp, far below this.
+# bounded or clipped dataset is a few ulp, far below this.
 NORM_TOLERANCE = 1e-9
-
-# A maximum norm already this close to 1 is left untouched so that
-# normalizing twice is bitwise identical to normalizing once.
-_RENORM_SKIP = 1e-12
 
 # A Gram matrix assembled from real data is symmetric to a few ulp; a
 # larger asymmetry means the caller is not passing a moment matrix.
@@ -185,7 +183,7 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
 
 
 def _check_shapes(X: np.ndarray, y: np.ndarray) -> None:
-    # Dataset's and normalize_dataset's rule: X (n, d), y (n,), n, d >= 1.
+    # Dataset's and clip_dataset's rule: X (n, d), y (n,), n, d >= 1.
     if X.ndim != 2:
         raise DataValidationError(f"X must be 2-dimensional, got ndim={X.ndim}")
     if y.ndim != 1:
@@ -203,7 +201,7 @@ class Dataset:
     """Design matrix ``X`` of shape (n, d) and response vector ``y`` of shape (n,).
 
     Construction checks shapes only.  Use :func:`validate_dataset` to
-    enforce the norm bounds, or :func:`normalize_dataset` to establish
+    enforce the norm bounds, or :func:`clip_dataset` to establish
     them.  The stored arrays are read-only, and the storage order of
     ``X`` follows d, whatever the input's order.  Up to d = 30 ``X`` is
     column-major (Fortran order): every pass the solver makes over it
@@ -314,8 +312,8 @@ def validate_dataset(dataset: Dataset) -> Dataset:
         value at row r"), then in ``y`` ("y contains a non-finite value at
         row r"); a finite row of ``X`` whose L2 norm overflows float64
         ("row r of X has an L2 norm that overflows float64; scale X down
-        before normalizing"); a row norm above 1, then a ``|y_i|`` above
-        1.  :func:`normalize_dataset` and
+        before clipping"); a row norm above 1, then a ``|y_i|`` above
+        1.  :func:`clip_dataset` and
         :func:`dpirls.solver.run_exact_irls` refuse the first three with
         the same messages.
     """
@@ -344,7 +342,7 @@ def _check_finite(X: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise DataValidationError(f"y contains a non-finite value at row {bad}")
     raise DataValidationError(
         f"row {rows[0]} of X has an L2 norm that overflows float64; "
-        "scale X down before normalizing"
+        "scale X down before clipping"
     )
 
 
@@ -355,25 +353,29 @@ def _check_bounds(dataset: Dataset) -> None:
         bad = int(np.argmax(over))
         raise DataValidationError(
             f"row {bad} of X has L2 norm {norms[bad]:.6g} > 1; "
-            "normalize_dataset establishes the bound"
+            "clip_dataset establishes the bound"
         )
     over_y = np.abs(dataset.y) > 1.0 + NORM_TOLERANCE
     if np.logical_or.reduce(over_y, axis=None):
         bad = int(np.argmax(over_y))
         raise DataValidationError(
             f"y[{bad}] = {dataset.y[bad]:.6g} lies outside [-1, 1]; "
-            "normalize_dataset establishes the bound"
+            "clip_dataset establishes the bound"
         )
 
 
-def normalize_dataset(X: np.ndarray, y: np.ndarray) -> Dataset:
-    """Scale ``X`` and ``y`` so the bound checks pass, preserving direction.
+def clip_dataset(X: np.ndarray, y: np.ndarray) -> Dataset:
+    """Bound each row of raw data on its own: the dataset the private solver accepts.
 
-    ``X`` is divided by its largest row L2 norm and ``y`` by its largest
-    absolute entry, each only when that maximum differs from 1 by more
-    than ``1e-12``.  The skip makes the operation bitwise idempotent:
-    normalizing an already-normalized dataset returns identical bytes.
-    All-zero inputs are returned unchanged.
+    Each row ``x_i`` is divided by ``max(1, ||x_i||_2)`` and each ``y_i``
+    is clipped to [-1, 1], the clipping step of DP-SGD (Abadi et al.,
+    CCS 2016).  A row of norm at most 1 and a response within [-1, 1]
+    keep their bytes.  The map is row-local: a row's clipped value
+    depends on that row alone, so two raw datasets that differ in one row
+    give clipped datasets that differ in that row only, and the guarantee
+    of a private run on the result covers the caller's raw rows.  A
+    clipped row's computed norm may sit an ulp or two above 1;
+    ``NORM_TOLERANCE`` passes it.
 
     After the shape checks :class:`Dataset` makes, the input is refused
     with :class:`DataValidationError` by the same rules and messages as
@@ -382,35 +384,22 @@ def normalize_dataset(X: np.ndarray, y: np.ndarray) -> Dataset:
     value at row r"), then in ``y`` ("y contains a non-finite value at
     row r"), then a finite row of ``X`` whose L2 norm overflows float64
     ("row r of X has an L2 norm that overflows float64; scale X down
-    before normalizing"), which would otherwise scale all of ``X`` to 0.
-
-    Scaling by the data's own maxima is not a row-local map, so a private
-    run on the result protects the normalized data, not the caller's.
+    before clipping"), which would otherwise clip to a row of zeros.
 
     Returns
     -------
     Dataset
-        Validated dataset with max row norm and max ``|y|`` equal to 1
-        (within a few ulp) unless the corresponding input was all zero.
+        Validated dataset whose rows have norm at most 1 and whose
+        responses lie in [-1, 1].
     """
-    # One private copy of each input, X in the dataset's order, scaled in
+    # One private copy of each input, X in the dataset's order, clipped in
     # place and then adopted by the Dataset: never the caller's own arrays.
     X = np.asarray(X)
     y = np.array(y, dtype=np.float64)
     _check_shapes(X, y)
     X = np.array(X, dtype=np.float64, order=_x_order(X.shape[1]))
-    norms = _check_finite(X, y)
-    # Below 2^-500 the squares in a norm can underflow (1e-170 reads 0.0).
-    # Scaling X by 2^600 is exact and leaves every nonzero square normal.
-    if norms.max() < 2.0**-500:
-        np.ldexp(X, 600, out=X)
-        norms = _row_norms(X)
-    max_norm = float(norms.max())
-    if max_norm > 0.0 and abs(max_norm - 1.0) > _RENORM_SKIP:
-        X /= max_norm
-    max_abs_y = float(np.abs(y).max())
-    if max_abs_y > 0.0 and abs(max_abs_y - 1.0) > _RENORM_SKIP:
-        y /= max_abs_y
+    X /= np.maximum(_check_finite(X, y), 1.0)[:, None]
+    np.clip(y, -1.0, 1.0, out=y)
     X.setflags(write=False)
     y.setflags(write=False)
     return validate_dataset(Dataset(X=X, y=y))

@@ -464,7 +464,7 @@ def run_exact_irls(dataset: Dataset, config: IRLSConfig) -> tuple[np.ndarray, tu
     Returns the final iterate and the per-iteration trace.  Does not
     require the privacy norm bounds, since nothing is released.  Before
     any iteration it refuses, with :class:`dpirls.data.DataValidationError`,
-    what :func:`dpirls.data.normalize_dataset` refuses, with the same
+    what :func:`dpirls.data.clip_dataset` refuses, with the same
     messages: a NaN or an infinity in X, then in y, then a finite row of
     X whose L2 norm overflows float64.  That last holds even where the
     weighted moments would stay finite (a huge |y_i| shrinks the row's

@@ -76,6 +76,22 @@ def streaming_mean_stderr(values):
     return mean, (ss / (k - 1)) ** 0.5 / k**0.5
 
 
+def scale_to_unit_max(X, y):
+    """Copies of X and y divided by their largest row L2 norm and largest
+    |y_i|, X in the storage order a Dataset gives it (column-major up to
+    d = 30), so its row norms round as the Dataset's own would.
+
+    A quick way to put random test data within the norm bounds.  One row
+    sets the scale of every other, so it is no preprocessing for a private
+    run: dpirls.clip_dataset bounds each row on its own.
+    """
+    X = np.array(X, dtype=float, order="F" if np.shape(X)[1] <= 30 else "C")
+    y = np.array(y, dtype=float)
+    X /= np.linalg.norm(X, axis=1).max()
+    y /= np.abs(y).max()
+    return X, y
+
+
 def unscaled_synthetic(n, d, noise_var, seed):
     """X, y and theta* from synthetic.generate's documented recipe, without
     its last step, the scaling of y to [-1, 1].

@@ -1,4 +1,4 @@
-"""Container, bound-check, and normalization tests."""
+"""Container, bound-check, and clipping tests."""
 
 import dataclasses
 import tracemalloc
@@ -6,8 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
+from _oracles import audit_epsilon, scale_to_unit_max
 
 import dpirls.data as data_module
+from dpirls.accountant import PrivacyBudget, Regime
 from dpirls.data import (
     _NORM_BLOCK_ELEMENTS,
     NORM_TOLERANCE,
@@ -17,11 +19,11 @@ from dpirls.data import (
     _as_symmetric,
     _row_norms,
     _row_spans,
-    normalize_dataset,
+    clip_dataset,
     validate_dataset,
 )
 from dpirls.mechanisms import wishart_perturb
-from dpirls.solver import MomentSolveError, solve_step
+from dpirls.solver import IRLSConfig, MomentSolveError, run_private_irls, solve_step
 from dpirls.synthetic import SyntheticSpec, generate
 
 
@@ -144,7 +146,8 @@ def test_shape_mismatches_rejected():
 
 
 def test_normalize_refuses_what_the_dataset_refuses():
-    # One shape rule for both, checked before any norm is taken.
+    # One shape rule for Dataset and clip_dataset (which normalizes each
+    # row whose norm exceeds 1), checked before any norm is taken.
     for X, y, match in (
         (np.zeros((3, 2)), np.zeros(4), "^X has 3 rows but y has 4 entries$"),
         (np.zeros(3), np.zeros(3), "^X must be 2-dimensional"),
@@ -152,7 +155,7 @@ def test_normalize_refuses_what_the_dataset_refuses():
         (np.zeros((0, 2)), np.zeros(0), "^dataset must contain at least one row$"),
         (np.zeros((2, 0)), np.zeros(2), "^X must have at least one column$"),
     ):
-        for build in (Dataset, normalize_dataset):
+        for build in (Dataset, clip_dataset):
             with pytest.raises(DataValidationError, match=match):
                 build(X, y)
 
@@ -284,11 +287,11 @@ def test_storage_order_of_X_follows_d(d, order, other, monkeypatch):
         assert not np.shares_memory(ds.X, theirs)
         assert stored_so(ds.X) and ds.X.flags.owndata and not ds.X.flags.writeable
         np.testing.assert_array_equal(ds.X, base)
-    # normalize_dataset scales its one private copy in that order, which
-    # the Dataset adopts.
+    # clip_dataset clips its one private copy in that order, which the
+    # Dataset adopts.
     copies.clear()
     for X in (own, theirs, base.tolist()):
-        ds = normalize_dataset(X, y)
+        ds = clip_dataset(X, y)
         assert stored_so(ds.X) and ds.X.flags.owndata and not np.shares_memory(ds.X, X)
     assert copies == [False] * 3
     # generate fills the train and test arrays in that order, and each
@@ -301,12 +304,12 @@ def test_storage_order_of_X_follows_d(d, order, other, monkeypatch):
 
 
 def test_normalize_never_adopts_the_callers_arrays():
-    # Already normalized and frozen, so neither is scaled: still copied.
+    # Within the bounds and frozen, so nothing is clipped: still copied.
     X = np.asfortranarray([[0.6, 0.8], [0.0, 0.5]])
     y = np.array([1.0, -0.5])
     X.setflags(write=False)
     y.setflags(write=False)
-    ds = normalize_dataset(X, y)
+    ds = clip_dataset(X, y)
     assert not np.shares_memory(ds.X, X) and not np.shares_memory(ds.y, y)
     assert ds.X.tobytes() == X.tobytes() and ds.y.tobytes() == y.tobytes()
 
@@ -350,7 +353,7 @@ def test_bounds_check_at_the_norm_tolerance():
                     validate_dataset(ds)
                 assert str(exc.value) == (
                     f"row {bad_row} of X has L2 norm {full[bad_row]:.6g} > 1; "
-                    "normalize_dataset establishes the bound"
+                    "clip_dataset establishes the bound"
                 )
                 outcomes.append("rejected")
         if d == 1:  # sqrt(t * t) == t, so the cut is exactly at the limit
@@ -359,7 +362,7 @@ def test_bounds_check_at_the_norm_tolerance():
 
 
 def test_normalize_peak_memory_stays_near_one_copy():
-    # Normalizing makes one column-major copy, scales it in place and
+    # Clipping makes one column-major copy, divides its rows in place and
     # hands it to the Dataset, and row norms are taken block by block
     # (2.17x the size of X when the scaled X was copied again, 3.08x when
     # the norms were taken in one call).
@@ -368,7 +371,7 @@ def test_normalize_peak_memory_stays_near_one_copy():
     y = 2.0 * rng.normal(size=20000)
     tracemalloc.start()
     try:
-        normalize_dataset(X, y)
+        clip_dataset(X, y)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -402,11 +405,11 @@ def test_non_finite_value_in_a_late_block_names_its_row():
         with pytest.raises(DataValidationError, match=f"non-finite value at row {row}$"):
             validate_dataset(Dataset(X=X_bad, y=y))
         with pytest.raises(DataValidationError, match=f"^X contains a non-finite value at row {row}$"):
-            normalize_dataset(X_bad, y)
+            clip_dataset(X_bad, y)
     # A finite row whose norm overflows is reported as that overflow, by
     # both entry points, without numpy's overflow warning (an error under
     # this suite), and after every non-finite entry of X and of y.
-    overflow = f"^row {n - 3} of X has an L2 norm that overflows float64; scale X down before normalizing$"
+    overflow = f"^row {n - 3} of X has an L2 norm that overflows float64; scale X down before clipping$"
     X_big = X.copy()
     X_big[n - 3] = 1e200
     X_nan = X_big.copy()
@@ -423,76 +426,117 @@ def test_non_finite_value_in_a_late_block_names_its_row():
         (X_over, y, overflow),
     ):
         for check in (lambda: validate_dataset(Dataset(X=X_case, y=y_case)),
-                      lambda: normalize_dataset(X_case, y_case)):
+                      lambda: clip_dataset(X_case, y_case)):
             with pytest.raises(DataValidationError, match=match):
                 check()
 
 
 def test_normalize_known_values():
-    # max row norm 5 -> rows scaled by 1/5; max |y| = 4 -> y scaled by 1/4
-    ds = normalize_dataset(np.array([[3.0, 4.0], [0.0, 1.0]]), np.array([2.0, -4.0]))
-    np.testing.assert_allclose(ds.X, [[0.6, 0.8], [0.0, 0.2]], rtol=0, atol=1e-15)
-    np.testing.assert_allclose(ds.y, [0.5, -1.0], rtol=0, atol=0)
-
-
-def test_normalize_is_bitwise_idempotent():
-    rng = np.random.default_rng(42)
-    X = rng.normal(size=(50, 4)) * 3.0
-    y = rng.normal(size=50) * 7.0
-    once = normalize_dataset(X, y)
-    twice = normalize_dataset(once.X, once.y)
-    assert np.array_equal(once.X, twice.X)
-    assert np.array_equal(once.y, twice.y)
-
-
-def test_normalize_reaches_unit_maximum():
-    rng = np.random.default_rng(3)
-    for i in range(20):
-        X = rng.normal(size=(30, 3)) * rng.uniform(0.1, 50.0)
-        y = rng.normal(size=30) * rng.uniform(0.1, 50.0)
-        ds = normalize_dataset(X, y)
-        assert abs(np.linalg.norm(ds.X, axis=1).max() - 1.0) < 1e-12
-        assert abs(np.abs(ds.y).max() - 1.0) < 1e-12
-        validate_dataset(ds)
-
-
-@pytest.mark.parametrize("v", [1e-170, 3e-162, 1e-160])
-def test_normalize_scales_rows_whose_squares_underflow(v):
-    # Squared, these entries underflow: 1e-170 read as all-zero X, 3e-162
-    # gave a largest row norm of 0.954, and 1e-160 one above the bound.
-    ds = normalize_dataset([[v, v], [v / 2, 0.0]], [1.0, 0.5])
-    norms = np.linalg.norm(ds.X, axis=1)
-    assert abs(norms.max() - 1.0) <= 4 * np.finfo(float).eps
-    np.testing.assert_allclose(ds.X, [[2**-0.5, 2**-0.5], [2**-1.5, 0.0]], rtol=1e-15)
-    np.testing.assert_array_equal(ds.y, [1.0, 0.5])
+    # The row of norm 5 is divided by 5, the row of norm 1 is kept, and y
+    # is clipped to [-1, 1].
+    ds = clip_dataset(np.array([[3.0, 4.0], [0.0, 1.0]]), np.array([2.0, -4.0]))
+    np.testing.assert_array_equal(ds.X, [[0.6, 0.8], [0.0, 1.0]])
+    np.testing.assert_array_equal(ds.y, [1.0, -1.0])
 
 
 def test_normalize_leaves_zero_data_alone():
-    ds = normalize_dataset(np.zeros((4, 2)), np.zeros(4))
-    assert np.array_equal(ds.X, np.zeros((4, 2)))
-    assert np.array_equal(ds.y, np.zeros(4))
+    # Zero rows, -0.0 included, are within the bound and keep their bytes.
+    X = np.zeros((4, 2))
+    X[1, 0] = X[3, 1] = -0.0
+    y = np.array([0.0, -0.0, 0.0, -0.0])
+    ds = clip_dataset(X, y)
+    assert ds.X.tobytes() == np.asfortranarray(X).tobytes()
+    assert ds.y.tobytes() == y.tobytes()
+
+
+def _raw_pair():
+    # Raw data of the quick start's kind at n = 100, d = 1, some rows and
+    # responses beyond the bounds, and a neighbour that replaces row 0's
+    # x = 50 by x = -1: clipped, +1 against -1, as far apart as two rows
+    # within the bound can be.
+    gen = np.random.default_rng(0)
+    X = gen.uniform(-2.0, 2.0, (100, 1))
+    y = X[:, 0] / 2 + gen.normal(0.0, 0.1, 100)
+    X[0, 0] = 50.0
+    neighbour = X.copy()
+    neighbour[0, 0] = -1.0
+    return (X, y), (neighbour, y)
+
+
+def test_clip_changes_only_the_row_that_changed():
+    # Scaling by the data's maxima changes every row of the neighbour (50
+    # against 1.99 for the largest norm); the clip changes row 0 alone.
+    pair = _raw_pair()
+    scaled = [scale_to_unit_max(X, y)[0] for X, y in pair]
+    assert (scaled[0] != scaled[1]).all()
+    a, b = (clip_dataset(X, y) for X, y in pair)
+    assert a.X[0, 0] == 1.0 and b.X[0, 0] == -1.0
+    assert a.X[1:].tobytes() == b.X[1:].tobytes() and a.y.tobytes() == b.y.tobytes()
+    # Other raw rows beyond the bound were clipped too, alike on both sides.
+    assert (np.abs(a.X[1:]) < np.abs(pair[0][0][1:])).any()
+
+
+def test_clip_keeps_in_bound_rows_and_responses_bit_for_bit():
+    # Rows of norm at most 1 (a unit row, tiny and subnormal entries whose
+    # squares underflow, -0.0) and responses within [-1, 1] come back with
+    # their bytes; a longer row keeps its direction at norm 1, up to
+    # NORM_TOLERANCE, and a response beyond 1 is clipped.
+    for d in (1, 2, 3, 10, 31, 100):
+        rng = np.random.default_rng(d)
+        X = rng.normal(size=(12, d))
+        X /= np.linalg.norm(X, axis=1)[:, None]
+        scales = [3.0, 1.0, 0.5, 1e-170, 5e-324, -0.0, 1e150, 1 + 1e-15, 7.0, 2.0, 0.99, 0.0]
+        X *= np.array(scales)[:, None]
+        y = np.array([0.5, -1.0, 1.0, -0.0, 2.0, -7.0, 1e-300, 0.25, 1 + 2**-52, -3.0, 0.0, 0.75])
+        ds = clip_dataset(X, y)
+        norms = np.linalg.norm(X, axis=1)
+        inside = norms <= 1.0
+        # The unit row (row 1) may round to either side of 1.
+        assert np.array_equal(np.delete(inside, 1), np.delete(np.array(scales) < 1.0, 1)), d
+        for i in np.flatnonzero(inside):
+            assert ds.X[i].tobytes() == X[i].tobytes(), (d, i)
+        out = ~inside
+        clipped = np.linalg.norm(ds.X[out], axis=1)
+        assert np.abs(clipped - 1.0).max() <= NORM_TOLERANCE, d
+        np.testing.assert_allclose(ds.X[out], X[out] / norms[out][:, None], rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(ds.y, np.clip(y, -1.0, 1.0))
+        assert ds.y[[0, 1, 2, 3, 6, 7, 10, 11]].tobytes() == y[[0, 1, 2, 3, 6, 7, 10, 11]].tobytes()
+
+
+def test_quick_start_pipeline_passes_an_epsilon_audit():
+    # The README's pipeline, raw data through clip_dataset into a private
+    # solve, audited on the output theta for the neighbouring raw datasets
+    # of _raw_pair at J = 1 and eps = 1 (basic composition, Laplace).
+    # Scaling by the data's maxima instead read eps >= 3.9 on these draws.
+    pytest.importorskip("scipy.stats")
+    config = IRLSConfig(iterations=1, weight_cap=5.0)
+    budget = PrivacyBudget(epsilon=1.0, regime=Regime.CONVENTIONAL)
+    draws = []
+    for side, (X, y) in enumerate(_raw_pair()):
+        ds, gen = clip_dataset(X, y), np.random.default_rng([7, side])
+        draws.append([run_private_irls(ds, config, budget, "laplace", gen)[0][0] for _ in range(2000)])
+    assert audit_epsilon(*draws) <= budget.epsilon
 
 
 def test_normalize_rejects_non_finite():
     with pytest.raises(DataValidationError, match="non-finite"):
-        normalize_dataset(np.array([[np.inf, 0.0]]), np.array([1.0]))
+        clip_dataset(np.array([[np.inf, 0.0]]), np.array([1.0]))
     with pytest.raises(DataValidationError, match="^y contains a non-finite value at row 2$"):
-        normalize_dataset(np.full((4, 2), 0.5), np.array([1.0, -3.0, np.nan, np.inf]))
+        clip_dataset(np.full((4, 2), 0.5), np.array([1.0, -3.0, np.nan, np.inf]))
 
 
 def test_normalize_refuses_a_row_norm_that_overflows():
-    # Dividing by an infinite max_norm would zero all of X.  The refusal
+    # Dividing a row by its infinite norm would zero it.  The refusal
     # names the first such row and raises no overflow warning on the way.
     match = "^row {} of X has an L2 norm that overflows float64"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DataValidationError, match=match.format(0)):
-            normalize_dataset([[1e200, 1.0], [0.5, 0.25]], [1.0, 2.0])
+            clip_dataset([[1e200, 1.0], [0.5, 0.25]], [1.0, 2.0])
         X = np.full((2000, 3), 0.5)
         X[[1500, 1700], 2] = -1e160
         with pytest.raises(DataValidationError, match=match.format(1500)):
-            normalize_dataset(X, np.ones(2000))
-        # A large row whose norm stays finite still scales, exactly here.
-        big = 2.0**500
-        ds = normalize_dataset([[big, 0.0], [0.5, 0.25]], [1.0, 2.0])
-    np.testing.assert_array_equal(ds.X, [[1.0, 0.0], [0.5 / big, 0.25 / big]])
+            clip_dataset(X, np.ones(2000))
+        # A large row whose norm stays finite is still clipped, exactly here.
+        ds = clip_dataset([[2.0**500, 0.0], [0.5, 0.25]], [1.0, 2.0])
+    np.testing.assert_array_equal(ds.X, [[1.0, 0.0], [0.5, 0.25]])

@@ -11,11 +11,11 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from _oracles import grid_l1_minimizer, longdouble_solve, naive_moments
+from _oracles import grid_l1_minimizer, longdouble_solve, naive_moments, scale_to_unit_max
 
 import dpirls.solver as solver_module
 from dpirls.accountant import PrivacyBudget, Regime, plan_for_budget
-from dpirls.data import DataValidationError, Dataset, normalize_dataset, validate_dataset
+from dpirls.data import DataValidationError, Dataset, validate_dataset
 from dpirls.experiment import MECHANISM_SPECS
 from dpirls.mechanisms import _stream, wishart_perturb
 from dpirls.synthetic import SyntheticSpec, evaluate_fit, generate
@@ -33,7 +33,7 @@ from dpirls.solver import (
 
 def _random_dataset(seed, n=200, d=4):
     rng = np.random.default_rng(seed)
-    return normalize_dataset(rng.normal(size=(n, d)), rng.normal(size=n))
+    return Dataset(*scale_to_unit_max(rng.normal(size=(n, d)), rng.normal(size=n)))
 
 
 # --- weights -------------------------------------------------------------
@@ -703,7 +703,7 @@ def test_solve_step_failures_warn_nothing_and_keep_the_callers_error_state():
 # --- exact IRLS ----------------------------------------------------------
 
 _ROW_3_OVERFLOWS = (
-    "^row 3 of X has an L2 norm that overflows float64; scale X down before normalizing$"
+    "^row 3 of X has an L2 norm that overflows float64; scale X down before clipping$"
 )
 _MOMENTS_OVERFLOW = (
     r"^the weighted moments of X and y may overflow float64 at weight_cap=5\.0; "
@@ -737,7 +737,7 @@ def test_exact_solve_names_the_non_finite_entry_behind_its_first_weights(
     x_entries, y_entries, message
 ):
     # The exact solve, which needs no norm bounds, refuses before its first
-    # step what normalize_dataset refuses: a NaN or an infinity in X or y,
+    # step what clip_dataset refuses: a NaN or an infinity in X or y,
     # which would make iteration 1's weight NaN or 0, or a row whose L2
     # norm overflows, which would overflow B or pass a huge |y_i|.  It
     # reports the entry as validate_dataset does and memoises no first step.
@@ -837,7 +837,7 @@ def _outlier_dataset(seed, n=800, d=5, share=0.3):
     y = X @ rng.normal(size=d) + 0.1 * rng.normal(size=n)
     out = rng.random(n) < share
     y[out] += rng.uniform(-5.0, 5.0, out.sum())
-    return normalize_dataset(X, y)
+    return Dataset(*scale_to_unit_max(X, y))
 
 
 @pytest.mark.parametrize("cap", [5.0, 20.0])
@@ -1227,7 +1227,7 @@ def test_private_ridge_fallback_is_recorded():
     rng = np.random.default_rng(61)
     col = rng.normal(size=(150, 1))
     X = np.hstack([col, col])
-    ds = normalize_dataset(X, rng.normal(size=150))
+    ds = Dataset(*scale_to_unit_max(X, rng.normal(size=150)))
     theta, trace = run_exact_irls(ds, IRLSConfig(iterations=3, weight_cap=10.0))
     assert all(st.used_ridge for st in trace)
     assert np.isfinite(theta).all()
