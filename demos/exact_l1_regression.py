@@ -7,7 +7,8 @@ loss chases the outliers; the absolute loss shrugs them off.
 
 import numpy as np
 
-from dpirls import Dataset, IRLSConfig, residuals, run_exact_irls
+from dpirls import Dataset, IRLSConfig, run_exact_irls
+from dpirls.solver import residuals
 
 
 def main():

@@ -11,12 +11,12 @@ import numpy as np
 
 from dpirls import (
     Dataset,
-    compute_moments,
     gaussian_std,
     laplace_scale,
     wishart_perturb,
     wishart_variance,
 )
+from dpirls.solver import compute_moments
 
 
 def main():

@@ -11,9 +11,15 @@ parameter update is post-processing of those releases.  A privacy
 accountant splits a total budget across the 2 * iterations releases under
 zero-concentrated DP (zCDP), basic, or advanced composition.
 
-The README's experiment grid, its CSV and SVG output and the ``dpirls``
-command live in :mod:`dpirls.experiment`, :mod:`dpirls.charts` and
-:mod:`dpirls.cli`; importing the package loads none of them.
+The package exports that library: the data bounds, the exact and private
+loops, the three releases with their noise scales, and the accountant.
+The loop's layers (``compute_moments``, ``residuals``, ``solve_step``,
+``weights_from_residuals``) and the sensitivities behind the noise scales
+are imported from :mod:`dpirls.solver` and :mod:`dpirls.mechanisms`.  The
+README grid's synthetic problem, its experiment grid, its CSV and SVG
+output and the ``dpirls`` command live in :mod:`dpirls.synthetic`,
+:mod:`dpirls.experiment`, :mod:`dpirls.charts` and :mod:`dpirls.cli`;
+importing the package loads none of them.
 """
 
 from .accountant import (
@@ -26,24 +32,12 @@ from .data import DataValidationError, Dataset, clip_dataset, validate_dataset
 from .mechanisms import (
     gaussian_perturb,
     gaussian_std,
-    l1_sensitivity_A,
-    l2_sensitivity_A,
     laplace_perturb,
     laplace_scale,
     wishart_perturb,
     wishart_variance,
 )
-from .solver import (
-    IRLSConfig,
-    MomentSolveError,
-    compute_moments,
-    residuals,
-    run_exact_irls,
-    run_private_irls,
-    solve_step,
-    weights_from_residuals,
-)
-from .synthetic import SplitDataset, SyntheticSpec, evaluate_fit, generate
+from .solver import IRLSConfig, MomentSolveError, run_exact_irls, run_private_irls
 
 __version__ = "0.1.0"
 
@@ -55,25 +49,15 @@ __all__ = [
     "NoisePlan",
     "PrivacyBudget",
     "Regime",
-    "SplitDataset",
-    "SyntheticSpec",
     "clip_dataset",
-    "compute_moments",
-    "evaluate_fit",
     "gaussian_perturb",
     "gaussian_std",
-    "generate",
-    "l1_sensitivity_A",
-    "l2_sensitivity_A",
     "laplace_perturb",
     "laplace_scale",
     "plan_for_budget",
-    "residuals",
     "run_exact_irls",
     "run_private_irls",
-    "solve_step",
     "validate_dataset",
-    "weights_from_residuals",
     "wishart_perturb",
     "wishart_variance",
 ]

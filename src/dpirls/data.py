@@ -68,8 +68,9 @@ def _check_positive_finite(name: str, value: float) -> float:
     # Returns the Python float it checked, so that no sensitivity, noise
     # scale or split follows a numpy scalar's own arithmetic (numpy 2 keeps
     # np.float32(x) * 2.0 in float32).  Comparing value first refuses a
-    # str, which float() would parse.
-    if not (value > 0.0 and 0.0 < (x := float(value)) < math.inf):
+    # str, which float() would parse; a bool is refused, as _check_int
+    # refuses it, rather than read as 1.0.
+    if isinstance(value, (bool, np.bool_)) or not (value > 0.0 and 0.0 < (x := float(value)) < math.inf):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return x
 

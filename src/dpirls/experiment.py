@@ -29,11 +29,14 @@ cells serially, N >= 2 runs the same shares on a pool of N threads.
 A child runs only the package's cells (Python, numpy and BLAS) and
 always leaves through os._exit, so it never returns into the caller,
 flushes no inherited stdio buffer and runs no atexit hook.  OpenBLAS
-stops its thread pool in a pthread_atfork handler before the fork.
-Python 3.12 and later emit a DeprecationWarning at os.fork() when the
-process has other threads, as OpenBLAS's pool makes it; the warning is
-left to the caller's filters.  Each cell's wall_time_ms is timed in the
-process that ran it, and a child's memory is not counted in the
+stops its thread pool in a pthread_atfork handler before the fork: on a
+2-core host (Python 3.11.7, numpy 2.4.6) the process's /proc/self/status
+read 2 threads after a 2000x2000 gemm, 1 in the parent right after
+os.fork(), and 2 again after the next gemm.  Python 3.12 and later emit a
+DeprecationWarning at os.fork() when the process has other threads; any
+such warning is left to the caller's filters (CI's Python 3.12 leg runs
+the forked grid under -W error).  Each cell's wall_time_ms is timed in
+the process that ran it, and a child's memory is not counted in the
 parent's resident set size.
 
 A failing cell is recorded in its row's status column instead of

@@ -21,11 +21,8 @@ from dpirls import (
     IRLSConfig,
     PrivacyBudget,
     Regime,
-    compute_moments,
     gaussian_perturb,
     gaussian_std,
-    l1_sensitivity_A,
-    l2_sensitivity_A,
     laplace_perturb,
     laplace_scale,
     plan_for_budget,
@@ -35,7 +32,8 @@ from dpirls import (
     wishart_variance,
 )
 from dpirls.experiment import ExperimentGrid, aggregate, emit_csv, run_grid
-from dpirls.mechanisms import _stream
+from dpirls.mechanisms import _stream, l1_sensitivity_A, l2_sensitivity_A
+from dpirls.solver import compute_moments
 from _oracles import grid_l1_minimizer, unscaled_synthetic
 
 

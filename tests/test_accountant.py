@@ -176,6 +176,10 @@ def test_rule_argument_validation():
     for rule in (cdp_split, conventional_split, lambda e, j: advanced_split(e, 1e-6, j)):
         with pytest.raises(ValueError, match="epsilon must be positive"):
             rule(0.0, 5)
+        # A bool is not a budget, as it is not an iteration count.
+        for flag in (True, np.True_):
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                rule(flag, 5)
         with pytest.raises(ValueError, match="iterations must be a positive integer"):
             rule(0.9, 0)
     for failure_prob in (0.0, 1.0):

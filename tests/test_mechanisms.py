@@ -160,13 +160,14 @@ def test_wishart_spec():
     assert np.array_equal(out, Z @ Z.T)
 
 
-@pytest.mark.parametrize("eps", [0.0, -0.5])
+# A bool is refused too, not read as 1.0.
+@pytest.mark.parametrize("eps", [0.0, -0.5, True, np.True_])
 def test_specs_reject_nonpositive_eps(eps):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^eps_prime must be positive and finite"):
         laplace_scale(d=2, n=10, eps_prime=eps, weight_cap=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^eps_prime must be positive and finite"):
         gaussian_std(n=10, eps_prime=eps, failure_prob=1e-6, weight_cap=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^eps_prime must be positive and finite"):
         wishart_variance(n=10, eps_prime=eps, weight_cap=1.0)
 
 

@@ -1015,6 +1015,9 @@ def test_config_validation():
         IRLSConfig(iterations=0, weight_cap=100.0)
     with pytest.raises(ValueError, match="iterations"):
         IRLSConfig(iterations=True, weight_cap=100.0)
+    for flag in (True, np.True_):
+        with pytest.raises(ValueError, match="^weight_cap must be positive and finite"):
+            IRLSConfig(iterations=2, weight_cap=flag)
     with pytest.raises(ValueError):
         IRLSConfig(iterations=10, weight_cap=-1.0)
     # 1/1e-310 overflows to inf, so the clamp would make every weight 0;
